@@ -9,8 +9,6 @@ seen and unseen mIoU.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,63 +132,39 @@ class MetricsReport:
         }
 
 
-def _eval_workers() -> int:
-    env = os.environ.get("OOAL_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
 def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5) -> MetricsReport:
-    """Aggregate metrics over a split.
+    """Aggregate metrics over a split, one item at a time in submission order.
 
     ``run_item`` maps one dataset item to (item_id, Prediction,
-    AffordanceTarget, fixation stack or None); it is called read-only and in
-    parallel (capped by OOAL_THREADS). ``mode`` is "heatmap" for
-    KLD/SIM/NSS or "dense" for IoU.
-    """
+    AffordanceTarget, fixation stack or None); each result is scored and
+    dropped before the next call. ``mode`` is "heatmap" for KLD/SIM/NSS or
+    "dense" for IoU."""
     if mode not in ("heatmap", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
-    items = list(eval_set)
     report = MetricsReport(mode=mode)
-    if not items:
+    inter = np.zeros(len(class_names))
+    union = np.zeros_like(inter)
+    for item in eval_set:
+        item_id, pred, target, fixations = run_item(item)
         if mode == "heatmap":
-            report.aggregates = {"kld": None, "sim": None, "nss": None}
+            rec = heatmap_record(item_id, pred.upsampled, target.M, fixations)
         else:
-            report.aggregates = {"per_class_iou": None, "miou": None}
-        return report
-
-    workers = min(_eval_workers(), len(items))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_item, items))
-    else:
-        results = [run_item(it) for it in items]
+            i, u = iou_counts(pred, target, threshold)
+            inter += i
+            union += u
+            rec = {"id": item_id, "iou": [float(a / b) if b > 0 else None for a, b in zip(i, u)]}
+        report.items.append(rec)
+        del pred, target, fixations  # freed before the next run_item allocates
 
     if mode == "heatmap":
-        for item_id, pred, target, fixations in results:
-            report.items.append(
-                heatmap_record(item_id, pred.upsampled, target.M, fixations)
-            )
         report.aggregates = {}
         for key in ("kld", "sim", "nss"):
             vals = [rec[key] for rec in report.items if rec[key] is not None]
             report.aggregates[key] = float(np.mean(vals)) if vals else None
+    elif not report.items:
+        report.aggregates = {"per_class_iou": None, "miou": None}
     else:
-        n_class = len(class_names)
-        inter = np.zeros(n_class)
-        union = np.zeros(n_class)
-        for item_id, pred, target, _ in results:
-            i, u = iou_counts(pred, target, threshold)
-            inter += i
-            union += u
-            per_class = np.where(u > 0, i / np.maximum(u, 1), np.nan)
-            report.items.append(
-                {"id": item_id, "iou": [None if np.isnan(v) else float(v) for v in per_class]}
-            )
-        per_class = [
-            float(inter[c] / union[c]) if union[c] > 0 else None for c in range(n_class)
-        ]
+        per_class = [float(a / b) if b > 0 else None for a, b in zip(inter, union)]
         report.aggregates = {
             "per_class_iou": dict(zip(class_names, per_class)),
             "miou": miou(inter, union),
@@ -233,12 +207,16 @@ def evaluate_checkpoint(
 
 
 def keypoint_fixations(points: dict, shape, affordances) -> np.ndarray:
-    """Boolean H x W x N stack marking the annotated keypoint pixels."""
+    """Boolean H x W x N stack marking the annotated keypoint pixels; each
+    point rounds to the nearest pixel, clamped into the image (``densify``
+    accepts x < W, which can round to W)."""
     H, W, N = shape
     fix = np.zeros((H, W, N), dtype=bool)
     for ch, name in enumerate(affordances):
         for x0, y0 in points.get(name, []):
-            fix[int(round(y0)), int(round(x0)), ch] = True
+            row = min(max(int(round(y0)), 0), H - 1)
+            col = min(max(int(round(x0)), 0), W - 1)
+            fix[row, col, ch] = True
     return fix
 
 

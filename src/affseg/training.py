@@ -61,14 +61,29 @@ class TrainConfig:
 
 
 def load_config(path) -> TrainConfig:
-    """Parse a JSON config whose keys mirror TrainConfig; unknown keys are
-    rejected so typos fail fast."""
-    doc = json.loads(open(path).read())
-    known = {f.name for f in fields(TrainConfig)}
-    unknown = set(doc) - known
+    """Parse a JSON config file whose keys mirror TrainConfig."""
+    with open(path) as fh:
+        return _config_from_dict(json.load(fh))
+
+
+def _config_from_dict(doc) -> TrainConfig:
+    """TrainConfig from a JSON object; unknown keys or ill-typed values raise ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("config must be a JSON object")
+    types = {f.name: type(f.default) for f in fields(TrainConfig)}
+    unknown = set(doc) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for name, value in doc.items():
+        allowed = (int, float) if types[name] is float else types[name]
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise ValueError(f"config {name} must be {types[name].__name__}, got {value!r}")
     return TrainConfig(**doc)
+
+
+def _check_ablation(ablate: str | None) -> None:
+    if ablate is not None and ablate not in ABLATIONS:
+        raise ValueError(f"unknown ablation {ablate!r}, expected one of {ABLATIONS}")
 
 
 def build_text_pipeline(cfg: TrainConfig, affordances) -> tuple[ClassTokenTable, StubTextEncoder]:
@@ -109,26 +124,22 @@ def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
 
 def rebuild_params(mp: ModelParams, arrays: dict[str, np.ndarray]) -> ModelParams:
     """New ModelParams with the given arrays substituted by name."""
-
-    def pick(name, old):
-        return arrays.get(name, old)
-
     new_layers = []
     for k, layer in enumerate(mp.dp.layers):
         kw = {
-            name: pick(f"decoder.{k}.{name}", getattr(layer, name))
+            name: arrays.get(f"decoder.{k}.{name}", getattr(layer, name))
             for name in ("wq", "wk", "wv", "wc", "w1", "b1", "w2", "b2")
         }
         new_layers.append(decoder.DecoderLayerParams(**kw))
     return ModelParams(
-        ctx=ContextVectors(vectors=pick("ctx.vectors", mp.ctx.vectors)),
+        ctx=ContextVectors(vectors=arrays.get("ctx.vectors", mp.ctx.vectors)),
         fp=FusionParams(
-            proj=[pick(f"fusion.proj.{i}", P) for i, P in enumerate(mp.fp.proj)],
-            alpha_logits=pick("fusion.alpha_logits", mp.fp.alpha_logits),
+            proj=[arrays.get(f"fusion.proj.{i}", P) for i, P in enumerate(mp.fp.proj)],
+            alpha_logits=arrays.get("fusion.alpha_logits", mp.fp.alpha_logits),
         ),
         emb=Embedder(
-            weight=pick("embedder.weight", mp.emb.weight),
-            bias=pick("embedder.bias", mp.emb.bias),
+            weight=arrays.get("embedder.weight", mp.emb.weight),
+            bias=arrays.get("embedder.bias", mp.emb.bias),
         ),
         dp=DecoderParams(layers=new_layers),
     )
@@ -177,8 +188,7 @@ def forward(
     the foreground gate to one. ``text_override`` substitutes precomputed
     text embeddings for the prompt pipeline.
     """
-    if ablate is not None and ablate not in ABLATIONS:
-        raise ValueError(f"unknown ablation {ablate!r}, expected one of {ABLATIONS}")
+    _check_ablation(ablate)
     if text_override is not None:
         text = np.asarray(text_override, dtype=np.float64)
         text_cache = None
@@ -295,6 +305,7 @@ def train(
     runs forward/backward, and applies SGD. Bitwise deterministic."""
     if not trainset:
         raise ValueError("empty trainset")
+    _check_ablation(ablate)
     feature_dim = trainset[0].stack.feature_dim
     table, enc = build_text_pipeline(cfg, affordances)
     params = init_model(cfg, feature_dim)
@@ -375,16 +386,28 @@ def load_checkpoint(path, expect_cfg: TrainConfig | None = None) -> Checkpoint:
             manifest = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise FormatError(f"checkpoint manifest unreadable: {exc}") from exc
-        if manifest.get("version") != CHECKPOINT_VERSION:
-            raise FormatError(f"unsupported checkpoint version {manifest.get('version')}")
+        version = manifest.get("version") if isinstance(manifest, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise FormatError(f"unsupported checkpoint version {version}")
+        try:
+            config, affordances = manifest["config"], tuple(manifest["affordances"])
+            entries = [(e["name"], tuple(e["shape"])) for e in manifest["arrays"]]
+        except (KeyError, TypeError) as exc:
+            raise CorruptionError(f"checkpoint manifest malformed: {exc!r}") from exc
         arrays = {}
-        for entry in manifest["arrays"]:
-            shape = tuple(entry["shape"])
+        for name, shape in entries:
+            if not all(isinstance(d, int) and d >= 0 for d in shape):
+                raise CorruptionError(f"checkpoint array {name} has bad shape {list(shape)}")
             count = int(np.prod(shape)) if shape else 1
-            arrays[entry["name"]] = container.read_f64(fh, count).reshape(shape)
+            arrays[name] = container.read_f64(fh, count).reshape(shape)
         container.expect_eof(fh)
 
-    cfg = TrainConfig(**manifest["config"])
+    ablate = manifest.get("ablate")
+    try:
+        cfg = _config_from_dict(config)
+        _check_ablation(ablate)
+    except ValueError as exc:
+        raise FormatError(f"checkpoint {exc}") from exc
     if expect_cfg is not None:
         for name in ("p", "j", "t", "C", "C_t"):
             if getattr(cfg, name) != getattr(expect_cfg, name):
@@ -393,24 +416,20 @@ def load_checkpoint(path, expect_cfg: TrainConfig | None = None) -> Checkpoint:
                     f"but config expects {name}={getattr(expect_cfg, name)}"
                 )
 
-    feature_dim = arrays["embedder.weight"].shape[0]
-    skeleton = init_model(cfg, feature_dim)
-    expected = dict(param_items(skeleton))
-    for name, ref in expected.items():
+    weight = arrays.get("embedder.weight")
+    if weight is None or weight.ndim != 2:
+        raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
+    skeleton = init_model(cfg, weight.shape[0])
+    expected = {name: ref.shape for name, ref in param_items(skeleton)}
+    expected["text_encoder.proj"] = (cfg.C_t, cfg.C)
+    for name, shape in expected.items():
         if name not in arrays:
             raise CorruptionError(f"checkpoint missing array {name}")
-        if arrays[name].shape != ref.shape:
+        if arrays[name].shape != shape:
             raise ValueError(
-                f"checkpoint array {name} has shape {arrays[name].shape}, expected {ref.shape}"
+                f"checkpoint array {name} has shape {arrays[name].shape}, expected {shape}"
             )
-    params = rebuild_params(skeleton, arrays)
     proj = arrays["text_encoder.proj"]
     proj.flags.writeable = False
     enc = StubTextEncoder(proj=proj, seed=cfg.seed)
-    return Checkpoint(
-        params=params,
-        enc=enc,
-        affordances=tuple(manifest["affordances"]),
-        cfg=cfg,
-        ablate=manifest.get("ablate"),
-    )
+    return Checkpoint(rebuild_params(skeleton, arrays), enc, affordances, cfg, ablate)

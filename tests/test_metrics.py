@@ -1,21 +1,27 @@
 """Heatmap and segmentation metrics against hand-arithmetic oracles."""
 
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affseg import data, synth, training
 from affseg.data import AffordanceTarget
 from affseg.decoder import Prediction
+from affseg.features import save_features
 from affseg.metrics import (
     MetricsReport,
     evaluate,
+    evaluate_checkpoint,
     fixations_from_heatmap,
     hiou,
     iou_counts,
     iou_per_class,
+    keypoint_fixations,
     kld,
     miou,
     nss,
@@ -260,17 +266,59 @@ class TestEvaluate:
         manual = np.mean([rec["kld"] for rec in hm.items])
         assert abs(hm.aggregates["kld"] - manual) < 1e-12
 
-    def test_parallel_matches_serial(self, monkeypatch):
+    @staticmethod
+    def dense_entries(n=6):
         rng = np.random.default_rng(10)
         entries = []
-        for i in range(6):
+        for i in range(n):
             y = (rng.random((4, 4, 2)) < 0.4).astype(float)
             entries.append((f"it{i}", pred_of(rng.random((4, 4, 2))), AffordanceTarget(M=y), None))
-        monkeypatch.setenv("OOAL_THREADS", "1")
-        serial = evaluate(self.run_item, entries, "dense", ["a", "b"])
-        monkeypatch.setenv("OOAL_THREADS", "4")
-        parallel = evaluate(self.run_item, entries, "dense", ["a", "b"])
-        assert serial.to_json() == parallel.to_json()
+        return entries
+
+    def test_items_run_once_in_order_on_calling_thread(self, monkeypatch):
+        entries = self.dense_entries()
+        calls = []
+
+        def run_item(entry):
+            calls.append((entry[0], threading.get_ident()))
+            return entry
+
+        monkeypatch.delenv("OOAL_THREADS", raising=False)
+        reference = evaluate(run_item, entries, "dense", ["a", "b"]).to_json()
+        assert calls == [(e[0], threading.get_ident()) for e in entries]
+        for value in ("1", "4", "0", "many"):
+            monkeypatch.setenv("OOAL_THREADS", value)
+            assert evaluate(self.run_item, entries, "dense", ["a", "b"]).to_json() == reference
+
+    def test_run_item_error_propagates_and_stops(self):
+        entries = self.dense_entries()
+        failure = RuntimeError("cannot load it2")
+        calls = []
+
+        def run_item(entry):
+            calls.append(entry[0])
+            if entry[0] == "it2":
+                raise failure
+            return entry
+
+        with pytest.raises(RuntimeError) as info:
+            evaluate(run_item, entries, "dense", ["a", "b"])
+        assert info.value is failure
+        assert calls == ["it0", "it1", "it2"]
+
+    @pytest.mark.parametrize("mode", ["dense", "heatmap"])
+    def test_one_prediction_alive_at_a_time(self, mode):
+        rng = np.random.default_rng(11)
+        alive = []
+
+        def run_item(i):
+            assert all(ref() is None for ref in alive), "an earlier prediction is still held"
+            y = np.ones((4, 4, 2))
+            pred = pred_of(rng.random((4, 4, 2)))
+            alive.append(weakref.ref(pred))
+            return f"it{i}", pred, AffordanceTarget(M=y), None
+
+        assert evaluate(run_item, range(5), mode, ["a", "b"]).to_json()["count"] == 5
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -282,3 +330,42 @@ def test_report_json_shape():
                            aggregates={"miou": 0.5})
     doc = report.to_json()
     assert doc["count"] == 1 and doc["mode"] == "dense"
+
+
+class TestKeypointFixations:
+    @settings(max_examples=200, deadline=None)
+    @given(drawn=st.data(), H=st.integers(1, 40), W=st.integers(1, 40))
+    def test_each_accepted_keypoint_marks_its_nearest_pixel(self, drawn, H, W):
+        x = drawn.draw(st.floats(0.0, W, exclude_max=True))
+        y = drawn.draw(st.floats(0.0, H, exclude_max=True))
+        fix = keypoint_fixations({"b": [(x, y)]}, (H, W, 2), ["a", "b"])
+        assert fix.shape == (H, W, 2)
+        assert fix.sum() == 1 and fix[:, :, 1].sum() == 1
+        (row,), (col,) = np.nonzero(fix[:, :, 1])
+        assert row == min(round(y), H - 1) and col == min(round(x), W - 1)
+
+
+@pytest.fixture(scope="module")
+def keypoint_world(tmp_path_factory):
+    """A one-object world on disk plus an untrained checkpoint for it."""
+    world = synth.make_world(seed=3, num_base=1, num_novel=0, num_parts=2, grid=(4, 4),
+                             image_size=(16, 16), feature_dim=8)
+    obj = world.objects[0].object_id
+    root = tmp_path_factory.mktemp("kp")
+    save_features(synth.synth_vision_encode(world, obj, 0.05), root / "f.ooal")
+    cfg = training.TrainConfig(iterations=0, seed=3, p=2, j=2, t=1, C=8, C_t=8)
+    table, enc = training.build_text_pipeline(cfg, world.affordances)
+    params = training.init_model(cfg, world.feature_dim)
+    ckpt = training.Checkpoint(params=params, enc=enc, affordances=world.affordances, cfg=cfg)
+    return world, obj, root, ckpt
+
+
+@settings(max_examples=25, deadline=None)
+@given(x=st.floats(0.0, 16.0, exclude_max=True), y=st.floats(0.0, 16.0, exclude_max=True))
+def test_heatmap_eval_of_any_accepted_keypoint(keypoint_world, x, y):
+    world, obj, root, ckpt = keypoint_world
+    target = {"kind": "keypoints", "sigma": 2.0, "points": {world.affordances[0]: [[x, y]]}}
+    item = data.ManifestItem("kp-item", obj, "f.ooal", target)
+    manifest = data.DatasetManifest(world.affordances, ((obj, False),), (item,), root)
+    rec = evaluate_checkpoint(ckpt, manifest, [item], "heatmap").items[0]
+    assert all(rec[key] is not None and math.isfinite(rec[key]) for key in ("kld", "sim", "nss"))

@@ -95,6 +95,20 @@ class TestEncodeTexts:
         analytic = encode_texts_backward(cache, probe)
         assert max_rel_err(analytic, fd) < 1e-4
 
+    def test_context_gradient_rows_identical(self):
+        # design fact: each context vector enters every class row as 1/(p+1)
+        # of the pooled token, so all p rows get the same gradient and only
+        # their sum affects the output
+        ctx, table, enc = pipeline(p=5)
+        probe = np.random.default_rng(1).standard_normal((table.num_classes, enc.embed_dim))
+        _, cache = encode_texts_cached(ctx, table, enc)
+        grad = encode_texts_backward(cache, probe)
+        assert grad.shape == (5, table.token_dim)
+        np.testing.assert_array_equal(grad, np.broadcast_to(grad[0], grad.shape))
+        # with one context vector the row is d_pooled.sum(0) / 2, exact to undo
+        (half_sum,) = encode_texts_backward(cache._replace(count=1), probe)
+        np.testing.assert_array_equal(grad[0], (2.0 * half_sum) / 6)
+
     def test_no_context_variant(self):
         _, table, enc = pipeline()
         out, cache = encode_texts_cached(None, table, enc)

@@ -1,12 +1,14 @@
 """Loss, gradients, SGD loop, determinism, and checkpointing."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from affseg import gradcheck, synth, training
-from affseg.container import CorruptionError
+from affseg.container import CorruptionError, FormatError
 from affseg.data import AffordanceTarget, LoadedItem
 from affseg.decoder import Prediction
 from affseg.features import FeatureStack
@@ -188,6 +190,11 @@ class TestTrainLoop:
             _, log = train(cfg, items, tiny_world.affordances)
             assert len(log) == math.ceil(iters / every)
 
+    def test_unknown_ablation_rejected_before_training(self, tiny_world):
+        cfg = TrainConfig(iterations=0, seed=8, p=2, j=2, t=1, C=16, C_t=16)
+        with pytest.raises(ValueError, match="bogus"):
+            train(cfg, make_items(tiny_world), tiny_world.affordances, ablate="bogus")
+
     def test_empty_trainset(self):
         cfg = TrainConfig(iterations=1)
         with pytest.raises(ValueError):
@@ -226,6 +233,18 @@ class TestTrainLoop:
         assert hashlib.sha256(regenerated.last.tobytes()).hexdigest() == stack_digest
 
 
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _first_array(entry):
+    return lambda doc: {**doc, "arrays": [entry] + doc["arrays"][1:]}
+
+
+def _config(**values):
+    return lambda doc: {**doc, "config": {**doc["config"], **values}}
+
+
 class TestCheckpoint:
     def bundle(self, tiny_world, iterations=4):
         items = make_items(tiny_world)
@@ -256,6 +275,36 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("mutate, error", [
+        pytest.param(_without("config"), CorruptionError, id="no-config"),
+        pytest.param(_without("arrays"), CorruptionError, id="no-arrays"),
+        pytest.param(_without("affordances"), CorruptionError, id="no-affordances"),
+        pytest.param(_first_array({"name": "ctx.vectors"}), CorruptionError, id="no-shape"),
+        pytest.param(_first_array({"name": "ctx.vectors", "shape": [-2, 16]}), CorruptionError,
+                     id="negative-shape"),
+        pytest.param(_first_array({"name": "ctx.vectors", "shape": [2.0, 16]}), CorruptionError,
+                     id="float-shape"),
+        pytest.param(lambda d: {**d, "arrays": [{**e, "name": e["name"].replace("embedder.", "")}
+                                                for e in d["arrays"]]},
+                     CorruptionError, id="no-embedder-weight"),
+        pytest.param(_config(momentum=0.9), FormatError, id="unknown-key"),
+        pytest.param(_config(lr="x"), FormatError, id="lr-string"),
+        pytest.param(_config(C="16"), FormatError, id="C-string"),
+        pytest.param(_config(lr=-1.0), FormatError, id="lr-negative"),
+        pytest.param(lambda d: {**d, "ablate": "bogus"}, FormatError, id="bad-ablation"),
+        pytest.param(lambda d: [d], FormatError, id="not-an-object"),
+    ])
+    def test_malformed_manifest_fails_with_one_error(self, tiny_world, tmp_path, mutate, error):
+        ckpt, *_ = self.bundle(tiny_world, iterations=0)
+        path = tmp_path / "model.ooal"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        blob = json.dumps(mutate(json.loads(raw[12:12 + n]))).encode()
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+        with pytest.raises(error):
+            load_checkpoint(path)
+
     def test_hyperparameter_mismatch_is_explicit(self, tiny_world, tmp_path):
         ckpt, *_ = self.bundle(tiny_world)
         path = tmp_path / "model.ooal"
@@ -266,8 +315,6 @@ class TestCheckpoint:
 
 
 def test_config_json_roundtrip(tmp_path):
-    import json
-
     cfg = TrainConfig(lr=0.02, iterations=7, seed=3, p=4, j=2, t=1, C=32, C_t=16, log_every=2)
     path = tmp_path / "cfg.json"
     from dataclasses import asdict
@@ -276,4 +323,7 @@ def test_config_json_roundtrip(tmp_path):
     assert training.load_config(path) == cfg
     path.write_text(json.dumps({**asdict(cfg), "momentum": 0.9}))
     with pytest.raises(ValueError, match="momentum"):
+        training.load_config(path)
+    path.write_text(json.dumps({**asdict(cfg), "lr": "x"}))
+    with pytest.raises(ValueError, match="lr"):
         training.load_config(path)
