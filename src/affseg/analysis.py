@@ -116,7 +116,6 @@ def render_heatmap(map_values: np.ndarray, path, anchors=COLORMAP_ANCHORS) -> No
 def _apply_colormap(normed: np.ndarray, anchors) -> np.ndarray:
     values = np.array([a[0] for a in anchors])
     colors = np.array([a[1] for a in anchors], dtype=np.float64)
-    out = np.empty(normed.shape + (3,), dtype=np.float64)
     flat = normed.reshape(-1)
     seg = np.clip(np.searchsorted(values, flat, side="right") - 1, 0, len(anchors) - 2)
     v0, v1 = values[seg], values[seg + 1]

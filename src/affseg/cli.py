@@ -141,6 +141,11 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_densify(args) -> int:
     doc = json.loads(Path(args.inp).read_text())
+    if not isinstance(doc, dict):
+        raise ValueError(f"keypoints file {args.inp} must hold a JSON object")
+    for key in ("points", "height", "width", "affordances"):
+        if key not in doc:
+            raise ValueError(f"keypoints file {args.inp} has no {key!r} key")
     kp = data.KeypointAnnotation(
         points={k: [tuple(p) for p in v] for k, v in doc["points"].items()}
     )

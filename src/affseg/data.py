@@ -200,6 +200,8 @@ def load_manifest(path) -> DatasetManifest:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"manifest {path} must be a JSON object")
     try:
         manifest = DatasetManifest(
             affordances=tuple(doc["affordances"]),
@@ -217,7 +219,11 @@ def load_manifest(path) -> DatasetManifest:
         )
     except KeyError as exc:
         raise ValueError(f"manifest {path} missing key {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"manifest {path} malformed: {exc}") from exc
     for item in manifest.items:
+        if not isinstance(item.target, dict):
+            raise ValueError(f"manifest {path}: target of item {item.item_id} must be an object")
         feat = manifest.resolve(item.features)
         if not feat.exists():
             raise ValueError(f"feature file {feat} for item {item.item_id} not found")

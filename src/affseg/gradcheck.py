@@ -48,11 +48,8 @@ def build_problem(
     item = LoadedItem("gradcheck", "obj", stack, target)
     params = training.init_model(cfg, C_v)
     # push params off their symmetric init so no gradient path is degenerate
-    jitter = {
-        name: arr + 0.05 * rng.standard_normal(arr.shape)
-        for name, arr in training.param_items(params)
-    }
-    params = training.rebuild_params(params, jitter)
+    for _, arr in training.param_items(params):
+        arr += 0.05 * rng.standard_normal(arr.shape)
     return params, enc, table, item
 
 

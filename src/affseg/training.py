@@ -122,29 +122,6 @@ def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
     return items
 
 
-def rebuild_params(mp: ModelParams, arrays: dict[str, np.ndarray]) -> ModelParams:
-    """New ModelParams with the given arrays substituted by name."""
-    new_layers = []
-    for k, layer in enumerate(mp.dp.layers):
-        kw = {
-            name: arrays.get(f"decoder.{k}.{name}", getattr(layer, name))
-            for name in ("wq", "wk", "wv", "wc", "w1", "b1", "w2", "b2")
-        }
-        new_layers.append(decoder.DecoderLayerParams(**kw))
-    return ModelParams(
-        ctx=ContextVectors(vectors=arrays.get("ctx.vectors", mp.ctx.vectors)),
-        fp=FusionParams(
-            proj=[arrays.get(f"fusion.proj.{i}", P) for i, P in enumerate(mp.fp.proj)],
-            alpha_logits=arrays.get("fusion.alpha_logits", mp.fp.alpha_logits),
-        ),
-        emb=Embedder(
-            weight=arrays.get("embedder.weight", mp.emb.weight),
-            bias=arrays.get("embedder.bias", mp.emb.bias),
-        ),
-        dp=DecoderParams(layers=new_layers),
-    )
-
-
 def zero_gradients(mp: ModelParams) -> dict[str, np.ndarray]:
     return {name: np.zeros_like(arr) for name, arr in param_items(mp)}
 
@@ -278,14 +255,23 @@ def backward(
 
 
 def sgd_step(mp: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
-    """Plain descent update, returning fresh parameter arrays."""
-    updated = {}
-    for name, arr in param_items(mp):
-        g = grads[name]
-        if g.shape != arr.shape:
-            raise ValueError(f"gradient shape {g.shape} != param {arr.shape} for {name}")
-        updated[name] = arr - lr * g
-    return rebuild_params(mp, updated)
+    """Plain descent update in place: each array of ``param_items(mp)`` becomes
+    ``arr - lr * g``, and the same ``mp`` is returned.
+
+    Every gradient shape is checked before any array changes, so a bad dict
+    leaves the model as it was. A non-finite result raises ArithmeticError
+    naming the parameter; the model is then unusable.
+    """
+    items = param_items(mp)
+    for name, arr in items:
+        if grads[name].shape != arr.shape:
+            raise ValueError(f"gradient shape {grads[name].shape} != param {arr.shape} for {name}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in items:
+            arr -= lr * grads[name]
+            if not np.isfinite(arr).all():
+                raise ArithmeticError(f"non-finite value in parameter {name} after the step")
+    return mp
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +305,7 @@ def train(
             order = order_rng.permutation(len(trainset))
         item = trainset[order[k]]
         loss, grads = backward(params, item, enc, table, ablate, text_override)
-        params = sgd_step(params, grads, cfg.lr)
+        sgd_step(params, grads, cfg.lr)
         if (i + 1) % cfg.log_every == 0 or i == cfg.iterations - 1:
             log.append((i + 1, loss))
     return params, log
@@ -375,7 +361,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
             container.write_f64(fh, arr)
 
 
-def load_checkpoint(path, expect_cfg: TrainConfig | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         container.read_magic(fh)
         (blob_len,) = container.read_u32(fh, 1)
@@ -396,10 +382,14 @@ def load_checkpoint(path, expect_cfg: TrainConfig | None = None) -> Checkpoint:
             raise CorruptionError(f"checkpoint manifest malformed: {exc!r}") from exc
         arrays = {}
         for name, shape in entries:
+            if name in arrays:
+                raise CorruptionError(f"checkpoint lists array {name} twice")
             if not all(isinstance(d, int) and d >= 0 for d in shape):
                 raise CorruptionError(f"checkpoint array {name} has bad shape {list(shape)}")
             count = int(np.prod(shape)) if shape else 1
             arrays[name] = container.read_f64(fh, count).reshape(shape)
+            if not np.isfinite(arrays[name]).all():
+                raise CorruptionError(f"checkpoint array {name} has a non-finite value")
         container.expect_eof(fh)
 
     ablate = manifest.get("ablate")
@@ -408,28 +398,24 @@ def load_checkpoint(path, expect_cfg: TrainConfig | None = None) -> Checkpoint:
         _check_ablation(ablate)
     except ValueError as exc:
         raise FormatError(f"checkpoint {exc}") from exc
-    if expect_cfg is not None:
-        for name in ("p", "j", "t", "C", "C_t"):
-            if getattr(cfg, name) != getattr(expect_cfg, name):
-                raise ValueError(
-                    f"checkpoint has {name}={getattr(cfg, name)} "
-                    f"but config expects {name}={getattr(expect_cfg, name)}"
-                )
 
     weight = arrays.get("embedder.weight")
     if weight is None or weight.ndim != 2:
         raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
-    skeleton = init_model(cfg, weight.shape[0])
-    expected = {name: ref.shape for name, ref in param_items(skeleton)}
-    expected["text_encoder.proj"] = (cfg.C_t, cfg.C)
-    for name, shape in expected.items():
+    params = init_model(cfg, weight.shape[0])
+    slots = dict(param_items(params))
+    slots["text_encoder.proj"] = proj = np.empty((cfg.C_t, cfg.C))
+    unexpected = sorted(set(arrays) - set(slots))
+    if unexpected:
+        raise CorruptionError(f"checkpoint has unexpected arrays {unexpected}")
+    for name, slot in slots.items():
         if name not in arrays:
             raise CorruptionError(f"checkpoint missing array {name}")
-        if arrays[name].shape != shape:
+        if arrays[name].shape != slot.shape:
             raise ValueError(
-                f"checkpoint array {name} has shape {arrays[name].shape}, expected {shape}"
+                f"checkpoint array {name} has shape {arrays[name].shape}, expected {slot.shape}"
             )
-    proj = arrays["text_encoder.proj"]
+        slot[...] = arrays[name]
     proj.flags.writeable = False
     enc = StubTextEncoder(proj=proj, seed=cfg.seed)
-    return Checkpoint(rebuild_params(skeleton, arrays), enc, affordances, cfg, ablate)
+    return Checkpoint(params, enc, affordances, cfg, ablate)

@@ -64,6 +64,16 @@ class TestDensifyCommand:
         assert target.shape == (12, 10, 2)
         assert target.M[:, :, 0].max() == 1.0
 
+    @pytest.mark.parametrize("key", ["points", "height", "width", "affordances"])
+    def test_missing_key_is_named(self, tmp_path, capsys, key):
+        doc = {"height": 12, "width": 10, "affordances": ["grasp"], "points": {"grasp": [[4, 6]]}}
+        del doc[key]
+        inp = tmp_path / "kp.json"
+        inp.write_text(json.dumps(doc))
+        assert run("densify", "--in", str(inp), "--out", str(tmp_path / "m.ooal")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"no {key!r} key" in err
+
 
 class TestTrainEval:
     def test_train_eval_smoke(self, world_dir, cfg_path, tmp_path):

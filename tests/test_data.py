@@ -1,5 +1,6 @@
 """Densification, manifests, one-shot trainset, and eval splits."""
 
+import json
 import math
 
 import numpy as np
@@ -137,6 +138,21 @@ class TestManifest:
         (tmp_path / "feats/base-00-0.ooal").unlink()
         with pytest.raises(ValueError, match="not found"):
             load_manifest(tmp_path / "manifest.json")
+
+    @pytest.mark.parametrize("mutate", [
+        pytest.param(lambda d: [d], id="list-document"),
+        pytest.param(lambda d: 3, id="number-document"),
+        pytest.param(lambda d: {**d, "objects": ["base-00"] + d["objects"][1:]}, id="object-entry"),
+        pytest.param(lambda d: {**d, "items": [5] + d["items"][1:]}, id="item-entry"),
+        pytest.param(lambda d: {**d, "items": [{**d["items"][0], "target": "targets/x.ooal"}]
+                                + d["items"][1:]}, id="item-target"),
+    ])
+    def test_non_object_entries_name_the_manifest(self, tmp_path, mutate):
+        write_world(tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(ValueError, match="manifest.json"):
+            load_manifest(path)
 
     def test_unknown_object_reference(self):
         with pytest.raises(ValueError, match="unknown object"):

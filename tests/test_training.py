@@ -20,7 +20,6 @@ from affseg.training import (
     load_checkpoint,
     param_items,
     params_checksum,
-    rebuild_params,
     save_checkpoint,
     sgd_step,
     train,
@@ -64,26 +63,52 @@ class TestBceLoss:
 class TestSgdStep:
     def test_zero_lr_and_zero_grad(self):
         params, *_ = gradcheck.build_problem(seed=1)
+        before = [arr.copy() for _, arr in param_items(params)]
         zeros = zero_gradients(params)
         for lr, grads in ((1e-9, zeros), (0.5, zeros)):
-            stepped = sgd_step(params, grads, lr)
-            for (_, a), (_, b) in zip(param_items(params), param_items(stepped)):
+            sgd_step(params, grads, lr)
+            for (_, a), b in zip(param_items(params), before):
                 np.testing.assert_array_equal(a, b)
 
     def test_arithmetic(self):
         params, *_ = gradcheck.build_problem(seed=1)
-        ones = {name: np.full_like(a, 0.5) for name, a in param_items(params)}
-        fixed = rebuild_params(params, {n: np.ones_like(a) for n, a in param_items(params)})
-        stepped = sgd_step(fixed, ones, lr=0.01)
-        for _, arr in param_items(stepped):
+        for _, arr in param_items(params):
+            arr[...] = 1.0
+        halves = {name: np.full_like(a, 0.5) for name, a in param_items(params)}
+        sgd_step(params, halves, lr=0.01)
+        for _, arr in param_items(params):
             np.testing.assert_allclose(arr, 0.995, atol=1e-15)
 
+    def test_in_place_and_bitwise_equal_to_reference(self):
+        params, enc, table, item = gradcheck.build_problem(seed=3)
+        _, grads = backward(params, item, enc, table)
+        arrays = [arr for _, arr in param_items(params)]
+        reference = [arr - 0.3 * grads[name] for name, arr in param_items(params)]
+        assert sgd_step(params, grads, 0.3) is params
+        for (_, arr), same, ref in zip(param_items(params), arrays, reference):
+            assert arr is same
+            assert arr.tobytes() == ref.tobytes()
+
     def test_shape_mismatch(self):
+        # a bad gradient anywhere in the dict leaves every array unchanged
+        params, *_ = gradcheck.build_problem(seed=1)
+        before = [arr.copy() for _, arr in param_items(params)]
+        names = [name for name, _ in param_items(params)]
+        for name in (names[0], names[7], names[-1]):
+            grads = {n: np.ones_like(a) for n, a in param_items(params)}
+            grads[name] = np.zeros((1, 1))
+            with pytest.raises(ValueError, match=name):
+                sgd_step(params, grads, 0.1)
+            for (_, a), b in zip(param_items(params), before):
+                np.testing.assert_array_equal(a, b)
+
+    def test_overflowing_step_names_parameter(self):
         params, *_ = gradcheck.build_problem(seed=1)
         grads = zero_gradients(params)
-        grads["ctx.vectors"] = np.zeros((1, 1))
-        with pytest.raises(ValueError):
-            sgd_step(params, grads, 0.1)
+        params.emb.bias[0] = 1e308
+        grads["embedder.bias"][0] = -1e308
+        with pytest.raises(ArithmeticError, match="embedder.bias"):
+            sgd_step(params, grads, 1.0)
 
 
 class TestBackward:
@@ -275,26 +300,34 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("mutate, error", [
-        pytest.param(_without("config"), CorruptionError, id="no-config"),
-        pytest.param(_without("arrays"), CorruptionError, id="no-arrays"),
-        pytest.param(_without("affordances"), CorruptionError, id="no-affordances"),
-        pytest.param(_first_array({"name": "ctx.vectors"}), CorruptionError, id="no-shape"),
+    @pytest.mark.parametrize("mutate, error, match", [
+        pytest.param(_without("config"), CorruptionError, "'config'", id="no-config"),
+        pytest.param(_without("arrays"), CorruptionError, "'arrays'", id="no-arrays"),
+        pytest.param(_without("affordances"), CorruptionError, "'affordances'",
+                     id="no-affordances"),
+        pytest.param(_first_array({"name": "ctx.vectors"}), CorruptionError, "'shape'",
+                     id="no-shape"),
         pytest.param(_first_array({"name": "ctx.vectors", "shape": [-2, 16]}), CorruptionError,
-                     id="negative-shape"),
+                     "bad shape", id="negative-shape"),
         pytest.param(_first_array({"name": "ctx.vectors", "shape": [2.0, 16]}), CorruptionError,
-                     id="float-shape"),
+                     "bad shape", id="float-shape"),
         pytest.param(lambda d: {**d, "arrays": [{**e, "name": e["name"].replace("embedder.", "")}
                                                 for e in d["arrays"]]},
-                     CorruptionError, id="no-embedder-weight"),
-        pytest.param(_config(momentum=0.9), FormatError, id="unknown-key"),
-        pytest.param(_config(lr="x"), FormatError, id="lr-string"),
-        pytest.param(_config(C="16"), FormatError, id="C-string"),
-        pytest.param(_config(lr=-1.0), FormatError, id="lr-negative"),
-        pytest.param(lambda d: {**d, "ablate": "bogus"}, FormatError, id="bad-ablation"),
-        pytest.param(lambda d: [d], FormatError, id="not-an-object"),
+                     CorruptionError, "embedder.weight", id="no-embedder-weight"),
+        pytest.param(_config(momentum=0.9), FormatError, "momentum", id="unknown-key"),
+        pytest.param(_config(lr="x"), FormatError, "lr", id="lr-string"),
+        pytest.param(_config(C="16"), FormatError, "C must be int", id="C-string"),
+        pytest.param(_config(lr=-1.0), FormatError, "lr must be positive", id="lr-negative"),
+        pytest.param(lambda d: {**d, "ablate": "bogus"}, FormatError, "bogus", id="bad-ablation"),
+        pytest.param(lambda d: [d], FormatError, "version", id="not-an-object"),
+        pytest.param(lambda d: {**d, "arrays": d["arrays"][:1] + d["arrays"][:-1]},
+                     CorruptionError, "ctx.vectors twice", id="duplicate-name"),
+        pytest.param(lambda d: {**d, "arrays": d["arrays"][:-1]
+                                + [{**d["arrays"][-1], "name": "text_encoder.bias"}]},
+                     CorruptionError, "unexpected arrays", id="unexpected-name"),
     ])
-    def test_malformed_manifest_fails_with_one_error(self, tiny_world, tmp_path, mutate, error):
+    def test_malformed_manifest_fails_with_one_error(self, tiny_world, tmp_path, mutate, error,
+                                                     match):
         ckpt, *_ = self.bundle(tiny_world, iterations=0)
         path = tmp_path / "model.ooal"
         save_checkpoint(ckpt, path)
@@ -302,16 +335,19 @@ class TestCheckpoint:
         (n,) = struct.unpack("<I", raw[8:12])
         blob = json.dumps(mutate(json.loads(raw[12:12 + n]))).encode()
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             load_checkpoint(path)
 
-    def test_hyperparameter_mismatch_is_explicit(self, tiny_world, tmp_path):
-        ckpt, *_ = self.bundle(tiny_world)
+    def test_nonfinite_payload_is_corruption(self, tiny_world, tmp_path):
+        ckpt, *_ = self.bundle(tiny_world, iterations=0)
         path = tmp_path / "model.ooal"
         save_checkpoint(ckpt, path)
-        other = TrainConfig(iterations=0, seed=10, p=5, j=2, t=1, C=16, C_t=16)
-        with pytest.raises(ValueError, match="p="):
-            load_checkpoint(path, expect_cfg=other)
+        raw = bytearray(path.read_bytes())
+        # the last float64 belongs to text_encoder.proj
+        raw[-8:] = struct.pack("<d", float("nan"))
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError, match="text_encoder.proj"):
+            load_checkpoint(path)
 
 
 def test_config_json_roundtrip(tmp_path):
