@@ -8,11 +8,11 @@ models are involved.
 """
 
 from .data import AffordanceTarget, DatasetManifest, KeypointAnnotation, densify
-from .decoder import DecoderParams, Prediction, cls_mask, decode, decoder_layer, predict
+from .decoder import DecoderParams, Prediction, cls_mask
 from .features import ClassTokenTable, FeatureStack, load_features, save_features, synth_text_tokens
-from .fusion import Embedder, FusionParams, embed, fuse
+from .fusion import Embedder, FusionParams
 from .metrics import MetricsReport, evaluate, hiou, kld, miou, nss, sim
-from .prompt import ContextVectors, StubTextEncoder, encode_texts, init_context
+from .prompt import ContextVectors, StubTextEncoder, init_context
 from .synth import SynthWorldSpec, make_world, synth_target, synth_vision_encode
 from .training import (
     Checkpoint,

@@ -60,7 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--ablate", choices=training.ABLATIONS)
     t.add_argument("--sigma", type=float, default=data.DEFAULT_SIGMA)
     t.add_argument("--loss-log", help="write iteration,loss CSV here")
-    t.add_argument("--text-embeddings", help="container file with precomputed text rows")
     t.set_defaults(func=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint over seen/unseen splits")
@@ -146,9 +145,7 @@ def cmd_densify(args) -> int:
     for key in ("points", "height", "width", "affordances"):
         if key not in doc:
             raise ValueError(f"keypoints file {args.inp} has no {key!r} key")
-    kp = data.KeypointAnnotation(
-        points={k: [tuple(p) for p in v] for k, v in doc["points"].items()}
-    )
+    kp = data.parse_points(doc["points"], f"keypoints file {args.inp}")
     target = data.densify(kp, args.sigma, doc["height"], doc["width"], doc["affordances"])
     data.save_target(target, args.out)
     print(f"wrote {target.shape[0]}x{target.shape[1]}x{target.shape[2]} target to {args.out}")
@@ -160,12 +157,7 @@ def cmd_train(args) -> int:
     manifest = data.load_manifest(args.manifest)
     chosen = data.build_oneshot_trainset(manifest, cfg.seed)
     trainset = [data.load_item(manifest, it, sigma=args.sigma) for it in chosen]
-    text_override = None
-    if args.text_embeddings:
-        text_override = load_text_embeddings(args.text_embeddings, len(manifest.affordances), cfg.C)
-    params, log = training.train(
-        cfg, trainset, manifest.affordances, ablate=args.ablate, text_override=text_override
-    )
+    params, log = training.train(cfg, trainset, manifest.affordances, ablate=args.ablate)
     table, enc = training.build_text_pipeline(cfg, manifest.affordances)
     ckpt = training.Checkpoint(
         params=params, enc=enc, affordances=manifest.affordances, cfg=cfg, ablate=args.ablate
@@ -176,17 +168,6 @@ def cmd_train(args) -> int:
     final = log[-1][1] if log else float("nan")
     print(f"trained {cfg.iterations} iterations, final loss {final:.6f}, checkpoint {args.out}")
     return 0
-
-
-def load_text_embeddings(path, num_classes: int, embed_dim: int) -> np.ndarray:
-    """Precomputed text rows ride the feature container with one N x C layer."""
-    stack = load_features(path)
-    rows = stack.layers[0]
-    if rows.shape != (num_classes, embed_dim):
-        raise ValueError(
-            f"text embeddings {rows.shape} do not match {num_classes} classes x {embed_dim}"
-        )
-    return rows
 
 
 def cmd_eval(args) -> int:

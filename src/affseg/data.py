@@ -24,6 +24,7 @@ targets are stored in the shared binary container with a single L = H*W
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -37,6 +38,8 @@ DENSE_BINARY = "dense-binary"
 DENSIFIED_SPARSE = "densified-sparse"
 
 DEFAULT_SIGMA = 10.0
+# keypoint Gaussian width in pixels; far beyond it sigma**2 overflows or underflows
+SIGMA_RANGE = (1e-3, 1e6)
 
 
 @dataclass(frozen=True)
@@ -74,6 +77,30 @@ class KeypointAnnotation:
     points: dict[str, list[tuple[float, float]]]
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def parse_points(points, where: str) -> KeypointAnnotation:
+    """A keypoints ``points`` object (affordance -> [[x, y], ...]) as an
+    annotation; anything else is a ValueError naming *where*."""
+    if not isinstance(points, dict):
+        raise ValueError(f"{where}: keypoints need a 'points' object of [[x, y], ...] lists")
+    for name, pts in points.items():
+        if not isinstance(pts, (list, tuple)) or not all(
+            isinstance(pt, (list, tuple)) and len(pt) == 2 and all(map(_is_number, pt))
+            for pt in pts
+        ):
+            raise ValueError(f"{where}: points of {name!r} must be a list of [x, y] numbers")
+    return KeypointAnnotation(points={k: [tuple(pt) for pt in v] for k, v in points.items()})
+
+
+def _check_sigma(sigma, where: str = "densify") -> None:
+    lo, hi = SIGMA_RANGE
+    if not (_is_number(sigma) and lo <= sigma <= hi):
+        raise ValueError(f"{where}: sigma must be a number in [{lo:g}, {hi:g}], got {sigma!r}")
+
+
 def densify(
     kp: KeypointAnnotation,
     sigma: float,
@@ -83,8 +110,7 @@ def densify(
 ) -> AffordanceTarget:
     """Sum an unnormalized Gaussian over each keypoint, then scale every
     channel by its own max (empty channels stay all-zero)."""
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     affordances = list(affordances)
     unknown = set(kp.points) - set(affordances)
     if unknown:
@@ -222,15 +248,19 @@ def load_manifest(path) -> DatasetManifest:
     except TypeError as exc:
         raise ValueError(f"manifest {path} malformed: {exc}") from exc
     for item in manifest.items:
+        where = f"manifest {path}: item {item.item_id}"
         if not isinstance(item.target, dict):
-            raise ValueError(f"manifest {path}: target of item {item.item_id} must be an object")
-        feat = manifest.resolve(item.features)
-        if not feat.exists():
-            raise ValueError(f"feature file {feat} for item {item.item_id} not found")
-        if item.target.get("kind") == "mask":
-            tpath = manifest.resolve(item.target["path"])
-            if not tpath.exists():
-                raise ValueError(f"target file {tpath} for item {item.item_id} not found")
+            raise ValueError(f"{where}: target must be an object")
+        if not (isinstance(item.features, str) and os.path.isfile(manifest.resolve(item.features))):
+            raise ValueError(f"{where}: feature file {item.features!r} not found")
+        kind = item.target.get("kind")
+        if kind == "mask":
+            rel = item.target.get("path")
+            if not (isinstance(rel, str) and os.path.isfile(manifest.resolve(rel))):
+                raise ValueError(f"{where}: mask target file {rel!r} not found")
+        elif kind == "keypoints":
+            parse_points(item.target.get("points"), where)
+            _check_sigma(item.target.get("sigma", DEFAULT_SIGMA), where)
     return manifest
 
 
@@ -252,10 +282,11 @@ def load_item(
         target = load_target(manifest.resolve(record["path"]))
     elif kind == "keypoints":
         H, W = stack.image_size
-        kp = KeypointAnnotation(
-            points={name: [tuple(p) for p in pts] for name, pts in record["points"].items()}
-        )
-        target = densify(kp, record.get("sigma", sigma), H, W, manifest.affordances)
+        kp = parse_points(record.get("points"), f"item {item.item_id}")
+        try:
+            target = densify(kp, record.get("sigma", sigma), H, W, manifest.affordances)
+        except ValueError as exc:
+            raise ValueError(f"item {item.item_id}: {exc}") from exc
     else:
         raise ValueError(f"item {item.item_id}: unknown target kind {kind!r}")
     if target.shape[2] != len(manifest.affordances):

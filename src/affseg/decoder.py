@@ -87,6 +87,12 @@ def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int) -> Decoder
     return DecoderParams(layers=layers)
 
 
+# the gate must stay strictly inside (0, 1) even where float64 sigmoid
+# saturates; the clamp is far below any gradient resolution
+_GATE_LO = np.finfo(np.float64).tiny
+_GATE_HI = 1.0 - 2.0**-53
+
+
 def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray, d_k: float | None = None) -> np.ndarray:
     """Foreground gate per key: sigmoid((cls @ wc) @ K^T / sqrt(d_k)) -> (L,).
 
@@ -99,7 +105,7 @@ def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray, d_k: float | None =
     if d_k is None:
         d_k = K.shape[1]
     g = cls @ wc
-    return _gate_sigmoid(K @ g / math.sqrt(d_k))
+    return np.clip(_sigmoid(K @ g / math.sqrt(d_k)), _GATE_LO, _GATE_HI)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -109,16 +115,6 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
     return out
-
-
-# the gate must stay strictly inside (0, 1) even where float64 sigmoid
-# saturates; the clamp is far below any gradient resolution
-_GATE_LO = np.finfo(np.float64).tiny
-_GATE_HI = 1.0 - 2.0**-53
-
-
-def _gate_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.clip(_sigmoid(x), _GATE_LO, _GATE_HI)
 
 
 def _row_softmax(S: np.ndarray) -> np.ndarray:
@@ -135,7 +131,6 @@ class LayerCache(NamedTuple):
     K: np.ndarray
     V: np.ndarray
     gate: np.ndarray | None   # None when the gate is disabled
-    g: np.ndarray | None      # cls @ wc
     attn: np.ndarray          # pre-gate row softmax
     gated: np.ndarray         # attn * gate
     res1: np.ndarray          # attention output + text_in
@@ -143,35 +138,22 @@ class LayerCache(NamedTuple):
     hidden: np.ndarray        # rectified
 
 
-def decoder_layer(
-    text: np.ndarray,
-    visual: np.ndarray,
-    cls: np.ndarray,
-    params: DecoderLayerParams,
-    use_gate: bool = True,
-) -> np.ndarray:
-    out, _ = decoder_layer_cached(text, visual, cls, params, use_gate)
-    return out
-
-
-def decoder_layer_cached(text, visual, cls, params, use_gate=True):
+def decoder_layer_cached(text, visual, cls, params: DecoderLayerParams, use_gate=True):
+    """One gated cross-attention + FFN layer -> (N x C text, cache)."""
     C = params.wq.shape[0]
     if text.shape[1] != C or visual.shape[1] != C:
         raise ValueError(
             f"embed width mismatch: text {text.shape}, visual {visual.shape}, params {C}"
         )
-    d_k = C
     Q = text @ params.wq
     K = visual @ params.wk
     V = visual @ params.wv
-    S = Q @ K.T / math.sqrt(d_k)
+    S = Q @ K.T / math.sqrt(C)
     attn = _row_softmax(S)
     if use_gate:
-        g = cls @ params.wc
-        gate = _gate_sigmoid(K @ g / math.sqrt(d_k))
+        gate = cls_mask(cls, K, params.wc)
         gated = attn * gate[None, :]
     else:
-        g = None
         gate = None
         gated = attn
     res1 = gated @ V + text
@@ -181,7 +163,7 @@ def decoder_layer_cached(text, visual, cls, params, use_gate=True):
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("non-finite value in decoder layer output")
     cache = LayerCache(
-        params, text, visual, cls, Q, K, V, gate, g, attn, gated, res1, hidden_pre, hidden
+        params, text, visual, cls, Q, K, V, gate, attn, gated, res1, hidden_pre, hidden
     )
     return out, cache
 
@@ -219,7 +201,7 @@ def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
 
     if cache.gate is not None:
         d_mlog = d_gate * cache.gate * (1.0 - cache.gate)
-        d_K += np.outer(d_mlog, cache.g) / sq
+        d_K += np.outer(d_mlog, cache.cls @ p.wc) / sq
         d_g = cache.K.T @ d_mlog / sq
         d_wc = np.outer(cache.cls, d_g)
     else:
@@ -239,19 +221,8 @@ def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
     return grads, d_text, d_visual
 
 
-def decode(
-    text: np.ndarray,
-    visual: np.ndarray,
-    cls: np.ndarray,
-    dp: DecoderParams,
-    use_gate: bool = True,
-) -> np.ndarray:
-    """Run all decoder layers in sequence; zero layers is the identity."""
-    out, _ = decode_cached(text, visual, cls, dp, use_gate)
-    return out
-
-
-def decode_cached(text, visual, cls, dp, use_gate=True):
+def decode_cached(text, visual, cls, dp: DecoderParams, use_gate=True):
+    """All decoder layers in sequence -> (text, layer caches); zero layers is the identity."""
     caches = []
     cur = text
     for layer in dp.layers:
@@ -280,17 +251,8 @@ class PredictCache(NamedTuple):
     scores: np.ndarray
 
 
-def predict(
-    visual: np.ndarray,
-    text_out: np.ndarray,
-    grid: tuple[int, int],
-    image_size: tuple[int, int],
-) -> Prediction:
-    pred, _ = predict_cached(visual, text_out, grid, image_size)
-    return pred
-
-
-def predict_cached(visual, text_out, grid, image_size):
+def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[int, int]):
+    """Patch logits, upsampled and squashed -> (Prediction, cache)."""
     h_p, w_p = grid
     L = visual.shape[0]
     if h_p * w_p != L:

@@ -87,13 +87,8 @@ class FuseCache(NamedTuple):
     alpha: np.ndarray
 
 
-def fuse(stack: FeatureStack, fp: FusionParams) -> np.ndarray:
-    """Weighted sum over the last j projected layers -> L x C_v."""
-    out, _ = fuse_cached(stack, fp)
-    return out
-
-
 def fuse_cached(stack: FeatureStack, fp: FusionParams):
+    """Weighted sum over the last j projected layers -> (L x C_v, cache)."""
     j = fp.depth
     if j > len(stack.layers):
         raise ValueError(f"fusion wants {j} layers but stack has {len(stack.layers)}")
@@ -123,13 +118,8 @@ class EmbedCache(NamedTuple):
     weight: np.ndarray
 
 
-def embed(fused: np.ndarray, emb: Embedder) -> np.ndarray:
-    """Row-wise affine map, no activation -> L x C."""
-    out, _ = embed_cached(fused, emb)
-    return out
-
-
 def embed_cached(fused: np.ndarray, emb: Embedder):
+    """Row-wise affine map, no activation -> (L x C, cache)."""
     if fused.shape[1] != emb.weight.shape[0]:
         raise ValueError(
             f"feature dim {fused.shape[1]} does not match embedder input {emb.weight.shape[0]}"

@@ -81,13 +81,9 @@ class TextCache(NamedTuple):
     proj: np.ndarray        # C_t x C
 
 
-def encode_texts(ctx: ContextVectors, table: ClassTokenTable, enc: StubTextEncoder) -> np.ndarray:
-    """N x C text embeddings; rows have zero mean and unit variance."""
-    out, _ = encode_texts_cached(ctx, table, enc)
-    return out
-
-
-def encode_texts_cached(ctx, table, enc):
+def encode_texts_cached(ctx: ContextVectors | None, table: ClassTokenTable, enc: StubTextEncoder):
+    """-> (N x C text embeddings with zero-mean, unit-variance rows, cache);
+    ``ctx`` None encodes the class tokens alone (the "tpl" ablation)."""
     if ctx is not None and ctx.token_dim != table.token_dim:
         raise ValueError(
             f"context dim {ctx.token_dim} does not match token dim {table.token_dim}"

@@ -142,7 +142,7 @@ def params_checksum(mp: ModelParams) -> bytes:
 
 class ForwardCache(NamedTuple):
     prediction: Prediction
-    text_cache: prompt.TextCache | None
+    text_cache: prompt.TextCache
     fuse_cache: fusion.FuseCache | None
     embed_cache: fusion.EmbedCache
     decode_caches: list
@@ -156,22 +156,16 @@ def forward(
     table: ClassTokenTable,
     stack: FeatureStack,
     ablate: str | None = None,
-    text_override: np.ndarray | None = None,
 ) -> tuple[Prediction, ForwardCache]:
     """Full model pass on one feature stack.
 
     ``ablate`` disables one module: "tpl" drops the learned context, "mlff"
     bypasses fusion (raw last layer), "td" skips the decoder, "ctm" forces
-    the foreground gate to one. ``text_override`` substitutes precomputed
-    text embeddings for the prompt pipeline.
+    the foreground gate to one.
     """
     _check_ablation(ablate)
-    if text_override is not None:
-        text = np.asarray(text_override, dtype=np.float64)
-        text_cache = None
-    else:
-        ctx = None if ablate == "tpl" else mp.ctx
-        text, text_cache = prompt.encode_texts_cached(ctx, table, enc)
+    ctx = None if ablate == "tpl" else mp.ctx
+    text, text_cache = prompt.encode_texts_cached(ctx, table, enc)
     if ablate == "mlff":
         fused, fuse_cache = stack.last, None
     else:
@@ -212,14 +206,13 @@ def backward(
     enc: StubTextEncoder,
     table: ClassTokenTable,
     ablate: str | None = None,
-    text_override: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Loss and exact gradients for every trainable tensor.
 
     Disabled or bypassed parameter groups get zero gradients so the
     optimizer step is uniform across ablations.
     """
-    pred, cache = forward(mp, enc, table, item.stack, ablate, text_override)
+    pred, cache = forward(mp, enc, table, item.stack, ablate)
     loss = bce_loss(pred, item.target)
 
     grads = zero_gradients(mp)
@@ -245,7 +238,7 @@ def backward(
             grads[f"fusion.proj.{i}"] = g
         grads["fusion.alpha_logits"] = d_logits
 
-    if cache.text_cache is not None and cache.text_cache.count > 0:
+    if cache.text_cache.count > 0:
         grads["ctx.vectors"] = prompt.encode_texts_backward(cache.text_cache, d_text)
 
     for name, g in grads.items():
@@ -285,7 +278,6 @@ def train(
     trainset: list[LoadedItem],
     affordances,
     ablate: str | None = None,
-    text_override: np.ndarray | None = None,
 ) -> tuple[ModelParams, LossLog]:
     """One-shot training: each step draws one item from a seeded shuffle,
     runs forward/backward, and applies SGD. Bitwise deterministic."""
@@ -304,7 +296,7 @@ def train(
         if k == 0:
             order = order_rng.permutation(len(trainset))
         item = trainset[order[k]]
-        loss, grads = backward(params, item, enc, table, ablate, text_override)
+        loss, grads = backward(params, item, enc, table, ablate)
         sgd_step(params, grads, cfg.lr)
         if (i + 1) % cfg.log_every == 0 or i == cfg.iterations - 1:
             log.append((i + 1, loss))

@@ -11,7 +11,7 @@ import pytest
 from affseg import gradcheck, metrics, synth, training
 from affseg.cli import main as cli_main
 from affseg.data import AffordanceTarget, LoadedItem
-from affseg.decoder import DecoderParams, cls_mask, decode, decoder_layer_cached
+from affseg.decoder import DecoderParams, cls_mask, decode_cached, decoder_layer_cached
 from affseg.features import load_features, save_features
 from affseg.metrics import hiou, iou_counts, kld, miou, nss, sim
 from affseg.training import TrainConfig
@@ -111,7 +111,7 @@ def test_criterion_4_decoder_invariants():
 
     perm = rng.permutation(6)
     perm_ok = np.abs(
-        decode(text, visual[perm], cls, dp) - decode(text, visual, cls, dp)
+        decode_cached(text, visual[perm], cls, dp)[0] - decode_cached(text, visual, cls, dp)[0]
     ).max() <= 1e-10
 
     _, cache = decoder_layer_cached(text, visual, cls, layers[0])
@@ -121,7 +121,7 @@ def test_criterion_4_decoder_invariants():
     gate_ok = bool((gate > 0).all() and (gate < 1).all()
                    and (cache.gate > 0).all() and (cache.gate < 1).all())
 
-    ident_ok = np.array_equal(decode(text, visual, cls, DecoderParams()), text)
+    ident_ok = np.array_equal(decode_cached(text, visual, cls, DecoderParams())[0], text)
 
     report(
         "criterion 4: decoder invariants (permutation, row sums, gate range, t=0)",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from affseg.cli import main
+from tests.test_data import BAD_TARGETS
 
 
 def run(*argv):
@@ -74,6 +75,21 @@ class TestDensifyCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"no {key!r} key" in err
 
+    @pytest.mark.parametrize("points", [
+        pytest.param([[4, 6]], id="points-list"),
+        pytest.param({"grasp": [4]}, id="scalar-point"),
+        pytest.param({"grasp": 4}, id="point-list-not-list"),
+        pytest.param({"grasp": [[4, 6, 1]]}, id="three-coordinates"),
+        pytest.param({"grasp": [["4", 6]]}, id="string-coordinate"),
+    ])
+    def test_malformed_points_name_the_file(self, tmp_path, capsys, points):
+        doc = {"height": 12, "width": 10, "affordances": ["grasp"], "points": points}
+        inp = tmp_path / "kp.json"
+        inp.write_text(json.dumps(doc))
+        assert run("densify", "--in", str(inp), "--out", str(tmp_path / "m.ooal")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "kp.json" in err
+
 
 class TestTrainEval:
     def test_train_eval_smoke(self, world_dir, cfg_path, tmp_path):
@@ -124,22 +140,6 @@ class TestTrainEval:
                    str(world_dir / "manifest.json"), "--out", str(ablated),
                    "--ablate", flag) == 0
         assert plain.read_bytes() != ablated.read_bytes()
-
-    def test_precomputed_text_embeddings(self, world_dir, cfg_path, tmp_path):
-        # text rows ride the container as one N x C layer, bypassing prompts
-        from affseg.features import FeatureStack, save_features
-
-        rng = np.random.default_rng(0)
-        rows = rng.standard_normal((4, 24))  # 4 affordance classes x C
-        stack = FeatureStack(layers=(rows,), cls=np.zeros(24), grid=(1, 4),
-                             image_size=(1, 4))
-        tpath = tmp_path / "text.ooal"
-        save_features(stack, tpath)
-        out = tmp_path / "ckpt.ooal"
-        assert run("train", "--config", str(cfg_path), "--manifest",
-                   str(world_dir / "manifest.json"), "--out", str(out),
-                   "--text-embeddings", str(tpath)) == 0
-
 
 class TestAnalyzeCommands:
     def test_pca_and_simmap(self, world_dir, tmp_path):
@@ -205,6 +205,23 @@ class TestErrorPaths:
         renamed.write_text(json.dumps(doc))
         assert run("eval", "--ckpt", str(ckpt), "--manifest", str(renamed),
                    "--mode", "dense", "--report", str(tmp_path / "r.json")) == 1
+
+    @pytest.mark.parametrize("target", BAD_TARGETS + [
+        pytest.param({"kind": "keypoints", "points": {"grasp": [[500, 1]]}}, id="out-of-image"),
+    ])
+    def test_eval_on_bad_target_record(self, world_dir, cfg_path, tmp_path, capsys, target):
+        ckpt = tmp_path / "model.ooal"
+        assert run("train", "--config", str(cfg_path), "--manifest",
+                   str(world_dir / "manifest.json"), "--out", str(ckpt)) == 0
+        doc = json.loads((world_dir / "manifest.json").read_text())
+        doc["items"][-1]["target"] = target  # a novel item: always evaluated
+        bad = world_dir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--ckpt", str(ckpt), "--manifest", str(bad),
+                   "--mode", "heatmap", "--report", str(tmp_path / "r.json")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and doc["items"][-1]["id"] in err
 
     def test_bad_patch_spec(self, world_dir, tmp_path):
         from affseg.data import load_manifest

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affseg import synth
+from affseg.container import CorruptionError, FormatError
 from affseg.data import (
     AffordanceTarget,
     DatasetManifest,
@@ -14,6 +17,7 @@ from affseg.data import (
     ManifestItem,
     build_oneshot_trainset,
     densify,
+    load_item,
     load_manifest,
     load_target,
     save_manifest,
@@ -23,6 +27,19 @@ from affseg.data import (
 from tests.oracles import gaussian_sum_reference
 
 AFFS = ["grasp", "cut"]
+
+# item target records that name no usable target, one per way of being wrong
+BAD_TARGETS = [
+    pytest.param({"kind": "keypoints"}, id="no-points"),
+    pytest.param({"kind": "keypoints", "points": [[1, 1]]}, id="points-list"),
+    pytest.param({"kind": "keypoints", "points": {"grasp": [1]}}, id="scalar-point"),
+    pytest.param({"kind": "keypoints", "points": {"grasp": 1}}, id="point-list-not-list"),
+    pytest.param({"kind": "keypoints", "points": {"grasp": [[1, 1, 1]]}}, id="three-coordinates"),
+    pytest.param({"kind": "keypoints", "points": {"grasp": [["1", 1]]}}, id="string-coordinate"),
+    pytest.param({"kind": "keypoints", "sigma": "2", "points": {"grasp": [[1, 1]]}},
+                 id="string-sigma"),
+    pytest.param({"kind": "mask"}, id="mask-without-path"),
+]
 
 
 class TestDensify:
@@ -146,6 +163,14 @@ class TestManifest:
         pytest.param(lambda d: {**d, "items": [5] + d["items"][1:]}, id="item-entry"),
         pytest.param(lambda d: {**d, "items": [{**d["items"][0], "target": "targets/x.ooal"}]
                                 + d["items"][1:]}, id="item-target"),
+    ] + [
+        pytest.param(lambda d, t=p.values[0]: {**d, "items": [{**d["items"][0], "target": t}]
+                                               + d["items"][1:]}, id=p.id)
+        for p in BAD_TARGETS
+    ] + [
+        pytest.param(lambda d, f=f: {**d, "items": [{**d["items"][0], "features": f}]
+                                     + d["items"][1:]}, id=f"features-{i}")
+        for i, f in (("root", ""), ("directory", "feats"), ("number", 5))
     ])
     def test_non_object_entries_name_the_manifest(self, tmp_path, mutate):
         write_world(tmp_path)
@@ -153,6 +178,14 @@ class TestManifest:
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match="manifest.json"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("target", [t for t in BAD_TARGETS
+                                        if t.values[0]["kind"] == "keypoints"])
+    def test_bad_keypoint_record_names_the_item(self, tmp_path, target):
+        manifest = write_world(tmp_path)
+        item = ManifestItem("odd-item", "base-00", manifest.items[0].features, target)
+        with pytest.raises(ValueError, match="item odd-item"):
+            load_item(manifest, item)
 
     def test_unknown_object_reference(self):
         with pytest.raises(ValueError, match="unknown object"):
@@ -169,6 +202,52 @@ class TestManifest:
                 objects=(("a", False), ("b", True)),
                 items=(ManifestItem("x", "a", "f", {"kind": "mask", "path": "t"}),),
             )
+
+
+@pytest.fixture(scope="module")
+def fuzz_world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_world(root, num_base=1, num_novel=1, items=1)
+    return root
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_coord = st.integers(-2, 17) | st.floats(-2, 17) | st.floats() | _json
+_xy = st.lists(st.integers(-1, 16) | st.floats(-1, 16), min_size=2, max_size=2)
+_point = st.one_of(_xy, _xy, _xy, st.lists(_coord, max_size=3), _json)
+_points = st.dictionaries(st.sampled_from(AFFS + ["bogus"]), st.lists(_point, max_size=3)
+                          | _json, max_size=3)
+_target_records = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("keypoints"), "points": _points},
+                          optional={"sigma": st.floats(0.5, 20) | st.floats() | _json}),
+    st.fixed_dictionaries({"kind": st.just("keypoints")},
+                          optional={"points": _json, "sigma": _json}),
+    st.fixed_dictionaries({"kind": st.just("mask")}, optional={"path": st.sampled_from(
+        ["targets/base-00.ooal", "feats/base-00-0.ooal", "feats", "manifest.json", "",
+         "missing.ooal"]) | _json}),
+    st.fixed_dictionaries({"kind": _json}),
+    _json,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(record=_target_records)
+def test_any_target_record_loads_or_fails_with_one_error(fuzz_world, record):
+    doc = json.loads((fuzz_world / "manifest.json").read_text())
+    doc["items"][0]["target"] = record
+    path = fuzz_world / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    try:
+        manifest = load_manifest(path)
+        loaded = load_item(manifest, manifest.items[0])
+    except (ValueError, FormatError, CorruptionError):
+        return
+    assert loaded.target.shape == (16, 16, len(AFFS))
 
 
 class TestOneShotTrainset:

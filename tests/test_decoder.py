@@ -9,13 +9,10 @@ from affseg.decoder import (
     DecoderLayerParams,
     DecoderParams,
     cls_mask,
-    decode,
     decode_cached,
     decode_backward,
-    decoder_layer,
     decoder_layer_cached,
     init_decoder,
-    predict,
     predict_cached,
     predict_backward,
 )
@@ -96,7 +93,7 @@ class TestDecoderLayer:
         visual = rng.standard_normal((5, C))
         p = layer_params(C=C, cls_dim=2, identity=True)
         p.wq, p.wk, p.wv = (rng.standard_normal((C, C)) for _ in range(3))
-        out = decoder_layer(text, visual, np.zeros(2), p, use_gate=False)
+        out = decoder_layer_cached(text, visual, np.zeros(2), p, use_gate=False)[0]
         A = softmax_rows(text @ p.wq @ (visual @ p.wk).T / math.sqrt(C))
         np.testing.assert_allclose(out, A @ (visual @ p.wv) + text, atol=1e-12)
 
@@ -107,9 +104,9 @@ class TestDecoderLayer:
         visual = rng.standard_normal((7, C))
         cls = rng.standard_normal(5)
         p = layer_params(C=C, cls_dim=5, rng=rng, identity=False)
-        base = decoder_layer(text, visual, cls, p)
+        base = decoder_layer_cached(text, visual, cls, p)[0]
         perm = rng.permutation(7)
-        permuted = decoder_layer(text, visual[perm], cls, p)
+        permuted = decoder_layer_cached(text, visual[perm], cls, p)[0]
         np.testing.assert_allclose(permuted, base, atol=1e-10)
 
     def test_hand_case_identity_weights(self):
@@ -120,7 +117,8 @@ class TestDecoderLayer:
         cls = np.array([0.5, -0.5])
         p = layer_params(C=2, cls_dim=2, identity=True)
         expected = decoder_layer_reference(text, visual, cls, p)
-        np.testing.assert_allclose(decoder_layer(text, visual, cls, p), expected, atol=1e-12)
+        out, _ = decoder_layer_cached(text, visual, cls, p)
+        np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_random_case_matches_reference(self):
         rng = np.random.default_rng(5)
@@ -129,7 +127,8 @@ class TestDecoderLayer:
         cls = rng.standard_normal(3)
         p = layer_params(C=6, cls_dim=3, rng=rng, identity=False)
         expected = decoder_layer_reference(text, visual, cls, p)
-        np.testing.assert_allclose(decoder_layer(text, visual, cls, p), expected, atol=1e-10)
+        out, _ = decoder_layer_cached(text, visual, cls, p)
+        np.testing.assert_allclose(out, expected, atol=1e-10)
 
     def test_attention_rows_sum_to_one_pre_gate(self):
         rng = np.random.default_rng(6)
@@ -159,14 +158,16 @@ class TestDecoderLayer:
         visual = np.ones((2, 2))
         p = layer_params(C=2, cls_dim=2, identity=True)
         with pytest.raises(ArithmeticError):
-            decoder_layer(text, visual, np.zeros(2), p)
+            decoder_layer_cached(text, visual, np.zeros(2), p)
 
 
 class TestDecode:
     def test_zero_layers_identity(self):
         rng = np.random.default_rng(8)
         text = rng.standard_normal((3, 4))
-        out = decode(text, rng.standard_normal((5, 4)), rng.standard_normal(2), DecoderParams())
+        out, _ = decode_cached(
+            text, rng.standard_normal((5, 4)), rng.standard_normal(2), DecoderParams()
+        )
         np.testing.assert_array_equal(out, text)
 
     def test_two_layers_compose(self):
@@ -177,9 +178,9 @@ class TestDecode:
         dp = DecoderParams(
             layers=[layer_params(C=4, cls_dim=2, rng=rng, identity=False) for _ in range(2)]
         )
-        step1 = decoder_layer(text, visual, cls, dp.layers[0])
-        step2 = decoder_layer(step1, visual, cls, dp.layers[1])
-        np.testing.assert_array_equal(decode(text, visual, cls, dp), step2)
+        step1 = decoder_layer_cached(text, visual, cls, dp.layers[0])[0]
+        step2 = decoder_layer_cached(step1, visual, cls, dp.layers[1])[0]
+        np.testing.assert_array_equal(decode_cached(text, visual, cls, dp)[0], step2)
 
     def test_permutation_invariance_any_depth(self):
         rng = np.random.default_rng(10)
@@ -192,8 +193,8 @@ class TestDecode:
             )
             perm = rng.permutation(6)
             np.testing.assert_allclose(
-                decode(text, visual[perm], cls, dp),
-                decode(text, visual, cls, dp),
+                decode_cached(text, visual[perm], cls, dp)[0],
+                decode_cached(text, visual, cls, dp)[0],
                 atol=1e-10,
             )
 
@@ -210,7 +211,7 @@ class TestDecode:
         probe = rng.standard_normal((3, C))
 
         def loss():
-            return float((decode(text, visual, cls, dp) * probe).sum())
+            return float((decode_cached(text, visual, cls, dp)[0] * probe).sum())
 
         arrays = []
         for layer in dp.layers:
@@ -231,13 +232,13 @@ class TestPredict:
     def test_zero_text_gives_half_everywhere(self):
         rng = np.random.default_rng(12)
         visual = rng.standard_normal((4, 5))
-        pred = predict(visual, np.zeros((3, 5)), grid=(2, 2), image_size=(6, 6))
+        pred = predict_cached(visual, np.zeros((3, 5)), grid=(2, 2), image_size=(6, 6))[0]
         np.testing.assert_array_equal(pred.upsampled, np.full((6, 6, 3), 0.5))
 
     def test_orthonormal_row_selectivity(self):
         visual = np.eye(4)  # 4 orthonormal patch rows
         text_out = visual[:1]
-        pred = predict(visual, text_out, grid=(2, 2), image_size=(2, 2))
+        pred = predict_cached(visual, text_out, grid=(2, 2), image_size=(2, 2))[0]
         np.testing.assert_allclose(pred.logits[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_corner_pixels_exact_under_align_corners(self):
@@ -245,7 +246,7 @@ class TestPredict:
         rng = np.random.default_rng(13)
         visual = rng.standard_normal((4, 3))
         text_out = rng.standard_normal((2, 3))
-        pred = predict(visual, text_out, grid=(2, 2), image_size=(4, 4))
+        pred = predict_cached(visual, text_out, grid=(2, 2), image_size=(4, 4))[0]
         logits_grid = (visual @ text_out.T).reshape(2, 2, 2)
         expected = 1.0 / (1.0 + np.exp(-bilinear_reference(logits_grid, 4, 4)))
         np.testing.assert_allclose(pred.upsampled, expected, atol=1e-12)
@@ -258,15 +259,15 @@ class TestPredict:
         rng = np.random.default_rng(14)
         visual = rng.standard_normal((6, 4))
         text_out = rng.standard_normal((3, 4))
-        a = predict(visual, text_out, grid=(2, 3), image_size=(4, 6))
-        b = predict(3.7 * visual, text_out, grid=(2, 3), image_size=(4, 6))
+        a = predict_cached(visual, text_out, grid=(2, 3), image_size=(4, 6))[0]
+        b = predict_cached(3.7 * visual, text_out, grid=(2, 3), image_size=(4, 6))[0]
         np.testing.assert_array_equal(
             a.logits.argmax(axis=1), b.logits.argmax(axis=1)
         )
 
     def test_grid_mismatch(self):
         with pytest.raises(ValueError):
-            predict(np.zeros((4, 2)), np.zeros((1, 2)), grid=(3, 2), image_size=(4, 4))
+            predict_cached(np.zeros((4, 2)), np.zeros((1, 2)), grid=(3, 2), image_size=(4, 4))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(15)
@@ -275,7 +276,7 @@ class TestPredict:
         probe = rng.standard_normal((5, 7, 2))
 
         def loss():
-            p = predict(visual, text_out, grid=(2, 2), image_size=(5, 7))
+            p = predict_cached(visual, text_out, grid=(2, 2), image_size=(5, 7))[0]
             return float((p.upsampled * probe).sum())
 
         fd = central_difference(loss, [visual, text_out])

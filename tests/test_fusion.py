@@ -7,10 +7,8 @@ from affseg.features import FeatureStack
 from affseg.fusion import (
     Embedder,
     FusionParams,
-    embed,
     embed_cached,
     embed_backward,
-    fuse,
     fuse_cached,
     fuse_backward,
     init_embedder,
@@ -34,7 +32,7 @@ class TestFuse:
         last = rng.standard_normal((6, 4))
         stack = stack_of([rng.standard_normal((6, 4)), last])
         fp = FusionParams(proj=[np.eye(4)], alpha_logits=np.zeros(1))
-        np.testing.assert_array_equal(fuse(stack, fp), last)
+        np.testing.assert_array_equal(fuse_cached(stack, fp)[0], last)
 
     def test_softmax_saturation_selects_last_layer(self):
         rng = np.random.default_rng(1)
@@ -43,7 +41,7 @@ class TestFuse:
         fp = init_fusion(3, 3, seed=0)
         fp.alpha_logits = np.array([30.0, -30.0, -30.0])
         expected = layers[-1] @ fp.proj[0]
-        np.testing.assert_allclose(fuse(stack, fp), expected, atol=1e-9)
+        np.testing.assert_allclose(fuse_cached(stack, fp)[0], expected, atol=1e-9)
 
     def test_hand_computed_two_layer_case(self):
         # oracle: 2 patches, C_v = 2, hand-set projections and logits;
@@ -65,12 +63,12 @@ class TestFuse:
                 expected[r, c] = a[0] * t1 + a[1] * t2
         stack = stack_of([l0, l1])
         fp = FusionParams(proj=[p1, p2], alpha_logits=logits)
-        np.testing.assert_allclose(fuse(stack, fp), expected, atol=1e-12)
+        np.testing.assert_allclose(fuse_cached(stack, fp)[0], expected, atol=1e-12)
 
     def test_too_few_layers(self):
         stack = stack_of([np.zeros((4, 3))])
         with pytest.raises(ValueError):
-            fuse(stack, init_fusion(2, 3, seed=0))
+            fuse_cached(stack, init_fusion(2, 3, seed=0))
 
     def test_alpha_is_probability_vector(self):
         rng = np.random.default_rng(2)
@@ -86,8 +84,8 @@ class TestFuse:
         rng = np.random.default_rng(3)
         layers = [rng.standard_normal((4, 3)) for _ in range(2)]
         fp = init_fusion(2, 3, seed=1)
-        base = fuse(stack_of(layers), fp)
-        scaled = fuse(stack_of([2.5 * l for l in layers]), fp)
+        base = fuse_cached(stack_of(layers), fp)[0]
+        scaled = fuse_cached(stack_of([2.5 * l for l in layers]), fp)[0]
         np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-12)
 
 
@@ -95,16 +93,16 @@ class TestEmbed:
     def test_identity(self):
         x = np.random.default_rng(0).standard_normal((5, 3))
         emb = Embedder(weight=np.eye(3), bias=np.zeros(3))
-        np.testing.assert_array_equal(embed(x, emb), x)
+        np.testing.assert_array_equal(embed_cached(x, emb)[0], x)
 
     def test_constant_map(self):
         x = np.random.default_rng(0).standard_normal((5, 3))
         emb = Embedder(weight=np.zeros((3, 2)), bias=np.full(2, 7.5))
-        np.testing.assert_array_equal(embed(x, emb), np.full((5, 2), 7.5))
+        np.testing.assert_array_equal(embed_cached(x, emb)[0], np.full((5, 2), 7.5))
 
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
-            embed(np.zeros((4, 3)), Embedder(weight=np.eye(2), bias=np.zeros(2)))
+            embed_cached(np.zeros((4, 3)), Embedder(weight=np.eye(2), bias=np.zeros(2)))
 
 
 def test_gradients_match_finite_differences():
@@ -118,7 +116,7 @@ def test_gradients_match_finite_differences():
     probe = rng.standard_normal((4, 4))
 
     def loss():
-        return float((embed(fuse(stack, fp), emb) * probe).sum())
+        return float((embed_cached(fuse_cached(stack, fp)[0], emb)[0] * probe).sum())
 
     arrays = [fp.proj[0], fp.proj[1], fp.alpha_logits, emb.weight, emb.bias]
     fd = central_difference(loss, arrays)

@@ -9,7 +9,6 @@ from affseg.features import synth_text_tokens
 from affseg.prompt import (
     ContextVectors,
     StubTextEncoder,
-    encode_texts,
     encode_texts_cached,
     encode_texts_backward,
     init_context,
@@ -52,34 +51,34 @@ class TestEncodeTexts:
         table = synth_text_tokens(["grasp"], 8, seed=4)
         enc = StubTextEncoder.create(8, 6, seed=4)
         ctx = ContextVectors(vectors=table.tokens.copy())
-        out = encode_texts(ctx, table, enc)
+        out = encode_texts_cached(ctx, table, enc)[0]
         h = table.tokens[0] @ enc.proj
         expected = (h - h.mean()) / np.sqrt(((h - h.mean()) ** 2).mean() + 1e-12)
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_rows_standardized(self):
         ctx, table, enc = pipeline()
-        out = encode_texts(ctx, table, enc)
+        out = encode_texts_cached(ctx, table, enc)[0]
         np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-8)
         np.testing.assert_allclose(out.var(axis=1), 1.0, atol=1e-8)
 
     def test_class_permutation_equivariance(self):
         ctx, table, enc = pipeline(num_classes=5)
-        out = encode_texts(ctx, table, enc)
+        out = encode_texts_cached(ctx, table, enc)[0]
         perm = [3, 0, 4, 1, 2]
         from affseg.features import ClassTokenTable
 
         shuffled = ClassTokenTable(
             names=tuple(table.names[i] for i in perm), tokens=table.tokens[perm]
         )
-        out_perm = encode_texts(ctx, shuffled, enc)
+        out_perm = encode_texts_cached(ctx, shuffled, enc)[0]
         np.testing.assert_array_equal(out_perm, out[perm])
 
     def test_dim_mismatch(self):
         ctx, table, _ = pipeline()
         bad_enc = StubTextEncoder.create(table.token_dim + 1, 8, seed=0)
         with pytest.raises(ValueError):
-            encode_texts(ctx, table, bad_enc)
+            encode_texts_cached(ctx, table, bad_enc)
 
     def test_gradient_matches_finite_differences(self):
         # oracle: finite-difference oracle over a scalar readout
@@ -88,7 +87,7 @@ class TestEncodeTexts:
         probe = rng.standard_normal((table.num_classes, enc.embed_dim))
 
         def loss():
-            return float((encode_texts(ctx, table, enc) * probe).sum())
+            return float((encode_texts_cached(ctx, table, enc)[0] * probe).sum())
 
         (fd,) = central_difference(loss, [ctx.vectors])
         out, cache = encode_texts_cached(ctx, table, enc)
@@ -121,7 +120,7 @@ def test_projection_frozen_during_use():
     ctx, table, enc = pipeline()
     digest = hashlib.sha256(enc.proj.tobytes()).hexdigest()
     for _ in range(3):
-        encode_texts(ctx, table, enc)
+        encode_texts_cached(ctx, table, enc)
     assert hashlib.sha256(enc.proj.tobytes()).hexdigest() == digest
     with pytest.raises(ValueError):
         enc.proj[0, 0] = 1.0

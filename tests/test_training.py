@@ -166,6 +166,20 @@ class TestBackward:
         max_err, per_param = gradcheck.run_check(seed=0)
         assert max_err < 1e-4, per_param
 
+    @pytest.mark.parametrize("ablate", [
+        "tpl",
+        pytest.param("mlff", marks=pytest.mark.xfail(strict=True, reason=(
+            "finite differences cannot resolve it: raw last-layer logits reach 17, every "
+            "absolute error is ~2e-7 (~1e-10 unablated) and loss noise of ~1e-12 swamps "
+            "the 1e-5 step; at step 1e-3 the worst entry agrees to 1e-5"))),
+        "td",
+        "ctm",
+    ])
+    def test_ablated_model_matches_finite_differences(self, ablate):
+        # the unablated model is checked above, at the same step and tolerance
+        max_err, per_param = gradcheck.run_check(seed=0, ablate=ablate)
+        assert max_err < gradcheck.REL_TOL, per_param
+
     def test_nonfinite_gradient_reports_parameter(self):
         params, enc, table, item = gradcheck.build_problem(seed=4)
         params.emb.weight[0, 0] = 1e308  # overflow downstream
