@@ -10,9 +10,6 @@ import numpy as np
 
 from .features import FeatureStack
 
-PCA_TOL = 1e-10
-PCA_MAX_ITER = 10_000
-
 # anchors of the rendering colormap: value 0 -> black, 0.5 -> red, 1 -> yellow
 COLORMAP_ANCHORS = ((0.0, (0, 0, 0)), (0.5, (255, 0, 0)), (1.0, (255, 255, 0)))
 
@@ -26,12 +23,11 @@ class PCAResult:
 
 
 def pca_project(features: np.ndarray, k: int) -> PCAResult:
-    """Top-k principal components by orthogonal (block) power iteration.
+    """Top-k principal components from the eigendecomposition of the sample
+    covariance of the centered columns.
 
-    Columns are centered first; directions are iterated on the sample
-    covariance until the subspace stops rotating (tolerance 1e-10, at most
-    10k sweeps). Each component's largest-magnitude entry is made positive
-    so renderings are reproducible.
+    Each component's largest-magnitude entry is made positive so renderings
+    are reproducible.
     """
     X = np.asarray(features, dtype=np.float64)
     if X.ndim != 2:
@@ -42,30 +38,11 @@ def pca_project(features: np.ndarray, k: int) -> PCAResult:
     Xc = X - X.mean(axis=0)
     cov = Xc.T @ Xc / (L - 1)
 
-    rng = np.random.default_rng(0)
-    B, _ = np.linalg.qr(rng.standard_normal((dim, min(k, dim))))
-    for _ in range(PCA_MAX_ITER):
-        Y = cov @ B
-        B_new, _ = np.linalg.qr(Y)
-        # align column signs before comparing: QR fixes them arbitrarily
-        signs = np.sign(np.sum(B_new * B, axis=0))
-        signs[signs == 0] = 1.0
-        B_new = B_new * signs
-        delta = np.abs(B_new - B).max()
-        B = B_new
-        if delta < PCA_TOL:
-            break
-    else:
-        raise ArithmeticError(f"PCA power iteration did not converge in {PCA_MAX_ITER} sweeps")
-
-    ev = np.maximum(np.einsum("ik,ij,jk->k", B, cov, B), 0.0)
-    order = np.argsort(ev)[::-1]
-    B = B[:, order]
-    ev = ev[order]
-    for c in range(B.shape[1]):
-        lead = np.argmax(np.abs(B[:, c]))
-        if B[lead, c] < 0:
-            B[:, c] = -B[:, c]
+    # eigh sorts ascending; keep the top min(k, dim) in descending order
+    w, V = np.linalg.eigh(cov)
+    ev = np.maximum(w[::-1][:k], 0.0)
+    B = V[:, ::-1][:, :k]
+    B = B * np.sign(B[np.abs(B).argmax(axis=0), np.arange(B.shape[1])])
     return PCAResult(
         scores=Xc @ B,
         components=B.T,

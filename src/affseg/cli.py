@@ -139,14 +139,18 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_densify(args) -> int:
+    where = f"keypoints file {args.inp}"
     doc = json.loads(Path(args.inp).read_text())
     if not isinstance(doc, dict):
-        raise ValueError(f"keypoints file {args.inp} must hold a JSON object")
+        raise ValueError(f"{where} must hold a JSON object")
     for key in ("points", "height", "width", "affordances"):
         if key not in doc:
-            raise ValueError(f"keypoints file {args.inp} has no {key!r} key")
-    kp = data.parse_points(doc["points"], f"keypoints file {args.inp}")
-    target = data.densify(kp, args.sigma, doc["height"], doc["width"], doc["affordances"])
+            raise ValueError(f"{where} has no {key!r} key")
+        if key in ("height", "width") and (type(doc[key]) is not int or doc[key] < 1):
+            raise ValueError(f"{where}: {key} must be a positive integer, got {doc[key]!r}")
+    kp = data.parse_points(doc["points"], where)
+    affordances = data.parse_affordances(doc["affordances"], where)
+    target = data.densify(kp, args.sigma, doc["height"], doc["width"], affordances)
     data.save_target(target, args.out)
     print(f"wrote {target.shape[0]}x{target.shape[1]}x{target.shape[2]} target to {args.out}")
     return 0

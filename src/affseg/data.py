@@ -95,6 +95,15 @@ def parse_points(points, where: str) -> KeypointAnnotation:
     return KeypointAnnotation(points={k: [tuple(pt) for pt in v] for k, v in points.items()})
 
 
+def parse_affordances(names, where: str) -> tuple[str, ...]:
+    """An ``affordances`` value as a tuple of names; anything but a non-empty
+    list of distinct strings is a ValueError naming *where*."""
+    if not (isinstance(names, list) and names and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names)):
+        raise ValueError(f"{where}: affordances must be a non-empty list of distinct strings")
+    return tuple(names)
+
+
 def _check_sigma(sigma, where: str = "densify") -> None:
     lo, hi = SIGMA_RANGE
     if not (_is_number(sigma) and lo <= sigma <= hi):
@@ -230,7 +239,7 @@ def load_manifest(path) -> DatasetManifest:
         raise ValueError(f"manifest {path} must be a JSON object")
     try:
         manifest = DatasetManifest(
-            affordances=tuple(doc["affordances"]),
+            affordances=parse_affordances(doc["affordances"], f"manifest {path}"),
             objects=tuple((o["id"], bool(o["novel"])) for o in doc["objects"]),
             items=tuple(
                 ManifestItem(

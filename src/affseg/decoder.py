@@ -58,8 +58,8 @@ class DecoderParams:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Patch-level logits (L x N), their upsampled sigmoid scores
-    (H x W x N, values in [0, 1]), and the source patch grid."""
+    """Pixel logits (H x W x N, the upsampled patch logits), their sigmoid
+    scores (H x W x N, values in [0, 1]), and the source patch grid."""
 
     logits: np.ndarray
     upsampled: np.ndarray
@@ -109,12 +109,9 @@ def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray, d_k: float | None =
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    # exp only ever sees -|x|, so nothing overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _row_softmax(S: np.ndarray) -> np.ndarray:
@@ -248,11 +245,10 @@ class PredictCache(NamedTuple):
     visual: np.ndarray
     text_out: np.ndarray
     grid: tuple[int, int]
-    scores: np.ndarray
 
 
 def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[int, int]):
-    """Patch logits, upsampled and squashed -> (Prediction, cache)."""
+    """Patch logits, upsampled to pixel logits and squashed -> (Prediction, cache)."""
     h_p, w_p = grid
     L = visual.shape[0]
     if h_p * w_p != L:
@@ -264,21 +260,15 @@ def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[in
     logits = visual @ text_out.T
     N = logits.shape[1]
     up_logits = upsample_bilinear(logits.reshape(h_p, w_p, N), image_size)
-    scores = _sigmoid(up_logits)
-    pred = Prediction(logits=logits, upsampled=scores, grid=grid)
-    return pred, PredictCache(visual, text_out, grid, scores)
+    pred = Prediction(logits=up_logits, upsampled=_sigmoid(up_logits), grid=grid)
+    return pred, PredictCache(visual, text_out, grid)
 
 
-def predict_backward(cache: PredictCache, d_scores: np.ndarray):
-    """Backward through sigmoid, upsampling, and the matrix product.
+def predict_backward(cache: PredictCache, d_logits: np.ndarray):
+    """Backward from the pixel logits through upsampling and the matrix product.
 
     -> (d_visual, d_text_out).
     """
-    s = cache.scores
-    d_up = d_scores * s * (1.0 - s)
-    d_grid = upsample_bilinear_adjoint(d_up, cache.grid)
     L = cache.visual.shape[0]
-    d_logits = d_grid.reshape(L, -1)
-    d_visual = d_logits @ cache.text_out
-    d_text_out = d_logits.T @ cache.visual
-    return d_visual, d_text_out
+    d_patch = upsample_bilinear_adjoint(d_logits, cache.grid).reshape(L, -1)
+    return d_patch @ cache.text_out, d_patch.T @ cache.visual

@@ -22,8 +22,6 @@ from .features import ClassTokenTable, FeatureStack
 from .fusion import Embedder, FusionParams
 from .prompt import ContextVectors, StubTextEncoder
 
-BCE_EPS = 1e-12
-
 ABLATIONS = ("tpl", "mlff", "td", "ctm")
 
 
@@ -186,18 +184,18 @@ def forward(
 
 
 def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
-    """Mean binary cross entropy over every pixel and affordance channel."""
-    s = pred.upsampled
+    """Mean binary cross entropy over every pixel and affordance channel, from
+    the pixel logits z as max(z, 0) - y*z + log(1 + exp(-|z|)), finite for finite z."""
+    z = pred.logits
     y = target.M
-    if s.shape != y.shape:
-        raise ValueError(f"prediction {s.shape} vs target {y.shape}")
-    terms = y * np.log(s + BCE_EPS) + (1.0 - y) * np.log(1.0 - s + BCE_EPS)
-    return float(-terms.mean())
+    if z.shape != y.shape:
+        raise ValueError(f"prediction {z.shape} vs target {y.shape}")
+    return float((np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))).mean())
 
 
 def _bce_score_grad(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
-    n = scores.size
-    return (-target / (scores + BCE_EPS) + (1.0 - target) / (1.0 - scores + BCE_EPS)) / n
+    """Gradient of ``bce_loss`` in the pixel logits z, from scores = sigmoid(z): (s - y) / n."""
+    return (scores - target) / scores.size
 
 
 def backward(
@@ -216,8 +214,8 @@ def backward(
     loss = bce_loss(pred, item.target)
 
     grads = zero_gradients(mp)
-    d_scores = _bce_score_grad(pred.upsampled, item.target.M)
-    d_visual, d_text_out = decoder.predict_backward(cache.predict_cache, d_scores)
+    d_logits = _bce_score_grad(pred.upsampled, item.target.M)
+    d_visual, d_text_out = decoder.predict_backward(cache.predict_cache, d_logits)
 
     if cache.decode_caches:
         layer_grads, d_text, d_vis2 = decoder.decode_backward(cache.decode_caches, d_text_out)

@@ -42,6 +42,17 @@ def max_rel_err(a: np.ndarray, n: np.ndarray, floor=1e-5) -> float:
     return float((np.abs(a - n) / denom).max()) if a.size else 0.0
 
 
+def sigmoid_masked_reference(x):
+    """The overflow-safe sigmoid by boolean masks: 1 / (1 + exp(-x)) where
+    x >= 0, exp(x) / (1 + exp(x)) elsewhere."""
+    out = np.empty_like(x, dtype=np.float64)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def softmax_rows(S):
     out = np.zeros_like(S, dtype=np.float64)
     for r in range(S.shape[0]):

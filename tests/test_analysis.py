@@ -1,4 +1,4 @@
-"""PCA by power iteration, similarity maps, and PPM rendering."""
+"""PCA, similarity maps, and PPM rendering."""
 
 import numpy as np
 import pytest
@@ -57,6 +57,21 @@ class TestPca:
             col = unpermuted[:, c]
             ref = a.scores[:, c]
             assert min(np.abs(col - ref).max(), np.abs(col + ref).max()) < 1e-8
+
+    def test_near_tied_top_eigenvalues(self):
+        # oracle: rows built so the sample covariance has exactly the spectrum
+        # below in a random basis; the top two eigenvalues are 1e-4 apart
+        rng = np.random.default_rng(5)
+        spectrum = np.array([1.0, 0.9999, 0.5, 0.3, 0.2, 0.1])
+        Z = rng.standard_normal((40, 6))
+        Z = np.linalg.qr(Z - Z.mean(axis=0))[0] * np.sqrt(39)  # centered, Z.T Z / 39 = I
+        basis = np.linalg.qr(rng.standard_normal((6, 6)))[0]
+        X = Z * np.sqrt(spectrum) @ basis.T
+        result = pca_project(X, k=1)
+        cov = np.cov(X, rowvar=False)
+        np.testing.assert_allclose(result.components @ cov @ result.components.T,
+                                   np.diag(result.explained_variance), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(result.explained_variance, spectrum[:1], rtol=0, atol=1e-12)
 
     def test_k_bounds(self):
         X = np.zeros((3, 4))

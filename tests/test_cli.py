@@ -75,20 +75,33 @@ class TestDensifyCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"no {key!r} key" in err
 
-    @pytest.mark.parametrize("points", [
-        pytest.param([[4, 6]], id="points-list"),
-        pytest.param({"grasp": [4]}, id="scalar-point"),
-        pytest.param({"grasp": 4}, id="point-list-not-list"),
-        pytest.param({"grasp": [[4, 6, 1]]}, id="three-coordinates"),
-        pytest.param({"grasp": [["4", 6]]}, id="string-coordinate"),
+    @pytest.mark.parametrize("change,match", [
+        pytest.param({"points": [[4, 6]]}, "points", id="points-list"),
+        pytest.param({"points": {"grasp": [4]}}, "points", id="scalar-point"),
+        pytest.param({"points": {"grasp": 4}}, "points", id="point-list-not-list"),
+        pytest.param({"points": {"grasp": [[4, 6, 1]]}}, "points", id="three-coordinates"),
+        pytest.param({"points": {"grasp": [["4", 6]]}}, "points", id="string-coordinate"),
+    ] + [
+        pytest.param({key: value}, f"{key} must be a positive integer", id=f"{key}-{i}")
+        for key in ("height", "width")
+        for i, value in (("string", "5"), ("float", 5.5), ("negative", -3), ("zero", 0),
+                         ("bool", True))
+    ] + [
+        pytest.param({"affordances": value}, "affordances must be a non-empty list",
+                     id=f"affordances-{i}")
+        for i, value in (("string", "grasp"), ("nested", [["grasp"]]), ("empty", []),
+                         ("duplicate", ["grasp", "grasp"]), ("number", [1]))
     ])
-    def test_malformed_points_name_the_file(self, tmp_path, capsys, points):
-        doc = {"height": 12, "width": 10, "affordances": ["grasp"], "points": points}
+    def test_malformed_points_name_the_file(self, tmp_path, capsys, change, match):
+        doc = {"height": 12, "width": 10, "affordances": ["grasp"],
+               "points": {"grasp": [[4, 6]]}, **change}
         inp = tmp_path / "kp.json"
         inp.write_text(json.dumps(doc))
-        assert run("densify", "--in", str(inp), "--out", str(tmp_path / "m.ooal")) == 1
+        out = tmp_path / "m.ooal"
+        assert run("densify", "--in", str(inp), "--out", str(out)) == 1
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "kp.json" in err
+        assert err.count("\n") == 1 and "kp.json" in err and match in err
+        assert not out.exists()
 
 
 class TestTrainEval:

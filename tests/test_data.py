@@ -171,6 +171,10 @@ class TestManifest:
         pytest.param(lambda d, f=f: {**d, "items": [{**d["items"][0], "features": f}]
                                      + d["items"][1:]}, id=f"features-{i}")
         for i, f in (("root", ""), ("directory", "feats"), ("number", 5))
+    ] + [
+        pytest.param(lambda d, a=a: {**d, "affordances": a}, id=f"affordances-{i}")
+        for i, a in (("string", "grasp"), ("numbers", [1, 2]), ("duplicate", ["grasp", "grasp"]),
+                     ("nested", [["grasp"], "cut"]), ("empty", []))
     ])
     def test_non_object_entries_name_the_manifest(self, tmp_path, mutate):
         write_world(tmp_path)

@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from affseg.decoder import (
     DecoderLayerParams,
     DecoderParams,
+    _sigmoid,
     cls_mask,
     decode_cached,
     decode_backward,
@@ -21,6 +25,7 @@ from tests.oracles import (
     central_difference,
     decoder_layer_reference,
     max_rel_err,
+    sigmoid_masked_reference,
     softmax_rows,
 )
 
@@ -42,6 +47,18 @@ def layer_params(C=2, cls_dim=2, rng=None, identity=True):
         w1=rng.standard_normal((C, 4 * C)) / math.sqrt(C), b1=0.1 * rng.standard_normal(4 * C),
         w2=0.1 * rng.standard_normal((4 * C, C)), b2=0.1 * rng.standard_normal(C),
     )
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
+               745.0, -745.0, 800.0, -800.0, np.inf, -np.inf]
+
+
+# NaN is left out: both forms return NaN, but exp(-|x|) can flip its sign bit
+@given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=3),
+                  elements=st.floats(allow_nan=False) | st.sampled_from(EDGE_VALUES)))
+@example(np.array(EDGE_VALUES))
+def test_sigmoid_bitwise_equal_to_masked_reference(x):
+    assert _sigmoid(x).tobytes() == sigmoid_masked_reference(x).tobytes()
 
 
 class TestClsMask:
@@ -239,7 +256,7 @@ class TestPredict:
         visual = np.eye(4)  # 4 orthonormal patch rows
         text_out = visual[:1]
         pred = predict_cached(visual, text_out, grid=(2, 2), image_size=(2, 2))[0]
-        np.testing.assert_allclose(pred.logits[:, 0], [1.0, 0.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(pred.logits[:, :, 0].ravel(), [1.0, 0.0, 0.0, 0.0], atol=1e-15)
 
     def test_corner_pixels_exact_under_align_corners(self):
         # oracle: closed-form bilinear oracle on a 2x2 -> 4x4 upsample
@@ -262,7 +279,7 @@ class TestPredict:
         a = predict_cached(visual, text_out, grid=(2, 3), image_size=(4, 6))[0]
         b = predict_cached(3.7 * visual, text_out, grid=(2, 3), image_size=(4, 6))[0]
         np.testing.assert_array_equal(
-            a.logits.argmax(axis=1), b.logits.argmax(axis=1)
+            a.logits.argmax(axis=-1), b.logits.argmax(axis=-1)
         )
 
     def test_grid_mismatch(self):
@@ -277,7 +294,7 @@ class TestPredict:
 
         def loss():
             p = predict_cached(visual, text_out, grid=(2, 2), image_size=(5, 7))[0]
-            return float((p.upsampled * probe).sum())
+            return float((p.logits * probe).sum())
 
         fd = central_difference(loss, [visual, text_out])
         _, cache = predict_cached(visual, text_out, (2, 2), (5, 7))

@@ -6,15 +6,19 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from affseg import gradcheck, synth, training
 from affseg.container import CorruptionError, FormatError
-from affseg.data import AffordanceTarget, LoadedItem
-from affseg.decoder import Prediction
+from affseg.data import DENSIFIED_SPARSE, AffordanceTarget, LoadedItem
+from affseg.decoder import Prediction, _sigmoid
 from affseg.features import FeatureStack
 from affseg.training import (
     Checkpoint,
     TrainConfig,
+    _bce_score_grad,
     backward,
     bce_loss,
     load_checkpoint,
@@ -28,36 +32,50 @@ from affseg.training import (
 from tests.oracles import max_rel_err
 
 
-def pred_of(scores: np.ndarray) -> Prediction:
-    H, W, N = scores.shape
-    logits = np.zeros((1, N))
-    return Prediction(logits=logits, upsampled=scores, grid=(1, 1))
+def pred_of(logits: np.ndarray) -> Prediction:
+    return Prediction(logits=logits, upsampled=_sigmoid(logits), grid=(1, 1))
 
 
 class TestBceLoss:
     def test_perfect_prediction(self):
         y = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])
-        assert bce_loss(pred_of(y), AffordanceTarget(M=y)) <= 1e-10
+        assert bce_loss(pred_of(40.0 * (2.0 * y - 1.0)), AffordanceTarget(M=y)) <= 1e-10
 
     def test_uniform_scores_give_ln2(self):
         y = (np.random.default_rng(0).random((3, 4, 2)) < 0.5).astype(float)
-        s = np.full((3, 4, 2), 0.5)
-        assert abs(bce_loss(pred_of(s), AffordanceTarget(M=y)) - math.log(2)) < 1e-9
+        z = np.zeros((3, 4, 2))  # every score 0.5
+        assert abs(bce_loss(pred_of(z), AffordanceTarget(M=y)) - math.log(2)) < 1e-9
 
     def test_hand_case(self):
         # oracle: mean(-ln .9, -ln .9, -ln .8, -ln .8) = 0.16425
         s = np.array([0.9, 0.1, 0.8, 0.2]).reshape(2, 2, 1)
         y = np.array([1.0, 0.0, 1.0, 0.0]).reshape(2, 2, 1)
         expected = -(math.log(0.9) + math.log(0.9) + math.log(0.8) + math.log(0.8)) / 4
-        got = bce_loss(pred_of(s), AffordanceTarget(M=y))
+        got = bce_loss(pred_of(np.log(s / (1.0 - s))), AffordanceTarget(M=y))
         assert abs(got - 0.16425) < 1e-4
         assert abs(got - expected) < 1e-9
 
     def test_shape_mismatch(self):
-        s = np.full((2, 2, 1), 0.5)
+        z = np.zeros((2, 2, 1))
         y = np.zeros((2, 3, 1))
         with pytest.raises(ValueError):
-            bce_loss(pred_of(s), AffordanceTarget(M=y))
+            bce_loss(pred_of(z), AffordanceTarget(M=y))
+
+    def test_saturated_logits_are_exact(self):
+        # oracle: (800 + 800 + 40) / 3, every term exact in float64
+        z = np.array([800.0, -800.0, 40.0]).reshape(1, 1, 3)
+        y = np.array([0.0, 1.0, 0.0]).reshape(1, 1, 3)
+        assert bce_loss(pred_of(z), AffordanceTarget(M=y)) == 1640.0 / 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=hnp.array_shapes(min_dims=3, max_dims=3, max_side=4))
+    def test_finite_nonnegative_and_bounded_gradient(self, data, shape):
+        z = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+        y = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)))
+        loss = bce_loss(pred_of(z), AffordanceTarget(M=y, kind=DENSIFIED_SPARSE))
+        assert math.isfinite(loss) and loss >= 0.0
+        grad = _bce_score_grad(_sigmoid(z), y)
+        assert (np.abs(grad) <= 1.0 / z.size).all()
 
 
 class TestSgdStep:
@@ -146,7 +164,7 @@ class TestBackward:
 
     def test_stationary_at_perfect_binary_fit(self):
         # if the scores saturate to the binary target exactly, every
-        # parameter gradient vanishes (the sigmoid factor kills the chain)
+        # parameter gradient vanishes (sigmoid(z) - y is exactly zero)
         from affseg.decoder import predict_cached, predict_backward
         from affseg.training import _bce_score_grad
 
@@ -166,15 +184,7 @@ class TestBackward:
         max_err, per_param = gradcheck.run_check(seed=0)
         assert max_err < 1e-4, per_param
 
-    @pytest.mark.parametrize("ablate", [
-        "tpl",
-        pytest.param("mlff", marks=pytest.mark.xfail(strict=True, reason=(
-            "finite differences cannot resolve it: raw last-layer logits reach 17, every "
-            "absolute error is ~2e-7 (~1e-10 unablated) and loss noise of ~1e-12 swamps "
-            "the 1e-5 step; at step 1e-3 the worst entry agrees to 1e-5"))),
-        "td",
-        "ctm",
-    ])
+    @pytest.mark.parametrize("ablate", training.ABLATIONS)
     def test_ablated_model_matches_finite_differences(self, ablate):
         # the unablated model is checked above, at the same step and tolerance
         max_err, per_param = gradcheck.run_check(seed=0, ablate=ablate)
