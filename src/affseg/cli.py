@@ -169,8 +169,8 @@ def cmd_train(args) -> int:
     training.save_checkpoint(ckpt, args.out)
     if args.loss_log:
         training.save_loss_log(log, args.loss_log)
-    final = log[-1][1] if log else float("nan")
-    print(f"trained {cfg.iterations} iterations, final loss {final:.6f}, checkpoint {args.out}")
+    final = f", final loss {log[-1][1]:.6f}" if log else ""
+    print(f"trained {cfg.iterations} iterations{final}, checkpoint {args.out}")
     return 0
 
 

@@ -14,6 +14,7 @@ helpers here so the framing stays bit-deterministic.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -59,9 +60,12 @@ def write_f64(fh, arr: np.ndarray) -> None:
 
 
 def read_f64(fh, count: int) -> np.ndarray:
-    raw = fh.read(8 * count)
+    """The next *count* float64 values of the file *fh*. A header claiming
+    more than the file holds fails before anything is read or allocated."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    raw = fh.read(8 * count) if 8 * count <= left else b""
     if len(raw) != 8 * count:
-        raise CorruptionError(f"payload shorter than expected ({len(raw)} bytes, wanted {8 * count})")
+        raise CorruptionError(f"payload shorter than expected ({left} bytes left, wanted {8 * count})")
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
 

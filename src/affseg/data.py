@@ -182,6 +182,7 @@ class DatasetManifest:
     root: Path = Path(".")
 
     def __post_init__(self):
+        object.__setattr__(self, "root", Path(self.root).resolve())
         ids = [oid for oid, _ in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate object ids")
@@ -209,7 +210,8 @@ class DatasetManifest:
         return [it for it in self.items if it.object_id == object_id]
 
     def resolve(self, rel: str) -> Path:
-        return (self.root / rel).resolve()
+        """*rel* joined onto the manifest directory, resolved once at construction."""
+        return self.root / rel
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

@@ -66,10 +66,6 @@ class FeatureStack:
         object.__setattr__(self, "cls", cls)
 
     @property
-    def num_patches(self) -> int:
-        return self.layers[0].shape[0]
-
-    @property
     def feature_dim(self) -> int:
         return self.layers[0].shape[1]
 

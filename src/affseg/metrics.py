@@ -79,7 +79,9 @@ def iou_per_class(
 
 
 def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
-    """Raw per-class intersection and union pixel counts."""
+    """Raw per-class intersection and union pixel counts, exact integers
+    stored as float64; each channel is counted on its own slice, so the
+    prediction's memory layout never meets the target's."""
     if gt.kind != DENSE_BINARY:
         raise ValueError(f"IoU needs dense-binary ground truth, got {gt.kind!r}")
     if not 0.0 < threshold < 1.0:
@@ -87,10 +89,12 @@ def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
     s = pred.upsampled
     if s.shape != gt.M.shape:
         raise ValueError(f"prediction {s.shape} vs target {gt.M.shape}")
-    hard = s >= threshold
-    mask = gt.M >= 0.5
-    inter = np.logical_and(hard, mask).sum(axis=(0, 1)).astype(np.float64)
-    union = np.logical_or(hard, mask).sum(axis=(0, 1)).astype(np.float64)
+    inter = np.empty(s.shape[2])
+    union = np.empty_like(inter)
+    for c in range(s.shape[2]):
+        hard, mask = s[:, :, c] >= threshold, gt.M[:, :, c] >= 0.5
+        inter[c] = np.count_nonzero(hard & mask)
+        union[c] = np.count_nonzero(hard | mask)
     return inter, union
 
 
@@ -180,7 +184,8 @@ def evaluate_checkpoint(
     sigma: float | None = None,
     threshold: float = 0.5,
 ) -> MetricsReport:
-    """Run the model of a trained checkpoint over manifest items.
+    """Run the model of a trained checkpoint over manifest items; the prompts
+    are encoded once per call.
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
@@ -188,14 +193,12 @@ def evaluate_checkpoint(
     """
     from . import data, training
 
-    table = ckpt.text_table()
+    text, text_cache = training.encode_prompts(ckpt.params, ckpt.enc, ckpt.text_table(), ckpt.ablate)
+    kwargs = {} if sigma is None else {"sigma": sigma}
 
     def run_item(item):
-        kwargs = {} if sigma is None else {"sigma": sigma}
         loaded = data.load_item(manifest, item, **kwargs)
-        pred, _ = training.forward(
-            ckpt.params, ckpt.enc, table, loaded.stack, ablate=ckpt.ablate
-        )
+        pred, _ = training.forward_encoded(ckpt.params, text, text_cache, loaded.stack, ckpt.ablate)
         fixations = None
         if mode == "heatmap" and item.target.get("kind") == "keypoints":
             fixations = keypoint_fixations(

@@ -44,13 +44,26 @@ def nearest_index(n_src: int, n_dst: int) -> np.ndarray:
     return np.minimum(np.floor(pos + 0.5).astype(np.intp), n_src - 1)
 
 
+@lru_cache(maxsize=None)
+def _einsum_path(subscripts: str, *shapes: tuple[int, ...]) -> list:
+    """The contraction path ``optimize=True`` picks; it depends on the shapes only."""
+    return np.einsum_path(subscripts, *(np.empty(s) for s in shapes), optimize=True)[0]
+
+
+def _einsum(subscripts: str, *operands: np.ndarray) -> np.ndarray:
+    """``np.einsum(..., optimize=True)`` without the per-call path search; the
+    same path gives the same bits."""
+    path = _einsum_path(subscripts, *(op.shape for op in operands))
+    return np.einsum(subscripts, *operands, optimize=path)
+
+
 def upsample_bilinear(grid: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:
     """(h, w, N) grid of values -> (H, W, N) align-corners bilinear field."""
     h, w = grid.shape[:2]
     H, W = out_hw
     Ur = bilinear_matrix(h, H)
     Uc = bilinear_matrix(w, W)
-    return np.einsum("ak,kcn,bc->abn", Ur, grid, Uc, optimize=True)
+    return _einsum("ak,kcn,bc->abn", Ur, grid, Uc)
 
 
 def upsample_bilinear_adjoint(d_out: np.ndarray, grid_hw: tuple[int, int]) -> np.ndarray:
@@ -59,4 +72,4 @@ def upsample_bilinear_adjoint(d_out: np.ndarray, grid_hw: tuple[int, int]) -> np
     h, w = grid_hw
     Ur = bilinear_matrix(h, H)
     Uc = bilinear_matrix(w, W)
-    return np.einsum("ak,abn,bc->kcn", Ur, d_out, Uc, optimize=True)
+    return _einsum("ak,abn,bc->kcn", Ur, d_out, Uc)

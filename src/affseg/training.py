@@ -9,6 +9,7 @@ given the config seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -18,7 +19,7 @@ from . import container, decoder, fusion, prompt
 from .container import CorruptionError, FormatError
 from .data import AffordanceTarget, LoadedItem
 from .decoder import DecoderParams, Prediction
-from .features import ClassTokenTable, FeatureStack
+from .features import ClassTokenTable, FeatureStack, synth_text_tokens
 from .fusion import Embedder, FusionParams
 from .prompt import ContextVectors, StubTextEncoder
 
@@ -48,14 +49,12 @@ class TrainConfig:
     log_every: int = 100
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if self.iterations < 0:
-            raise ValueError("iterations must be >= 0")
-        if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
-        if self.p < 1 or self.j < 1 or self.t < 0:
-            raise ValueError("need p >= 1, j >= 1, t >= 0")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
+        for name, low in (("iterations", 0), ("seed", 0), ("p", 1), ("j", 1), ("t", 0),
+                          ("C", 1), ("C_t", 1), ("log_every", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
 
 
 def load_config(path) -> TrainConfig:
@@ -86,8 +85,6 @@ def _check_ablation(ablate: str | None) -> None:
 
 def build_text_pipeline(cfg: TrainConfig, affordances) -> tuple[ClassTokenTable, StubTextEncoder]:
     """Frozen token table and text encoder, derived only from names + seed."""
-    from .features import synth_text_tokens
-
     table = synth_text_tokens(affordances, cfg.C_t, cfg.seed)
     enc = StubTextEncoder.create(cfg.C_t, cfg.C, cfg.seed)
     return table, enc
@@ -155,15 +152,31 @@ def forward(
     stack: FeatureStack,
     ablate: str | None = None,
 ) -> tuple[Prediction, ForwardCache]:
-    """Full model pass on one feature stack.
+    """Full model pass on one feature stack: :func:`encode_prompts`, then
+    :func:`forward_encoded`.
 
     ``ablate`` disables one module: "tpl" drops the learned context, "mlff"
     bypasses fusion (raw last layer), "td" skips the decoder, "ctm" forces
     the foreground gate to one.
     """
+    text, text_cache = encode_prompts(mp, enc, table, ablate)
+    return forward_encoded(mp, text, text_cache, stack, ablate)
+
+
+def encode_prompts(mp: ModelParams, enc: StubTextEncoder, table: ClassTokenTable,
+                   ablate: str | None = None) -> tuple[np.ndarray, prompt.TextCache]:
+    """The N x C class prompt embeddings and their cache. They depend on the
+    parameters only, so eval encodes them once per call."""
     _check_ablation(ablate)
     ctx = None if ablate == "tpl" else mp.ctx
-    text, text_cache = prompt.encode_texts_cached(ctx, table, enc)
+    return prompt.encode_texts_cached(ctx, table, enc)
+
+
+def forward_encoded(mp: ModelParams, text: np.ndarray, text_cache: prompt.TextCache,
+                    stack: FeatureStack, ablate: str | None = None) -> tuple[Prediction, ForwardCache]:
+    """The model pass after the prompts, from the output of :func:`encode_prompts`
+    for the same ``mp`` and ``ablate``; reads ``text`` without changing it."""
+    _check_ablation(ablate)
     if ablate == "mlff":
         fused, fuse_cache = stack.last, None
     else:
@@ -324,8 +337,7 @@ class Checkpoint:
     ablate: str | None = None
 
     def text_table(self) -> ClassTokenTable:
-        table, _ = build_text_pipeline(self.cfg, self.affordances)
-        return table
+        return synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
 
 
 CHECKPOINT_VERSION = 1
@@ -376,8 +388,7 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CorruptionError(f"checkpoint lists array {name} twice")
             if not all(isinstance(d, int) and d >= 0 for d in shape):
                 raise CorruptionError(f"checkpoint array {name} has bad shape {list(shape)}")
-            count = int(np.prod(shape)) if shape else 1
-            arrays[name] = container.read_f64(fh, count).reshape(shape)
+            arrays[name] = container.read_f64(fh, math.prod(shape)).reshape(shape)
             if not np.isfinite(arrays[name]).all():
                 raise CorruptionError(f"checkpoint array {name} has a non-finite value")
         container.expect_eof(fh)

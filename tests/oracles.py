@@ -162,3 +162,48 @@ def colormap_reference(value, anchors):
                 int(math.floor(c0[i] * (1 - t) + c1[i] * t + 0.5)) for i in range(3)
             )
     raise AssertionError("unreachable")
+
+
+def iou_counts_reference(scores, gt, threshold):
+    """Per-channel intersection and union counts as boolean sums over the
+    whole H x W x N stack at once."""
+    hard = np.asarray(scores) >= threshold
+    mask = np.asarray(gt) >= 0.5
+    inter = np.logical_and(hard, mask).sum(axis=(0, 1)).astype(np.float64)
+    union = np.logical_or(hard, mask).sum(axis=(0, 1)).astype(np.float64)
+    return inter, union
+
+
+def evaluate_reference(ckpt, manifest, items, mode, threshold=0.5):
+    """``evaluate_checkpoint(...).to_json()`` the long way round, for a
+    non-empty item list: a full ``training.forward`` per item, so the prompts
+    are encoded for every item, and boolean-sum IoU counts."""
+    from affseg import data, metrics, training
+
+    table, _ = training.build_text_pipeline(ckpt.cfg, ckpt.affordances)
+    records, inter, union = [], 0.0, 0.0
+    for item in items:
+        loaded = data.load_item(manifest, item)
+        pred, _ = training.forward(ckpt.params, ckpt.enc, table, loaded.stack, ckpt.ablate)
+        if mode == "heatmap":
+            fix = None
+            if item.target.get("kind") == "keypoints":
+                fix = metrics.keypoint_fixations(item.target["points"], loaded.target.shape,
+                                                 manifest.affordances)
+            records.append(metrics.heatmap_record(item.item_id, pred.upsampled,
+                                                  loaded.target.M, fix))
+        else:
+            i, u = iou_counts_reference(pred.upsampled, loaded.target.M, threshold)
+            inter, union = inter + i, union + u
+            records.append({"id": item.item_id,
+                            "iou": [float(a / b) if b > 0 else None for a, b in zip(i, u)]})
+    if mode == "heatmap":
+        aggregates = {}
+        for key in ("kld", "sim", "nss"):
+            vals = [rec[key] for rec in records if rec[key] is not None]
+            aggregates[key] = float(np.mean(vals)) if vals else None
+    else:
+        per_class = [float(a / b) if b > 0 else None for a, b in zip(inter, union)]
+        aggregates = {"per_class_iou": dict(zip(manifest.affordances, per_class)),
+                      "miou": metrics.miou(inter, union)}
+    return {"mode": mode, "count": len(records), "items": records, "aggregates": aggregates}

@@ -4,12 +4,18 @@
 the public ``*_cached`` / ``*_backward`` layer calls and wraps other layer
 functions through their module attributes. These tests load it unchanged, so
 a refactor that breaks the tracer fails here in about a second.
+Eval goes through ``training.forward_encoded``, which the tracer leaves in
+place; the upsampling it calls is still wrapped, and traced reports must
+equal untraced ones.
 """
 
 import importlib.util
 from pathlib import Path
 
-from affseg import gradcheck, training
+import pytest
+
+from affseg import data, gradcheck, metrics, training
+from tests.test_data import write_world
 
 _spec = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -38,3 +44,20 @@ def test_training_emits_every_layer_span():
         training.train(cfg, [item], table.names)
     names = {span[3] for span in tracer.spans()}
     assert LAYER_SPANS <= names, sorted(LAYER_SPANS - names)
+
+
+@pytest.mark.parametrize("mode", ["dense", "heatmap"])
+def test_traced_eval_reports_equal_untraced(tmp_path, mode):
+    manifest = write_world(tmp_path)
+    cfg = training.TrainConfig(iterations=5, seed=1, p=2, j=2, t=1, C=8, C_t=8)
+    trainset = [data.load_item(manifest, it) for it in manifest.items[:2]]
+    params, _ = training.train(cfg, trainset, manifest.affordances)
+    _, enc = training.build_text_pipeline(cfg, manifest.affordances)
+    ckpt = training.Checkpoint(params, enc, manifest.affordances, cfg)
+    plain = metrics.evaluate_checkpoint(ckpt, manifest, manifest.items, mode).to_json()
+    tracer = tracing.Tracer()
+    with tracing.instrument(tracer):
+        traced = metrics.evaluate_checkpoint(ckpt, manifest, manifest.items, mode).to_json()
+    assert traced == plain
+    names = [span[3] for span in tracer.spans()]
+    assert names.count("resample.upsample.fwd") == len(manifest.items)

@@ -134,6 +134,14 @@ class TestTrainEval:
             for key in ("kld", "sim", "nss"):
                 assert hdoc[split]["aggregates"][key] is not None
 
+    def test_zero_iterations_reports_no_loss(self, world_dir, tmp_path, capsys):
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps({"iterations": 0, "C": 8, "C_t": 8}))
+        assert run("train", "--config", str(cfg), "--manifest",
+                   str(world_dir / "manifest.json"), "--out", str(tmp_path / "m.ooal")) == 0
+        out = capsys.readouterr().out
+        assert "trained 0 iterations, checkpoint" in out and "loss" not in out
+
     def test_train_determinism_bitwise(self, world_dir, cfg_path, tmp_path):
         outs = []
         for name in ("a.ooal", "b.ooal"):

@@ -103,6 +103,26 @@ class TestTargetFile:
         save_target(loaded, tmp_path / "t2.ooal")
         assert path.read_bytes() == (tmp_path / "t2.ooal").read_bytes()
 
+    @pytest.mark.parametrize("header, match", [
+        pytest.param((1, 30, 3, 6, 5, 6, 5), "payload shorter", id="truncated"),
+        pytest.param((1, 30, 3, 6, 5, 5, 6), "not a dense target", id="grid-mismatch"),
+        pytest.param((2, 30, 3, 6, 5, 6, 5), "not a dense target", id="two-layers"),
+        pytest.param((1, 2**30, 2, 2**15, 2**15, 2**15, 2**15), "payload shorter",
+                     id="claims-2^31-values"),
+        pytest.param((1, 2**32 - 2**17 + 1, 2**30, 2**16 - 1, 2**16 - 1, 2**16 - 1, 2**16 - 1),
+                     "payload shorter", id="claims-2^62-values"),
+    ])
+    def test_corrupt_file_fails_as_corruption(self, tmp_path, header, match):
+        import struct
+
+        path = tmp_path / "t.ooal"
+        save_target(AffordanceTarget(M=np.zeros((6, 5, 3))), path)
+        raw = path.read_bytes()
+        # new header words after the magic; the payload loses its last value
+        path.write_bytes(raw[:8] + struct.pack("<7I", *header) + raw[36:-8])
+        with pytest.raises(CorruptionError, match=match):
+            load_target(path)
+
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             AffordanceTarget(M=np.full((2, 2, 1), 1.5))

@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from affseg import resample
 from affseg.decoder import (
     DecoderLayerParams,
     DecoderParams,
@@ -301,6 +302,21 @@ class TestPredict:
         d_vis, d_txt = predict_backward(cache, probe)
         assert max_rel_err(d_vis, fd[0]) < 1e-4
         assert max_rel_err(d_txt, fd[1]) < 1e-4
+
+
+@pytest.mark.parametrize("h, H", [(8, 64), (16, 224)])
+@pytest.mark.parametrize("N", [1, 4])
+def test_upsampling_bitwise_equal_to_per_call_path_search(h, H, N):
+    rng = np.random.default_rng(h + N)
+    grid, d_out = rng.standard_normal((h, h, N)), rng.standard_normal((H, H, N))
+    U = resample.bilinear_matrix(h, H)
+    up = np.einsum("ak,kcn,bc->abn", U, grid, U, optimize=True)
+    adj = np.einsum("ak,abn,bc->kcn", U, d_out, U, optimize=True)
+    for _ in range(2):  # the first call searches the path, the second reuses it
+        got = resample.upsample_bilinear(grid, (H, H))
+        assert got.strides == up.strides and got.tobytes() == up.tobytes()
+        got = resample.upsample_bilinear_adjoint(d_out, (h, h))
+        assert got.strides == adj.strides and got.tobytes() == adj.tobytes()
 
 
 def test_init_decoder_shapes():

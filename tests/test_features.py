@@ -78,16 +78,20 @@ class TestFileFormat:
             load_features(path)
 
     def test_header_payload_mismatch(self, tmp_path):
-        # header claims L=4 but payload only carries one patch row
+        # each header claims more than the one patch row the payload carries:
+        # L=4; then 2**31 and 2**62 values, which must fail before any
+        # allocation rather than as MemoryError or OverflowError
         import struct
 
         path = tmp_path / "bad.ooal"
-        with open(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<7I", 1, 4, 2, 2, 2, 8, 8))
-            fh.write(np.zeros(2, dtype="<f8").tobytes())
-        with pytest.raises(CorruptionError):
-            load_features(path)
+        for header in ((1, 4, 2, 2, 2, 8, 8), (1, 2**16, 2**15, 2**8, 2**8, 8, 8),
+                       (1, 2**31, 2**31, 2**16, 2**15, 8, 8)):
+            with open(path, "wb") as fh:
+                fh.write(MAGIC)
+                fh.write(struct.pack("<7I", *header))
+                fh.write(np.zeros(2, dtype="<f8").tobytes())
+            with pytest.raises(CorruptionError, match="payload shorter than expected"):
+                load_features(path)
 
     def test_trailing_garbage(self, tmp_path):
         stack = random_stack(np.random.default_rng(0))

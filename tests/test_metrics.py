@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affseg import data, synth, training
+from affseg import data, prompt, synth, training
 from affseg.data import AffordanceTarget
 from affseg.decoder import Prediction
 from affseg.features import save_features
@@ -27,7 +27,14 @@ from affseg.metrics import (
     nss,
     sim,
 )
-from tests.oracles import kld_reference, nss_reference, sim_reference
+from tests.oracles import (
+    evaluate_reference,
+    iou_counts_reference,
+    kld_reference,
+    nss_reference,
+    sim_reference,
+)
+from tests.test_data import AFFS, write_world
 
 
 def pred_of(scores):
@@ -190,6 +197,22 @@ class TestIoU:
         perm = [2, 0, 1]
         inter_p, union_p = iou_counts(pred_of(s[:, :, perm]), AffordanceTarget(M=y[:, :, perm]))
         assert abs(miou(inter, union) - miou(inter_p, union_p)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+           threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           channel_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_counts_equal_boolean_sums(self, shape, threshold, channel_major, seed):
+        rng = np.random.default_rng(seed)
+        s = np.where(rng.random(shape) < 0.2, threshold, rng.random(shape))
+        if channel_major:  # the layout the prediction head returns
+            s = np.ascontiguousarray(s.transpose(2, 0, 1)).transpose(1, 2, 0)
+        y = (rng.random(shape) < 0.5).astype(float)
+        inter, union = iou_counts(pred_of(s), AffordanceTarget(M=y), threshold)
+        ref_inter, ref_union = iou_counts_reference(s, y, threshold)
+        assert inter.dtype == union.dtype == np.float64
+        np.testing.assert_array_equal(inter, ref_inter)
+        np.testing.assert_array_equal(union, ref_union)
 
     def test_empty_union_class_excluded(self):
         y = np.zeros((2, 2, 2))
@@ -369,3 +392,59 @@ def test_heatmap_eval_of_any_accepted_keypoint(keypoint_world, x, y):
     manifest = data.DatasetManifest(world.affordances, ((obj, False),), (item,), root)
     rec = evaluate_checkpoint(ckpt, manifest, [item], "heatmap").items[0]
     assert all(rec[key] is not None and math.isfinite(rec[key]) for key in ("kld", "sim", "nss"))
+
+
+@pytest.fixture(scope="module")
+def trained_world(tmp_path_factory):
+    """A mask-target world on disk plus one keypoint item, and a briefly
+    trained checkpoint for the full model and for each ablation."""
+    root = tmp_path_factory.mktemp("trained")
+    masks = write_world(root)
+    keypoints = data.ManifestItem(
+        "kp-item", masks.items[-1].object_id, masks.items[-1].features,
+        {"kind": "keypoints", "sigma": 2.0,
+         "points": {AFFS[0]: [[3.0, 4.5]], AFFS[1]: [[15.4, 0.2]]}},
+    )
+    manifest = data.DatasetManifest(masks.affordances, masks.objects, masks.items + (keypoints,),
+                                    root)
+    cfg = training.TrainConfig(lr=0.05, iterations=40, seed=4, p=2, j=2, t=1, C=8, C_t=8)
+    trainset = [data.load_item(manifest, it)
+                for it in data.build_oneshot_trainset(manifest, cfg.seed)]
+    ckpts = {}
+    for ablate in (None,) + training.ABLATIONS:
+        params, _ = training.train(cfg, trainset, manifest.affordances, ablate)
+        _, enc = training.build_text_pipeline(cfg, manifest.affordances)
+        ckpts[ablate] = training.Checkpoint(params, enc, manifest.affordances, cfg, ablate)
+    return manifest, ckpts
+
+
+@pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
+def test_evaluate_checkpoint_equals_per_item_forward(trained_world, ablate):
+    manifest, ckpts = trained_world
+    ckpt = ckpts[ablate]
+    masks = [it for it in manifest.items if it.target["kind"] == "mask"]
+    dense = {}
+    for threshold in (0.3, 0.5, 0.7):
+        dense[threshold] = evaluate_checkpoint(ckpt, manifest, masks, "dense",
+                                               threshold=threshold).to_json()
+        assert dense[threshold] == evaluate_reference(ckpt, manifest, masks, "dense", threshold)
+    assert dense[0.3] != dense[0.7]
+    heatmap = evaluate_checkpoint(ckpt, manifest, manifest.items, "heatmap").to_json()
+    assert heatmap == evaluate_reference(ckpt, manifest, manifest.items, "heatmap")
+
+
+@pytest.mark.parametrize("count", [1, 5])
+def test_prompts_encoded_once_per_call(trained_world, monkeypatch, count):
+    manifest, ckpts = trained_world
+    calls = []
+    encode = prompt.encode_texts_cached
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    monkeypatch.setattr(prompt, "encode_texts_cached", counted)
+    for mode in ("dense", "heatmap"):
+        calls.clear()
+        report = evaluate_checkpoint(ckpts[None], manifest, manifest.items[:count], mode)
+        assert report.to_json()["count"] == count and len(calls) == 1

@@ -342,6 +342,15 @@ class TestCheckpoint:
         pytest.param(_config(lr="x"), FormatError, "lr", id="lr-string"),
         pytest.param(_config(C="16"), FormatError, "C must be int", id="C-string"),
         pytest.param(_config(lr=-1.0), FormatError, "lr must be positive", id="lr-negative"),
+        pytest.param(_config(lr=float("nan")), FormatError, "lr must be positive and finite",
+                     id="lr-nan"),
+        pytest.param(_config(C=0), FormatError, "C must be >= 1", id="C-zero"),
+        pytest.param(_first_array({"name": "ctx.vectors", "shape": [65536, 32768]}),
+                     CorruptionError, "payload shorter than expected", id="claims-2^31-values"),
+        pytest.param(_first_array({"name": "ctx.vectors", "shape": [2**31, 2**31]}),
+                     CorruptionError, "payload shorter than expected", id="claims-2^62-values"),
+        pytest.param(_first_array({"name": "ctx.vectors", "shape": [2**32, 2**32]}),
+                     CorruptionError, "payload shorter than expected", id="claims-2^64-values"),
         pytest.param(lambda d: {**d, "ablate": "bogus"}, FormatError, "bogus", id="bad-ablation"),
         pytest.param(lambda d: [d], FormatError, "version", id="not-an-object"),
         pytest.param(lambda d: {**d, "arrays": d["arrays"][:1] + d["arrays"][:-1]},
@@ -387,3 +396,9 @@ def test_config_json_roundtrip(tmp_path):
     path.write_text(json.dumps({**asdict(cfg), "lr": "x"}))
     with pytest.raises(ValueError, match="lr"):
         training.load_config(path)
+    # json reads NaN and Infinity as floats
+    for key, value in (("C", 0), ("C_t", -2), ("lr", float("nan")), ("lr", float("inf")),
+                       ("seed", -1)):
+        path.write_text(json.dumps({**asdict(cfg), key: value}))
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            training.load_config(path)
