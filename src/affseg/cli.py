@@ -217,8 +217,18 @@ def print_report_table(doc) -> None:
         print(f"{fmt(seen):>8} {fmt(unseen):>8} {fmt(doc.get('hiou')):>8}")
 
 
+def check_layer(stack, layer: int, path) -> None:
+    """Reject a ``--layer`` index outside the file's layers; negative indices
+    count back from the last layer."""
+    count = len(stack.layers)
+    if not -count <= layer < count:
+        raise ValueError(f"--layer {layer} is out of range: {path} has {count} layers")
+
+
 def cmd_pca(args) -> int:
     stacks = [load_features(p) for p in args.features]
+    for path, stack in zip(args.features, stacks):
+        check_layer(stack, args.layer, path)
     patches = np.vstack([s.layers[args.layer] for s in stacks])
     result = analysis.pca_project(patches, args.components)
     ratios = result.explained_variance / max(result.total_variance, 1e-300)
@@ -239,6 +249,8 @@ def cmd_pca(args) -> int:
 def cmd_simmap(args) -> int:
     src = load_features(args.features)
     dst = load_features(args.target)
+    check_layer(src, args.layer, args.features)
+    check_layer(dst, args.layer, args.target)
     try:
         row, col = (int(x) for x in args.patch.split(","))
     except ValueError as exc:

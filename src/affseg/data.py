@@ -9,6 +9,9 @@ A manifest is a single JSON document::
       "items": [
         {"id": "bowl-000", "object": "bowl", "features": "feats/bowl-000.ooal",
          "target": {"kind": "mask", "path": "targets/bowl.ooal"}},
+        {"id": "cup-001", "object": "cup", "features": "feats/cup-001.ooal",
+         "target": {"kind": "mask", "path": "cup.ooal",
+                    "target_kind": "densified-sparse"}},
         {"id": "axe-003", "object": "axe", "features": "feats/axe-003.ooal",
          "target": {"kind": "keypoints",
                     "points": {"cut": [[40, 12], [41, 13]]}}}
@@ -18,7 +21,9 @@ A manifest is a single JSON document::
 Relative paths resolve against the manifest's directory. Keypoint targets
 are densified on load with a Gaussian kernel (sigma configurable); mask
 targets are stored in the shared binary container with a single L = H*W
-"layer" of N channels.
+"layer" of N channels. A mask record's optional ``target_kind`` says what
+its file holds: "dense-binary" (the default, 0/1 entries) or
+"densified-sparse" (values in [0, 1], as ``affseg densify`` writes them).
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .features import FeatureStack, load_features
 
 DENSE_BINARY = "dense-binary"
 DENSIFIED_SPARSE = "densified-sparse"
+TARGET_KINDS = (DENSE_BINARY, DENSIFIED_SPARSE)
 
 DEFAULT_SIGMA = 10.0
 # keypoint Gaussian width in pixels; far beyond it sigma**2 overflows or underflows
@@ -61,7 +67,7 @@ class AffordanceTarget:
             raise ValueError("target values must be finite and in [0, 1]")
         if self.kind == DENSE_BINARY and not np.all((M == 0.0) | (M == 1.0)):
             raise ValueError("dense-binary target has non-binary entries")
-        if self.kind not in (DENSE_BINARY, DENSIFIED_SPARSE):
+        if self.kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
         object.__setattr__(self, "M", M)
 
@@ -269,6 +275,9 @@ def load_manifest(path) -> DatasetManifest:
             rel = item.target.get("path")
             if not (isinstance(rel, str) and os.path.isfile(manifest.resolve(rel))):
                 raise ValueError(f"{where}: mask target file {rel!r} not found")
+            if item.target.get("target_kind", DENSE_BINARY) not in TARGET_KINDS:
+                raise ValueError(f"{where}: mask target_kind must be one of {TARGET_KINDS}, "
+                                 f"got {item.target['target_kind']!r}")
         elif kind == "keypoints":
             parse_points(item.target.get("points"), where)
             _check_sigma(item.target.get("sigma", DEFAULT_SIGMA), where)
@@ -290,7 +299,8 @@ def load_item(
     record = item.target
     kind = record.get("kind")
     if kind == "mask":
-        target = load_target(manifest.resolve(record["path"]))
+        target = load_target(manifest.resolve(record["path"]),
+                             record.get("target_kind", DENSE_BINARY))
     elif kind == "keypoints":
         H, W = stack.image_size
         kp = parse_points(record.get("points"), f"item {item.item_id}")

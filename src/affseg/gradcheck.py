@@ -54,21 +54,18 @@ def build_problem(
 
 
 def finite_difference(loss_fn, params: ModelParams, step: float = FD_STEP):
-    """Central differences for every entry of every parameter array."""
-    grads = {}
-    for name, arr in training.param_items(params):
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gflat = g.reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + step
-            hi = loss_fn(params)
-            flat[idx] = orig - step
-            lo = loss_fn(params)
-            flat[idx] = orig
-            gflat[idx] = (hi - lo) / (2.0 * step)
-        grads[name] = g
+    """Central differences for every entry of ``params.theta``, as a
+    :class:`training.Gradients`."""
+    grads = training.zero_gradients(params)
+    theta = params.theta
+    for idx in range(theta.size):
+        orig = theta[idx]
+        theta[idx] = orig + step
+        hi = loss_fn(params)
+        theta[idx] = orig - step
+        lo = loss_fn(params)
+        theta[idx] = orig
+        grads.flat[idx] = (hi - lo) / (2.0 * step)
     return grads
 
 

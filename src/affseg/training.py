@@ -8,8 +8,10 @@ given the config seed.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -28,12 +30,44 @@ ABLATIONS = ("tpl", "mlff", "td", "ctm")
 
 @dataclass
 class ModelParams:
-    """All trainable state; the text encoder and feature source stay frozen."""
+    """All trainable state; the text encoder and feature source stay frozen.
+
+    Construction copies every array of :func:`param_items` into one float64
+    vector ``theta``, in that order, and keeps copies of the given parameter
+    objects whose arrays are views into it; the objects passed in are left as
+    they were. Change parameters in place: an array rebound to a new object
+    is no longer part of ``theta``, and :func:`sgd_step` refuses the model.
+    The model also owns the gradient vector that :func:`backward` fills,
+    allocated on the first call; :func:`train` releases it when done.
+    """
 
     ctx: ContextVectors
     fp: FusionParams
     emb: Embedder
     dp: DecoderParams
+
+    def __post_init__(self):
+        items = param_items(self)
+        self._theta = np.empty(sum(arr.size for _, arr in items))
+        layout, self._views, memo, start = [], {}, {}, 0
+        for name, arr in items:
+            stop = start + arr.size
+            view = self._theta[start:stop].reshape(arr.shape)
+            view[...] = arr
+            memo[id(arr)] = self._views[name] = view
+            layout.append((name, start, stop, arr.shape))
+            start = stop
+        self._layout = tuple(layout)
+        self._grads: Gradients | None = None
+        # deepcopy takes each array's view from the memo and copies the rest
+        self.ctx, self.fp, self.emb, self.dp = copy.deepcopy(
+            (self.ctx, self.fp, self.emb, self.dp), memo
+        )
+
+    @property
+    def theta(self) -> np.ndarray:
+        """Every trainable value, laid out in :func:`param_items` order."""
+        return self._theta
 
 
 @dataclass(frozen=True)
@@ -117,8 +151,50 @@ def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
     return items
 
 
-def zero_gradients(mp: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in param_items(mp)}
+class Gradients(Mapping):
+    """One gradient per trainable tensor, each a view into the flat vector
+    ``flat``, which is laid out like ``ModelParams.theta``.
+
+    Assigning to an entry copies the value into its slot; a value of another
+    shape raises ValueError naming the parameter and is never broadcast.
+    """
+
+    def __init__(self, mp: ModelParams, flat: np.ndarray):
+        self.layout = mp._layout
+        self.flat = flat
+        self._slots = {name: flat[a:b].reshape(shape) for name, a, b, shape in self.layout}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._slots[name]
+
+    def __iter__(self):
+        return iter(self._slots)
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __setitem__(self, name: str, value) -> None:
+        slot = self._slots[name]
+        if np.shape(value) != slot.shape:
+            raise ValueError(f"gradient shape {np.shape(value)} != param {slot.shape} for {name}")
+        slot[...] = value
+
+    def zero(self, prefix: str) -> None:
+        """Set the slot of every parameter whose name starts with *prefix* to zero."""
+        for name, slot in self._slots.items():
+            if name.startswith(prefix):
+                slot[...] = 0.0
+
+
+def zero_gradients(mp: ModelParams) -> Gradients:
+    """An all-zero :class:`Gradients` for *mp*."""
+    return Gradients(mp, np.zeros(mp.theta.size))
+
+
+def _first_nonfinite(layout, flat: np.ndarray) -> str:
+    """Name of the parameter whose slot holds the first non-finite value of *flat*."""
+    bad = int(np.argmin(np.isfinite(flat)))
+    return next(name for name, a, b, _ in layout if a <= bad < b)
 
 
 def params_checksum(mp: ModelParams) -> bytes:
@@ -217,16 +293,24 @@ def backward(
     enc: StubTextEncoder,
     table: ClassTokenTable,
     ablate: str | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, Gradients]:
     """Loss and exact gradients for every trainable tensor.
 
-    Disabled or bypassed parameter groups get zero gradients so the
-    optimizer step is uniform across ablations.
+    The gradients are the model's own :class:`Gradients`, overwritten by the
+    next call on the same model; copy them to keep them. Every slot is
+    written: disabled or bypassed parameter groups get zero gradients so the
+    optimizer step is uniform across ablations. A non-finite gradient raises
+    ArithmeticError naming the first such parameter.
     """
     pred, cache = forward(mp, enc, table, item.stack, ablate)
     loss = bce_loss(pred, item.target)
 
-    grads = zero_gradients(mp)
+    if mp._grads is None:
+        # once per model: a fresh 800 kB vector (README config) on every
+        # step made malloc grow and trim its heap in some processes, with a
+        # page fault per 4 kB touched
+        mp._grads = Gradients(mp, np.empty(mp.theta.size))
+    grads = mp._grads
     d_logits = _bce_score_grad(pred.upsampled, item.target.M)
     d_visual, d_text_out = decoder.predict_backward(cache.predict_cache, d_logits)
 
@@ -237,6 +321,7 @@ def backward(
             for name, val in g.items():
                 grads[f"decoder.{k}.{name}"] = val
     else:
+        grads.zero("decoder.")
         d_text = d_text_out
 
     d_w, d_b, d_fused = fusion.embed_backward(cache.embed_cache, d_visual)
@@ -248,33 +333,52 @@ def backward(
         for i, g in enumerate(d_proj):
             grads[f"fusion.proj.{i}"] = g
         grads["fusion.alpha_logits"] = d_logits
+    else:
+        grads.zero("fusion.")
 
     if cache.text_cache.count > 0:
         grads["ctx.vectors"] = prompt.encode_texts_backward(cache.text_cache, d_text)
+    else:
+        grads.zero("ctx.")
 
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise ArithmeticError(f"non-finite gradient for parameter {name}")
+    if not np.isfinite(grads.flat).all():
+        raise ArithmeticError(
+            f"non-finite gradient for parameter {_first_nonfinite(grads.layout, grads.flat)}"
+        )
     return loss, grads
 
 
-def sgd_step(mp: ModelParams, grads: dict[str, np.ndarray], lr: float) -> ModelParams:
-    """Plain descent update in place: each array of ``param_items(mp)`` becomes
-    ``arr - lr * g``, and the same ``mp`` is returned.
+def sgd_step(mp: ModelParams, grads: Mapping[str, np.ndarray], lr: float) -> ModelParams:
+    """Plain descent update in place, ``theta -= lr * g`` on the flat vectors,
+    so each array of ``param_items(mp)`` becomes ``arr - lr * g``; the same
+    ``mp`` is returned.
 
-    Every gradient shape is checked before any array changes, so a bad dict
-    leaves the model as it was. A non-finite result raises ArithmeticError
-    naming the parameter; the model is then unusable.
+    ``grads`` is a :class:`Gradients` of the same layout, or any mapping from
+    parameter name to array, which is first copied into one. A missing name
+    or a shape mismatch raises ValueError before any value changes, and so
+    does a model with an array that is no longer a view of its ``theta``. A
+    non-finite result raises ArithmeticError naming the parameter; the model
+    is then unusable.
     """
+    if not (isinstance(grads, Gradients) and grads.layout == mp._layout):
+        plain, grads = grads, Gradients(mp, np.empty(mp.theta.size))
+        for name in grads:
+            if name not in plain:
+                raise ValueError(f"no gradient for parameter {name}")
+            grads[name] = plain[name]
     items = param_items(mp)
     for name, arr in items:
-        if grads[name].shape != arr.shape:
-            raise ValueError(f"gradient shape {grads[name].shape} != param {arr.shape} for {name}")
+        if mp._views.get(name) is not arr:
+            raise ValueError(f"parameter {name} is not a view of the model's theta")
+    if len(items) != len(mp._views):
+        raise ValueError("the model has fewer parameters than its theta holds")
+    theta = mp.theta
     with np.errstate(over="ignore", invalid="ignore"):
-        for name, arr in items:
-            arr -= lr * grads[name]
-            if not np.isfinite(arr).all():
-                raise ArithmeticError(f"non-finite value in parameter {name} after the step")
+        theta -= lr * grads.flat
+    if not np.isfinite(theta).all():
+        raise ArithmeticError(
+            f"non-finite value in parameter {_first_nonfinite(mp._layout, theta)} after the step"
+        )
     return mp
 
 
@@ -311,6 +415,7 @@ def train(
         sgd_step(params, grads, cfg.lr)
         if (i + 1) % cfg.log_every == 0 or i == cfg.iterations - 1:
             log.append((i + 1, loss))
+    params._grads = None  # the trained model keeps no gradient memory
     return params, log
 
 

@@ -207,3 +207,30 @@ def evaluate_reference(ckpt, manifest, items, mode, threshold=0.5):
         aggregates = {"per_class_iou": dict(zip(manifest.affordances, per_class)),
                       "miou": metrics.miou(inter, union)}
     return {"mode": mode, "count": len(records), "items": records, "aggregates": aggregates}
+
+
+def train_reference(cfg, trainset, affordances, ablate=None):
+    """``training.train`` as a loop over separate arrays: each step writes
+    plain copies of the parameters into the model, takes
+    ``training.backward`` on it, and replaces every copy by
+    ``arr - lr * g``. -> (model holding the final copies, loss log)."""
+    from affseg import training
+
+    table, enc = training.build_text_pipeline(cfg, affordances)
+    mp = training.init_model(cfg, trainset[0].stack.feature_dim)
+    arrays = {name: arr.copy() for name, arr in training.param_items(mp)}
+    order_rng = np.random.default_rng([cfg.seed, 0x5472])
+    log = []
+    for i in range(cfg.iterations):
+        k = i % len(trainset)
+        if k == 0:
+            order = order_rng.permutation(len(trainset))
+        for name, arr in training.param_items(mp):
+            arr[...] = arrays[name]
+        loss, grads = training.backward(mp, trainset[order[k]], enc, table, ablate)
+        arrays = {name: arr - cfg.lr * grads[name] for name, arr in arrays.items()}
+        if (i + 1) % cfg.log_every == 0 or i == cfg.iterations - 1:
+            log.append((i + 1, loss))
+    for name, arr in training.param_items(mp):
+        arr[...] = arrays[name]
+    return mp, log

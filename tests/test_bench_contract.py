@@ -4,6 +4,7 @@
 the public ``*_cached`` / ``*_backward`` layer calls and wraps other layer
 functions through their module attributes. These tests load it unchanged, so
 a refactor that breaks the tracer fails here in about a second.
+Traced training must equal untraced training bitwise.
 Eval goes through ``training.forward_encoded``, which the tracer leaves in
 place; the upsampling it calls is still wrapped, and traced reports must
 equal untraced ones.
@@ -34,6 +35,33 @@ LAYER_SPANS = {
 def test_composition_matches_forward_and_backward_bitwise():
     params, enc, table, item = gradcheck.build_problem(seed=0)
     assert tracing.check_composition(params, enc, table, [item]) == []
+
+
+def test_traced_training_equals_untraced(monkeypatch):
+    _, _, table, item = gradcheck.build_problem(seed=0)
+    cfg = training.TrainConfig(iterations=4, seed=0, p=2, j=2, t=2, C=8, C_t=8, log_every=1)
+    plain, plain_log = training.train(cfg, [item], table.names)
+    made, stepped = [], []
+    zero_gradients, sgd_step = training.zero_gradients, training.sgd_step
+
+    def spy_zero_gradients(mp):
+        made.append(zero_gradients(mp))
+        return made[-1]
+
+    def spy_sgd_step(mp, grads, lr):
+        stepped.append(grads)
+        return sgd_step(mp, grads, lr)
+
+    monkeypatch.setattr(training, "zero_gradients", spy_zero_gradients)
+    monkeypatch.setattr(training, "sgd_step", spy_sgd_step)
+    with tracing.instrument(tracing.Tracer()):
+        traced, traced_log = training.train(cfg, [item], table.names)
+    assert training.params_checksum(traced) == training.params_checksum(plain)
+    assert traced_log == plain_log
+    # the tracer's backward starts from zero_gradients, and its mapping
+    # reaches sgd_step as is
+    assert len(stepped) == len(made) == cfg.iterations
+    assert all(g is m and isinstance(g, training.Gradients) for g, m in zip(stepped, made))
 
 
 def test_training_emits_every_layer_span():

@@ -134,6 +134,35 @@ class TestTrainEval:
             for key in ("kld", "sim", "nss"):
                 assert hdoc[split]["aggregates"][key] is not None
 
+    def test_densified_mask_target_trains(self, world_dir, cfg_path, tmp_path, capsys):
+        from affseg.features import load_features
+
+        doc = json.loads((world_dir / "manifest.json").read_text())
+        H, W = load_features(world_dir / doc["items"][0]["features"]).image_size
+        kp = {"height": H, "width": W, "affordances": doc["affordances"],
+              "points": {doc["affordances"][0]: [[10, 20]], doc["affordances"][1]: [[40, 33]]}}
+        (tmp_path / "kp.json").write_text(json.dumps(kp))
+        assert run("densify", "--in", str(tmp_path / "kp.json"), "--sigma", "6",
+                   "--out", str(world_dir / "mask.ooal")) == 0
+        for item in doc["items"]:
+            item["target"] = {"kind": "mask", "path": "mask.ooal"}
+        binary = world_dir / "binary.json"
+        binary.write_text(json.dumps(doc))
+        for item in doc["items"]:
+            item["target"]["target_kind"] = "densified-sparse"
+        soft = world_dir / "soft.json"
+        soft.write_text(json.dumps(doc))
+        capsys.readouterr()
+
+        out = tmp_path / "m.ooal"
+        assert run("train", "--config", str(cfg_path), "--manifest", str(binary),
+                   "--out", str(out)) == 1
+        assert "non-binary" in capsys.readouterr().err
+        assert run("train", "--config", str(cfg_path), "--manifest", str(soft),
+                   "--out", str(out)) == 0
+        assert run("eval", "--ckpt", str(out), "--manifest", str(soft), "--mode", "heatmap",
+                   "--report", str(tmp_path / "r.json")) == 0
+
     def test_zero_iterations_reports_no_loss(self, world_dir, tmp_path, capsys):
         cfg = tmp_path / "zero.json"
         cfg.write_text(json.dumps({"iterations": 0, "C": 8, "C_t": 8}))
@@ -179,6 +208,22 @@ class TestAnalyzeCommands:
         assert run("analyze", "simmap", "--features", feats[0], "--target",
                    feats[1], "--patch", "1,1", "--out", str(smap)) == 0
         assert smap.exists()
+
+    @pytest.mark.parametrize("command", ["pca", "simmap"])
+    @pytest.mark.parametrize("layer", ["9", "4", "-5"])
+    def test_layer_out_of_range_is_one_error(self, world_dir, tmp_path, capsys, command, layer):
+        feat = str(world_dir / "feats" / "base-00-00.ooal")
+        if command == "pca":
+            argv = ["pca", "--features", feat]
+        else:
+            argv = ["simmap", "--features", feat, "--target", feat, "--patch", "1,1",
+                    "--out", str(tmp_path / "s.ppm")]
+        assert run("analyze", *argv, "--layer", layer) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"--layer {layer} is out of range" in err and "has 4 layers" in err
+        # negative indices inside the file's layers count back from the last
+        assert run("analyze", *argv, "--layer", "-4") == 0
 
     def test_pca_pooled_rejects_heatmap(self, world_dir, tmp_path):
         from affseg.data import load_manifest

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from affseg import synth
 from affseg.container import CorruptionError, FormatError
 from affseg.data import (
+    DENSIFIED_SPARSE,
     AffordanceTarget,
     DatasetManifest,
     KeypointAnnotation,
@@ -39,6 +40,10 @@ BAD_TARGETS = [
     pytest.param({"kind": "keypoints", "sigma": "2", "points": {"grasp": [[1, 1]]}},
                  id="string-sigma"),
     pytest.param({"kind": "mask"}, id="mask-without-path"),
+    pytest.param({"kind": "mask", "path": "targets/base-00.ooal", "target_kind": "soft"},
+                 id="mask-unknown-target-kind"),
+    pytest.param({"kind": "mask", "path": "targets/base-00.ooal",
+                  "target_kind": ["dense-binary"]}, id="mask-list-target-kind"),
 ]
 
 
@@ -211,6 +216,20 @@ class TestManifest:
         with pytest.raises(ValueError, match="item odd-item"):
             load_item(manifest, item)
 
+    def test_mask_target_kind_selects_the_reader(self, tmp_path):
+        manifest = write_world(tmp_path)
+        kp = KeypointAnnotation(points={"grasp": [(3, 4)], "cut": [(9, 9)]})
+        save_target(densify(kp, 2.0, 16, 16, AFFS), tmp_path / "soft.ooal")
+        record = {"kind": "mask", "path": "soft.ooal"}
+        item = ManifestItem("soft-item", "base-00", manifest.items[0].features, record)
+        with pytest.raises(CorruptionError, match="non-binary"):
+            load_item(manifest, item)
+        item = ManifestItem("soft-item", "base-00", manifest.items[0].features,
+                            {**record, "target_kind": DENSIFIED_SPARSE})
+        loaded = load_item(manifest, item)
+        assert loaded.target.kind == DENSIFIED_SPARSE
+        np.testing.assert_array_equal(loaded.target.M, densify(kp, 2.0, 16, 16, AFFS).M)
+
     def test_unknown_object_reference(self):
         with pytest.raises(ValueError, match="unknown object"):
             DatasetManifest(
@@ -253,7 +272,8 @@ _target_records = st.one_of(
                           optional={"points": _json, "sigma": _json}),
     st.fixed_dictionaries({"kind": st.just("mask")}, optional={"path": st.sampled_from(
         ["targets/base-00.ooal", "feats/base-00-0.ooal", "feats", "manifest.json", "",
-         "missing.ooal"]) | _json}),
+         "missing.ooal"]) | _json, "target_kind": st.sampled_from(
+        ["dense-binary", "densified-sparse"]) | _json}),
     st.fixed_dictionaries({"kind": _json}),
     _json,
 )

@@ -10,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affseg import gradcheck, synth, training
+from affseg import decoder, fusion, gradcheck, synth, training
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSIFIED_SPARSE, AffordanceTarget, LoadedItem
 from affseg.decoder import Prediction, _sigmoid
 from affseg.features import FeatureStack
 from affseg.training import (
     Checkpoint,
+    ModelParams,
     TrainConfig,
     _bce_score_grad,
     backward,
@@ -29,7 +30,7 @@ from affseg.training import (
     train,
     zero_gradients,
 )
-from tests.oracles import max_rel_err
+from tests.oracles import max_rel_err, train_reference
 
 
 def pred_of(logits: np.ndarray) -> Prediction:
@@ -128,6 +129,111 @@ class TestSgdStep:
         with pytest.raises(ArithmeticError, match="embedder.bias"):
             sgd_step(params, grads, 1.0)
 
+    def test_missing_gradient_is_named(self):
+        params, *_ = gradcheck.build_problem(seed=1)
+        before = params.theta.copy()
+        grads = {n: np.ones_like(a) for n, a in param_items(params)}
+        del grads["fusion.alpha_logits"]
+        with pytest.raises(ValueError, match="no gradient for parameter fusion.alpha_logits"):
+            sgd_step(params, grads, 0.1)
+        np.testing.assert_array_equal(params.theta, before)
+
+
+def _built_model(how, tmp_path) -> ModelParams:
+    params, enc, table, _ = gradcheck.build_problem(seed=5)
+    if how == "build_problem":
+        return params
+    if how == "init_model":
+        return training.init_model(TrainConfig(seed=5, p=2, j=2, t=2, C=8, C_t=8), 12)
+    if how == "direct":
+        return ModelParams(ctx=params.ctx, fp=params.fp, emb=params.emb, dp=params.dp)
+    cfg = TrainConfig(seed=5, p=2, j=2, t=2, C=8, C_t=8, iterations=0)
+    save_checkpoint(Checkpoint(params, enc, table.names, cfg), tmp_path / "m.ooal")
+    loaded = load_checkpoint(tmp_path / "m.ooal").params
+    assert params_checksum(loaded) == params_checksum(params)
+    return loaded
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("how", ["init_model", "load_checkpoint", "build_problem", "direct"])
+    def test_every_array_is_a_view_of_theta_at_its_offset(self, tmp_path, how):
+        mp = _built_model(how, tmp_path)
+        theta = mp.theta
+        assert theta.dtype == np.float64 and theta.ndim == 1 and theta.flags.c_contiguous
+        start = theta.__array_interface__["data"][0]
+        offset = 0
+        for name, arr in param_items(mp):
+            assert arr.base is theta and arr.flags.c_contiguous, name
+            assert arr.__array_interface__["data"][0] == start + 8 * offset, name
+            offset += arr.size
+        assert offset == theta.size
+        np.testing.assert_array_equal(
+            theta, np.concatenate([arr.ravel() for _, arr in param_items(mp)])
+        )
+
+    def test_direct_construction_leaves_its_arguments_alone(self):
+        src, *_ = gradcheck.build_problem(seed=5)
+        arrays = [arr for _, arr in param_items(src)]
+        mp = ModelParams(ctx=src.ctx, fp=src.fp, emb=src.emb, dp=src.dp)
+        assert params_checksum(mp) == params_checksum(src)
+        assert all(a is b for (_, a), b in zip(param_items(src), arrays))
+        assert not np.shares_memory(mp.theta, src.theta)
+        sgd_step(src, zero_gradients(src), 0.1)  # src still owns its arrays
+
+    def test_gradients_share_the_layout(self):
+        params, *_ = gradcheck.build_problem(seed=1)
+        grads = zero_gradients(params)
+        assert list(grads) == [name for name, _ in param_items(params)]
+        assert grads.flat.shape == params.theta.shape and not grads.flat.any()
+        start = grads.flat.__array_interface__["data"][0]
+        offset = 0
+        for name, arr in param_items(params):
+            assert grads[name].base is grads.flat and grads[name].shape == arr.shape, name
+            assert grads[name].__array_interface__["data"][0] == start + 8 * offset, name
+            offset += arr.size
+
+    def test_gradient_assignment_copies_and_never_broadcasts(self):
+        params, *_ = gradcheck.build_problem(seed=1)
+        grads = zero_gradients(params)
+        bias = params.emb.bias
+        value = np.arange(bias.size, dtype=np.float64)
+        grads["embedder.bias"] = value
+        assert grads["embedder.bias"] is not value
+        np.testing.assert_array_equal(grads["embedder.bias"], value)
+        after_good = grads.flat.copy()
+        for bad in (2.0, np.ones(1), np.ones((1, bias.size)), np.ones(bias.size + 1)):
+            with pytest.raises(ValueError, match="embedder.bias"):
+                grads["embedder.bias"] = bad
+        np.testing.assert_array_equal(grads.flat, after_good)
+
+    @pytest.mark.parametrize("name,match", [
+        pytest.param("embedder.bias", "parameter embedder.bias is not a view", id="bias"),
+        pytest.param("fusion.proj.1", "parameter fusion.proj.1 is not a view", id="proj"),
+        pytest.param("decoder.0.wq", "parameter decoder.0.wq is not a view", id="wq"),
+        pytest.param("added layer", "parameter decoder.2.wq is not a view", id="added-layer"),
+        pytest.param("removed layer", "fewer parameters", id="removed-layer"),
+    ])
+    def test_rebound_array_makes_the_step_raise(self, name, match):
+        params, *_ = gradcheck.build_problem(seed=1)
+        grads = zero_gradients(params)
+        layers = params.dp.layers
+        if name == "embedder.bias":
+            params.emb.bias = params.emb.bias.copy()
+        elif name == "fusion.proj.1":
+            params.fp.proj[1] = params.fp.proj[1].copy()
+        elif name == "decoder.0.wq":
+            layers[0].wq = layers[0].wq.copy()
+        elif name == "added layer":
+            layers.append(decoder.DecoderLayerParams(
+                **{k: getattr(layers[0], k).copy() for k in ("wq", "wk", "wv", "wc", "w1",
+                                                             "b1", "w2", "b2")}))
+        else:
+            layers.pop()
+        before = params.theta.copy()
+        with pytest.raises(ValueError, match=match):
+            sgd_step(params, grads, 0.1)
+        np.testing.assert_array_equal(params.theta, before)
+
 
 class TestBackward:
     def test_duplicate_class_paths_get_identical_gradients(self):
@@ -189,6 +295,57 @@ class TestBackward:
         # the unablated model is checked above, at the same step and tolerance
         max_err, per_param = gradcheck.run_check(seed=0, ablate=ablate)
         assert max_err < gradcheck.REL_TOL, per_param
+
+    @pytest.mark.parametrize("ablate", training.ABLATIONS)
+    def test_bypassed_groups_get_zero_gradients(self, ablate):
+        params, enc, table, item = gradcheck.build_problem(seed=0)
+        # the model's gradient vector is reused: a full pass first fills
+        # every slot, so a slot the ablated pass leaves unwritten shows
+        _, full = backward(params, item, enc, table)
+        assert all(full[name].any() for name in full)
+        _, grads = backward(params, item, enc, table, ablate=ablate)
+        assert grads is full
+        bypassed = {"tpl": "ctx.", "mlff": "fusion.", "td": "decoder.", "ctm": "decoder.0.wc"}
+        for name in grads:
+            assert np.isfinite(grads[name]).all(), name
+            if name.startswith(bypassed[ablate]):
+                assert not grads[name].any(), name
+        if ablate == "ctm":
+            assert not grads["decoder.1.wc"].any()
+
+    @pytest.mark.parametrize("poison,expected", [
+        (("embedder.bias",), "embedder.bias"),
+        (("decoder.1.w2",), "decoder.1.w2"),
+        # named in param_items order: the embedder comes before the decoder
+        (("decoder.0.b1", "embedder.weight"), "embedder.weight"),
+    ])
+    def test_nonfinite_gradient_names_first_parameter(self, monkeypatch, poison, expected):
+        params, enc, table, item = gradcheck.build_problem(seed=4)
+        embed_backward, decode_backward = fusion.embed_backward, decoder.decode_backward
+
+        def poisoned_embed(cache, d_out):
+            d_w, d_b, d_fused = embed_backward(cache, d_out)
+            if "embedder.weight" in poison:
+                d_w = d_w.copy()
+                d_w[1, 2] = np.inf
+            if "embedder.bias" in poison:
+                d_b = d_b.copy()
+                d_b[-1] = np.nan
+            return d_w, d_b, d_fused
+
+        def poisoned_decode(caches, d_out):
+            layer_grads, d_text, d_visual = decode_backward(caches, d_out)
+            for k, layer in enumerate(layer_grads):
+                for name in layer:
+                    if f"decoder.{k}.{name}" in poison:
+                        layer[name] = np.full_like(layer[name], -np.inf)
+            return layer_grads, d_text, d_visual
+
+        monkeypatch.setattr(fusion, "embed_backward", poisoned_embed)
+        monkeypatch.setattr(decoder, "decode_backward", poisoned_decode)
+        with pytest.raises(ArithmeticError,
+                           match=rf"non-finite gradient for parameter {expected}$"):
+            backward(params, item, enc, table)
 
     def test_nonfinite_gradient_reports_parameter(self):
         params, enc, table, item = gradcheck.build_problem(seed=4)
@@ -265,6 +422,16 @@ class TestTrainLoop:
             loss1 = bce_loss(pred, item.target)
             descents += loss1 <= loss0
         assert descents >= 99
+
+    @pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
+    def test_equals_per_array_reference_bitwise(self, tiny_world, ablate):
+        items = make_items(tiny_world)
+        cfg = TrainConfig(lr=0.05, iterations=9, seed=8, p=2, j=2, t=2, C=16, C_t=16,
+                          log_every=2)
+        params, log = train(cfg, items, tiny_world.affordances, ablate)
+        ref, ref_log = train_reference(cfg, items, tiny_world.affordances, ablate)
+        assert params_checksum(params) == params_checksum(ref)
+        assert log == ref_log
 
     def test_frozen_components_unchanged(self, tiny_world):
         import hashlib
