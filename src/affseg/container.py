@@ -63,10 +63,10 @@ def read_f64(fh, count: int) -> np.ndarray:
     """The next *count* float64 values of the file *fh*. A header claiming
     more than the file holds fails before anything is read or allocated."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    raw = fh.read(8 * count) if 8 * count <= left else b""
-    if len(raw) != 8 * count:
+    out = np.empty(count, dtype="<f8") if 8 * count <= left else None
+    if out is None or fh.readinto(out) != 8 * count:
         raise CorruptionError(f"payload shorter than expected ({left} bytes left, wanted {8 * count})")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return out.astype(np.float64, copy=False)
 
 
 def expect_eof(fh) -> None:

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import container
-from .container import CorruptionError
+from .container import CorruptionError, FormatError
 from .features import FeatureStack, load_features
 
 DENSE_BINARY = "dense-binary"
@@ -66,7 +66,8 @@ class AffordanceTarget:
         if not np.all(np.isfinite(M)) or M.min() < 0.0 or M.max() > 1.0:
             raise ValueError("target values must be finite and in [0, 1]")
         if self.kind == DENSE_BINARY and not np.all((M == 0.0) | (M == 1.0)):
-            raise ValueError("dense-binary target has non-binary entries")
+            raise ValueError("dense-binary target has non-binary entries "
+                             f"(soft values load as target_kind {DENSIFIED_SPARSE!r})")
         if self.kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
         object.__setattr__(self, "M", M)
@@ -132,17 +133,26 @@ def densify(
         raise ValueError(f"keypoints for unknown affordances: {sorted(unknown)}")
     ys = np.arange(height)[:, None]
     xs = np.arange(width)[None, :]
-    M = np.zeros((height, width, len(affordances)))
+    # IEEE division is sign-symmetric: d / -(2 sigma^2) == -d / (2 sigma^2)
+    neg_denom = -(2.0 * sigma**2)
+    M = np.empty((height, width, len(affordances)))
+    acc = np.empty((height, width))
+    g = np.empty((height, width))
     for ch, name in enumerate(affordances):
+        acc.fill(0.0)
         # canonical accumulation order makes the output bit-identical under
         # any permutation of the keypoint list
         for x0, y0 in sorted(kp.points.get(name, [])):
             if not (0 <= x0 < width and 0 <= y0 < height):
                 raise ValueError(f"keypoint ({x0}, {y0}) outside {width}x{height}")
-            M[:, :, ch] += np.exp(-((xs - x0) ** 2 + (ys - y0) ** 2) / (2.0 * sigma**2))
-        peak = M[:, :, ch].max()
+            np.add((xs - x0) ** 2, (ys - y0) ** 2, out=g)
+            np.divide(g, neg_denom, out=g)
+            np.exp(g, out=g)
+            acc += g
+        peak = acc.max()
         if peak > 0:
-            M[:, :, ch] /= peak
+            acc /= peak
+        M[:, :, ch] = acc
     return AffordanceTarget(M=M, kind=DENSIFIED_SPARSE)
 
 
@@ -299,8 +309,14 @@ def load_item(
     record = item.target
     kind = record.get("kind")
     if kind == "mask":
-        target = load_target(manifest.resolve(record["path"]),
-                             record.get("target_kind", DENSE_BINARY))
+        path = manifest.resolve(record["path"])
+        target_kind = record.get("target_kind", DENSE_BINARY)
+        try:
+            target = load_target(path, target_kind)
+        except (FormatError, CorruptionError) as exc:
+            raise type(exc)(
+                f"item {item.item_id}: mask target {path} read as target_kind {target_kind!r}: {exc}"
+            ) from exc
     elif kind == "keypoints":
         H, W = stack.image_size
         kp = parse_points(record.get("points"), f"item {item.item_id}")

@@ -109,9 +109,15 @@ def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray, d_k: float | None =
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp only ever sees -|x|, so nothing overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # exp only ever sees -|x|, so nothing overflows; in place, this is
+    # where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|)
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return s
 
 
 def _row_softmax(S: np.ndarray) -> np.ndarray:

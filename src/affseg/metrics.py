@@ -29,19 +29,29 @@ def _normalize_sum(m: np.ndarray) -> np.ndarray:
     return m / total
 
 
+def _kld_normalized(p: np.ndarray, g: np.ndarray) -> float:
+    # sum(g * log(g / (p + EPS) + EPS)), built in one scratch map
+    t = p + EPS
+    np.divide(g, t, out=t)
+    t += EPS
+    np.log(t, out=t)
+    t *= g
+    return float(np.sum(t))
+
+
+def _sim_normalized(p: np.ndarray, g: np.ndarray) -> float:
+    return float(np.minimum(p, g).sum())
+
+
 def kld(pred: np.ndarray, gt: np.ndarray) -> float:
     """KL divergence of the ground truth from the prediction (asymmetric;
     both maps sum-normalized first)."""
-    p = _normalize_sum(pred)
-    g = _normalize_sum(gt)
-    return float(np.sum(g * np.log(g / (p + EPS) + EPS)))
+    return _kld_normalized(_normalize_sum(pred), _normalize_sum(gt))
 
 
 def sim(pred: np.ndarray, gt: np.ndarray) -> float:
     """Histogram intersection of the two sum-normalized maps, in [0, 1]."""
-    p = _normalize_sum(pred)
-    g = _normalize_sum(gt)
-    return float(np.minimum(p, g).sum())
+    return _sim_normalized(_normalize_sum(pred), _normalize_sum(gt))
 
 
 def nss(pred: np.ndarray, fixations: np.ndarray) -> float:
@@ -59,8 +69,7 @@ def nss(pred: np.ndarray, fixations: np.ndarray) -> float:
     std = p.std()
     if std < 1e-12:
         return 0.0
-    z = (p - p.mean()) / std
-    return float(z[fix.astype(bool)].mean())
+    return float(((p[fix.astype(bool)] - p.mean()) / std).mean())
 
 
 def fixations_from_heatmap(channel: np.ndarray) -> np.ndarray:
@@ -236,8 +245,9 @@ def heatmap_record(item_id, scores: np.ndarray, gt: np.ndarray, fixations=None) 
         if g.max() <= 0:
             continue
         p = scores[:, :, ch]
-        klds.append(kld(p, g))
-        sims.append(sim(p, g))
+        p_norm, g_norm = _normalize_sum(p), _normalize_sum(g)
+        klds.append(_kld_normalized(p_norm, g_norm))
+        sims.append(_sim_normalized(p_norm, g_norm))
         fix = fixations[:, :, ch] if fixations is not None else fixations_from_heatmap(g)
         if fix.any():
             nsss.append(nss(p, fix))

@@ -28,7 +28,7 @@ from .prompt import ContextVectors, StubTextEncoder
 ABLATIONS = ("tpl", "mlff", "td", "ctm")
 
 
-@dataclass
+@dataclass(eq=False)
 class ModelParams:
     """All trainable state; the text encoder and feature source stay frozen.
 
@@ -39,6 +39,7 @@ class ModelParams:
     is no longer part of ``theta``, and :func:`sgd_step` refuses the model.
     The model also owns the gradient vector that :func:`backward` fills,
     allocated on the first call; :func:`train` releases it when done.
+    Models compare by identity; :func:`params_checksum` compares values.
     """
 
     ctx: ContextVectors

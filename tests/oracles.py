@@ -125,6 +125,53 @@ def gaussian_sum_reference(points, sigma, H, W):
     return M / peak if peak > 0 else M
 
 
+def densify_reference(points, sigma, height, width, affordances):
+    """``data.densify`` as it was written before its in-place rewrite: each
+    Gaussian is a fresh array added into the strided channel of M, and the
+    channel is scaled by its peak in place. The rewrite must match it bitwise."""
+    ys = np.arange(height)[:, None]
+    xs = np.arange(width)[None, :]
+    M = np.zeros((height, width, len(affordances)))
+    for ch, name in enumerate(affordances):
+        for x0, y0 in sorted(points.get(name, [])):
+            M[:, :, ch] += np.exp(-((xs - x0) ** 2 + (ys - y0) ** 2) / (2.0 * sigma**2))
+        peak = M[:, :, ch].max()
+        if peak > 0:
+            M[:, :, ch] /= peak
+    return M
+
+
+def heatmap_record_reference(item_id, scores, gt, fixations=None, eps=1e-12):
+    """``metrics.heatmap_record`` as it was written before its in-place
+    rewrite: each KLD step makes a fresh temporary, and NSS standardizes the
+    whole prediction before picking the fixation pixels. Inputs must be
+    valid (nonnegative maps, no all-zero prediction channel). The rewrite
+    must match it bitwise."""
+
+    def normalized(m):
+        return m / m.sum()
+
+    klds, sims, nsss = [], [], []
+    for ch in range(gt.shape[2]):
+        g = gt[:, :, ch]
+        if g.max() <= 0:
+            continue
+        p = scores[:, :, ch]
+        pn, gn = normalized(p), normalized(g)
+        klds.append(float(np.sum(gn * np.log(gn / (pn + eps) + eps))))
+        sims.append(float(np.minimum(pn, gn).sum()))
+        fix = fixations[:, :, ch] if fixations is not None else g >= 0.5 * g.max()
+        if fix.any():
+            std = p.std()
+            nsss.append(0.0 if std < 1e-12 else float(((p - p.mean()) / std)[fix].mean()))
+    return {
+        "id": item_id,
+        "kld": float(np.mean(klds)) if klds else None,
+        "sim": float(np.mean(sims)) if sims else None,
+        "nss": float(np.mean(nsss)) if nsss else None,
+    }
+
+
 def kld_reference(pred, gt, eps=1e-12):
     p = np.asarray(pred, dtype=np.float64).ravel()
     g = np.asarray(gt, dtype=np.float64).ravel()

@@ -10,13 +10,14 @@ place; the upsampling it calls is still wrapped, and traced reports must
 equal untraced ones.
 """
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import pytest
 
 from affseg import data, gradcheck, metrics, training
-from tests.test_data import write_world
+from tests.test_data import AFFS, write_world
 
 _spec = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -74,14 +75,25 @@ def test_training_emits_every_layer_span():
     assert LAYER_SPANS <= names, sorted(LAYER_SPANS - names)
 
 
-@pytest.mark.parametrize("mode", ["dense", "heatmap"])
-def test_traced_eval_reports_equal_untraced(tmp_path, mode):
+@pytest.mark.parametrize("mode, keypoints", [
+    pytest.param("dense", False, id="dense"),
+    pytest.param("heatmap", False, id="heatmap"),
+    pytest.param("heatmap", True, id="heatmap-keypoints"),
+])
+def test_traced_eval_reports_equal_untraced(tmp_path, mode, keypoints):
     manifest = write_world(tmp_path)
     cfg = training.TrainConfig(iterations=5, seed=1, p=2, j=2, t=1, C=8, C_t=8)
     trainset = [data.load_item(manifest, it) for it in manifest.items[:2]]
     params, _ = training.train(cfg, trainset, manifest.affordances)
     _, enc = training.build_text_pipeline(cfg, manifest.affordances)
     ckpt = training.Checkpoint(params, enc, manifest.affordances, cfg)
+    if keypoints:
+        items = tuple(
+            dataclasses.replace(it, target={"kind": "keypoints", "sigma": 2.0, "points": {
+                AFFS[0]: [[k % 16, 4.5]], AFFS[1]: [[0, 15.75], [k / 2, 3]]}})
+            for k, it in enumerate(manifest.items)
+        )
+        manifest = dataclasses.replace(manifest, items=items)
     plain = metrics.evaluate_checkpoint(ckpt, manifest, manifest.items, mode).to_json()
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
@@ -89,3 +101,7 @@ def test_traced_eval_reports_equal_untraced(tmp_path, mode):
     assert traced == plain
     names = [span[3] for span in tracer.spans()]
     assert names.count("resample.upsample.fwd") == len(manifest.items)
+    if keypoints:
+        # the per-layer table of query-heatmap-224 reads these spans
+        for name in ("data.densify", "metrics.keypoint_fixations", "metrics.heatmap_record"):
+            assert names.count(name) == len(manifest.items), name

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from affseg.cli import main
+from affseg.data import DENSIFIED_SPARSE
 from tests.test_data import BAD_TARGETS
 
 
@@ -162,6 +163,12 @@ class TestTrainEval:
                    "--out", str(out)) == 0
         assert run("eval", "--ckpt", str(out), "--manifest", str(soft), "--mode", "heatmap",
                    "--report", str(tmp_path / "r.json")) == 0
+        capsys.readouterr()
+        assert run("eval", "--ckpt", str(out), "--manifest", str(binary), "--mode", "heatmap",
+                   "--report", str(tmp_path / "r.json")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "non-binary" in err
+        assert all(word in err for word in ("item ", "mask.ooal", "target_kind", DENSIFIED_SPARSE))
 
     def test_zero_iterations_reports_no_loss(self, world_dir, tmp_path, capsys):
         cfg = tmp_path / "zero.json"

@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from affseg import synth
 from affseg.container import CorruptionError, FormatError
 from affseg.data import (
+    DEFAULT_SIGMA,
     DENSIFIED_SPARSE,
+    SIGMA_RANGE,
     AffordanceTarget,
     DatasetManifest,
     KeypointAnnotation,
@@ -25,7 +27,7 @@ from affseg.data import (
     save_target,
     split_eval_sets,
 )
-from tests.oracles import gaussian_sum_reference
+from tests.oracles import densify_reference, gaussian_sum_reference
 
 AFFS = ["grasp", "cut"]
 
@@ -94,6 +96,36 @@ class TestDensify:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             densify(KeypointAnnotation(points={}), 0.0, 4, 4, AFFS)
+
+
+def _coordinate(n):
+    return st.integers(0, n - 1) | st.floats(0, n - 0.25) | st.sampled_from([0, 0.0, n - 0.25])
+
+
+@st.composite
+def densify_cases(draw, max_side=12):
+    """(points, sigma, height, width, affordances) that ``densify`` accepts:
+    integer and float keypoints including the edges 0 and side - 0.25, sigma
+    across ``SIGMA_RANGE``, 1 to 5 channels, some of them empty."""
+    H, W = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    names = [f"aff{i}" for i in range(draw(st.integers(1, 5)))]
+    points = {}
+    for name in names:
+        pts = draw(st.lists(st.tuples(_coordinate(W), _coordinate(H)), max_size=4))
+        if pts or draw(st.booleans()):
+            points[name] = pts
+    lo, hi = SIGMA_RANGE
+    sigma = draw(st.floats(lo, hi) | st.sampled_from([lo, hi, DEFAULT_SIGMA])
+                 | st.floats(-3.0, 6.0).map(lambda e: min(max(10.0**e, lo), hi)))
+    return points, sigma, H, W, names
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=densify_cases())
+def test_densify_bitwise_equal_to_reference(case):
+    points, sigma, H, W, names = case
+    out = densify(KeypointAnnotation(points=points), sigma, H, W, names)
+    assert out.M.tobytes() == densify_reference(points, sigma, H, W, names).tobytes()
 
 
 class TestTargetFile:
@@ -216,14 +248,32 @@ class TestManifest:
         with pytest.raises(ValueError, match="item odd-item"):
             load_item(manifest, item)
 
+    @pytest.mark.parametrize("path, error", [
+        pytest.param("manifest.json", FormatError, id="not-a-container"),
+        pytest.param("feats/base-00-0.ooal", CorruptionError, id="feature-file"),
+    ])
+    def test_unreadable_mask_file_names_the_item_and_file(self, tmp_path, path, error):
+        manifest = write_world(tmp_path)
+        item = ManifestItem("odd-item", "base-00", manifest.items[0].features,
+                            {"kind": "mask", "path": path})
+        with pytest.raises(error, match=f"^item odd-item: mask target .*{path} read as "
+                                        "target_kind 'dense-binary': ") as info:
+            load_item(manifest, item)
+        assert "\n" not in str(info.value)
+
     def test_mask_target_kind_selects_the_reader(self, tmp_path):
         manifest = write_world(tmp_path)
         kp = KeypointAnnotation(points={"grasp": [(3, 4)], "cut": [(9, 9)]})
         save_target(densify(kp, 2.0, 16, 16, AFFS), tmp_path / "soft.ooal")
         record = {"kind": "mask", "path": "soft.ooal"}
         item = ManifestItem("soft-item", "base-00", manifest.items[0].features, record)
-        with pytest.raises(CorruptionError, match="non-binary"):
+        with pytest.raises(CorruptionError, match="non-binary") as info:
             load_item(manifest, item)
+        # one line naming the item, the file and the field that would load it
+        msg = str(info.value)
+        assert "\n" not in msg and msg.startswith("item soft-item: ")
+        assert str(manifest.resolve("soft.ooal")) in msg
+        assert "target_kind 'dense-binary'" in msg and repr(DENSIFIED_SPARSE) in msg
         item = ManifestItem("soft-item", "base-00", manifest.items[0].features,
                             {**record, "target_kind": DENSIFIED_SPARSE})
         loaded = load_item(manifest, item)

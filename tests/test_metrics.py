@@ -6,8 +6,9 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from affseg import data, prompt, synth, training
 from affseg.data import AffordanceTarget
@@ -18,6 +19,7 @@ from affseg.metrics import (
     evaluate,
     evaluate_checkpoint,
     fixations_from_heatmap,
+    heatmap_record,
     hiou,
     iou_counts,
     iou_per_class,
@@ -29,12 +31,13 @@ from affseg.metrics import (
 )
 from tests.oracles import (
     evaluate_reference,
+    heatmap_record_reference,
     iou_counts_reference,
     kld_reference,
     nss_reference,
     sim_reference,
 )
-from tests.test_data import AFFS, write_world
+from tests.test_data import AFFS, densify_cases, write_world
 
 
 def pred_of(scores):
@@ -353,6 +356,24 @@ def test_report_json_shape():
                            aggregates={"miou": 0.5})
     doc = report.to_json()
     assert doc["count"] == 1 and doc["mode"] == "dense"
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=st.data(), case=densify_cases(max_side=10), soft=st.booleans(),
+       given_fixations=st.booleans())
+def test_heatmap_record_bitwise_equal_to_reference(drawn, case, soft, given_fixations):
+    points, sigma, H, W, names = case
+    shape = (H, W, len(names))
+    scores = drawn.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)
+                                   | st.sampled_from([0.0, 0.5, 1.0])))
+    assume((scores.sum(axis=(0, 1)) > 0).all())
+    if soft:
+        gt = data.densify(data.KeypointAnnotation(points=points), sigma, H, W, names).M
+    else:
+        gt = drawn.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0])))
+    fix = keypoint_fixations(points, shape, names) if given_fixations else None
+    got = heatmap_record("it", scores, gt, fix)
+    assert got == heatmap_record_reference("it", scores, gt, fix)
 
 
 class TestKeypointFixations:

@@ -180,6 +180,13 @@ class TestParameterLayout:
         assert not np.shares_memory(mp.theta, src.theta)
         sgd_step(src, zero_gradients(src), 0.1)  # src still owns its arrays
 
+    def test_models_compare_by_identity(self):
+        a, *_ = gradcheck.build_problem(seed=0)
+        b, *_ = gradcheck.build_problem(seed=0)
+        assert params_checksum(a) == params_checksum(b)
+        assert a != b and not a == b
+        assert a == a
+
     def test_gradients_share_the_layout(self):
         params, *_ = gradcheck.build_problem(seed=1)
         grads = zero_gradients(params)
