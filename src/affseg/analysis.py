@@ -69,12 +69,12 @@ def similarity_map(query: np.ndarray, target: FeatureStack, layer: int = -1) -> 
     return sims.reshape(target.grid)
 
 
-def render_heatmap(map_values: np.ndarray, path, anchors=COLORMAP_ANCHORS) -> None:
+def render_heatmap(map_values: np.ndarray, path) -> None:
     """Write a min-max normalized map as a binary PPM (P6) image.
 
-    The colormap interpolates linearly between the given (value, rgb)
-    anchors; a constant map renders in the first anchor's color. Output is
-    bit-deterministic.
+    The colormap interpolates linearly between the (value, rgb) pairs of
+    ``COLORMAP_ANCHORS``; a constant map renders in the first anchor's color.
+    Output is bit-deterministic.
     """
     m = np.asarray(map_values, dtype=np.float64)
     if m.ndim != 2:
@@ -83,18 +83,18 @@ def render_heatmap(map_values: np.ndarray, path, anchors=COLORMAP_ANCHORS) -> No
         raise ValueError("non-finite map values")
     lo, hi = m.min(), m.max()
     normed = np.zeros_like(m) if hi - lo < 1e-300 else (m - lo) / (hi - lo)
-    rgb = _apply_colormap(normed, anchors)
+    rgb = _apply_colormap(normed)
     h, w = m.shape
     with open(path, "wb") as fh:
         fh.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
         fh.write(rgb.tobytes())
 
 
-def _apply_colormap(normed: np.ndarray, anchors) -> np.ndarray:
-    values = np.array([a[0] for a in anchors])
-    colors = np.array([a[1] for a in anchors], dtype=np.float64)
+def _apply_colormap(normed: np.ndarray) -> np.ndarray:
+    values = np.array([a[0] for a in COLORMAP_ANCHORS])
+    colors = np.array([a[1] for a in COLORMAP_ANCHORS], dtype=np.float64)
     flat = normed.reshape(-1)
-    seg = np.clip(np.searchsorted(values, flat, side="right") - 1, 0, len(anchors) - 2)
+    seg = np.clip(np.searchsorted(values, flat, side="right") - 1, 0, len(values) - 2)
     v0, v1 = values[seg], values[seg + 1]
     t = np.where(v1 > v0, (flat - v0) / np.where(v1 > v0, v1 - v0, 1.0), 0.0)
     mixed = colors[seg] * (1.0 - t[:, None]) + colors[seg + 1] * t[:, None]

@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--manifest", required=True)
     e.add_argument("--mode", choices=("heatmap", "dense"), required=True)
     e.add_argument("--report", required=True)
-    e.add_argument("--sigma", type=float, default=None)
+    e.add_argument("--sigma", type=float, default=data.DEFAULT_SIGMA)
     e.add_argument("--threshold", type=float, default=0.5)
     e.set_defaults(func=cmd_eval)
 

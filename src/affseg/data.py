@@ -291,6 +291,8 @@ def load_manifest(path) -> DatasetManifest:
         elif kind == "keypoints":
             parse_points(item.target.get("points"), where)
             _check_sigma(item.target.get("sigma", DEFAULT_SIGMA), where)
+        else:
+            raise ValueError(f"{where}: unknown target kind {kind!r}")
     return manifest
 
 
@@ -345,8 +347,6 @@ def build_oneshot_trainset(manifest: DatasetManifest, seed: int) -> list[Manifes
     chosen = []
     for oid in manifest.base_objects():
         items = manifest.items_of(oid)
-        if not items:
-            raise ValueError(f"base object {oid} has no items")
         chosen.append(items[int(rng.integers(len(items)))])
     return chosen
 

@@ -151,10 +151,6 @@ def synth_text_tokens(names, token_dim: int, seed: int) -> ClassTokenTable:
     matter the position or surrounding vocabulary.
     """
     names = tuple(names)
-    if not names:
-        raise ValueError("names must be non-empty")
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate affordance names")
     rows = []
     for name in names:
         rng = np.random.default_rng([seed, _stable_hash(name)])

@@ -53,25 +53,25 @@ def build_problem(
     return params, enc, table, item
 
 
-def finite_difference(loss_fn, params: ModelParams, step: float = FD_STEP):
-    """Central differences for every entry of ``params.theta``, as a
-    :class:`training.Gradients`."""
+def finite_difference(loss_fn, params: ModelParams):
+    """Central differences with step ``FD_STEP`` for every entry of
+    ``params.theta``, as a :class:`training.Gradients`."""
     grads = training.zero_gradients(params)
     theta = params.theta
     for idx in range(theta.size):
         orig = theta[idx]
-        theta[idx] = orig + step
+        theta[idx] = orig + FD_STEP
         hi = loss_fn(params)
-        theta[idx] = orig - step
+        theta[idx] = orig - FD_STEP
         lo = loss_fn(params)
         theta[idx] = orig
-        grads.flat[idx] = (hi - lo) / (2.0 * step)
+        grads.flat[idx] = (hi - lo) / (2.0 * FD_STEP)
     return grads
 
 
-def run_check(seed: int = 0, ablate: str | None = None, **dims):
+def run_check(seed: int = 0, ablate: str | None = None):
     """-> (max relative error, per-parameter error dict)."""
-    params, enc, table, item = build_problem(seed=seed, **dims)
+    params, enc, table, item = build_problem(seed=seed)
 
     def loss_fn(mp):
         pred, _ = training.forward(mp, enc, table, item.stack, ablate=ablate)

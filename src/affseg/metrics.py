@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DENSE_BINARY, AffordanceTarget
+from .data import DEFAULT_SIGMA, DENSE_BINARY, AffordanceTarget
 from .decoder import Prediction
 
 EPS = 1e-12
@@ -190,7 +190,7 @@ def evaluate_checkpoint(
     manifest,
     items,
     mode: str,
-    sigma: float | None = None,
+    sigma: float = DEFAULT_SIGMA,
     threshold: float = 0.5,
 ) -> MetricsReport:
     """Run the model of a trained checkpoint over manifest items; the prompts
@@ -203,10 +203,9 @@ def evaluate_checkpoint(
     from . import data, training
 
     text, text_cache = training.encode_prompts(ckpt.params, ckpt.enc, ckpt.text_table(), ckpt.ablate)
-    kwargs = {} if sigma is None else {"sigma": sigma}
 
     def run_item(item):
-        loaded = data.load_item(manifest, item, **kwargs)
+        loaded = data.load_item(manifest, item, sigma=sigma)
         pred, _ = training.forward_encoded(ckpt.params, text, text_cache, loaded.stack, ckpt.ablate)
         fixations = None
         if mode == "heatmap" and item.target.get("kind") == "keypoints":

@@ -115,8 +115,6 @@ def encode_texts_backward(cache: TextCache, d_out: np.ndarray) -> np.ndarray:
     proj_mean = (d_out * y).mean(axis=1, keepdims=True)
     dh = cache.inv_std[:, None] * (d_out - row_mean - y * proj_mean)
     d_pooled = dh @ cache.proj.T
-    if cache.count == 0:
-        return np.zeros((0, d_pooled.shape[1]))
     # every context vector contributes 1/(p+1) to every class row
     d_ctx_row = d_pooled.sum(axis=0) / (cache.count + 1)
     return np.tile(d_ctx_row, (cache.count, 1))

@@ -22,6 +22,8 @@ DEFAULT_AFFORDANCES = ("grasp", "cut", "contain", "support")
 # Signatures get this norm so that per-patch Gaussian noise at scale ~0.05
 # leaves same-part patches highly aligned (cosine > 0.95 at C_v = 32).
 SIGNATURE_NORM = 2.0
+# rejection draws before _draw_signatures gives up (3 to 5 dims succeed within ~2,000)
+MAX_SIGNATURE_DRAWS = 20_000
 
 
 @dataclass(frozen=True)
@@ -102,8 +104,11 @@ def make_world(
     training set. Novel objects draw from the same part pool.
     """
     affordances = tuple(affordances)
-    if num_parts < 1 or num_base < 1:
-        raise ValueError("need at least one part and one base object")
+    for name, value, low in (("num_base", num_base, 1), ("num_novel", num_novel, 0),
+                             ("num_parts", num_parts, 1), ("feature_dim", feature_dim, 1),
+                             ("num_layers", num_layers, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value!r}")
     if len(affordances) < 1:
         raise ValueError("need at least one affordance name")
     rng = np.random.default_rng([seed, 0xA11CE])
@@ -137,12 +142,14 @@ def make_world(
 
 def _draw_signatures(rng, count: int, dim: int) -> list[np.ndarray]:
     sigs: list[np.ndarray] = []
-    while len(sigs) < count:
+    for _ in range(MAX_SIGNATURE_DRAWS):
         v = rng.standard_normal(dim)
         v *= SIGNATURE_NORM / np.linalg.norm(v)
         if all(abs(v @ s) / SIGNATURE_NORM**2 < 0.8 for s in sigs):
             sigs.append(v)
-    return sigs
+            if len(sigs) == count:
+                return sigs
+    raise ValueError(f"no signatures for {count - 1} parts and a background in feature dim {dim}")
 
 
 def _place_parts(rng, part_ids, grid) -> tuple[Placement, ...]:
@@ -197,8 +204,8 @@ def synth_vision_encode(
     Seeded Gaussian noise of the given scale is added per patch; ``variant``
     selects an independent noise draw for additional items of one object.
     """
-    if noise_scale < 0:
-        raise ValueError("noise_scale must be >= 0")
+    if not (np.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
     obj = spec.object(object_id)
     h_p, w_p = spec.grid
     labels = part_map(spec, object_id).reshape(-1)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import container, decoder, fusion, prompt
 from .container import CorruptionError, FormatError
-from .data import AffordanceTarget, LoadedItem
+from .data import AffordanceTarget, LoadedItem, parse_affordances
 from .decoder import DecoderParams, Prediction
 from .features import ClassTokenTable, FeatureStack, synth_text_tokens
 from .fusion import Embedder, FusionParams
@@ -180,12 +180,6 @@ class Gradients(Mapping):
             raise ValueError(f"gradient shape {np.shape(value)} != param {slot.shape} for {name}")
         slot[...] = value
 
-    def zero(self, prefix: str) -> None:
-        """Set the slot of every parameter whose name starts with *prefix* to zero."""
-        for name, slot in self._slots.items():
-            if name.startswith(prefix):
-                slot[...] = 0.0
-
 
 def zero_gradients(mp: ModelParams) -> Gradients:
     """An all-zero :class:`Gradients` for *mp*."""
@@ -299,7 +293,8 @@ def backward(
 
     The gradients are the model's own :class:`Gradients`, overwritten by the
     next call on the same model; copy them to keep them. Every slot is
-    written: disabled or bypassed parameter groups get zero gradients so the
+    written: with ``ablate`` set the vector is first filled with zero, so
+    disabled or bypassed parameter groups get zero gradients and the
     optimizer step is uniform across ablations. A non-finite gradient raises
     ArithmeticError naming the first such parameter.
     """
@@ -312,6 +307,8 @@ def backward(
         # page fault per 4 kB touched
         mp._grads = Gradients(mp, np.empty(mp.theta.size))
     grads = mp._grads
+    if ablate is not None:
+        grads.flat.fill(0.0)
     d_logits = _bce_score_grad(pred.upsampled, item.target.M)
     d_visual, d_text_out = decoder.predict_backward(cache.predict_cache, d_logits)
 
@@ -322,7 +319,6 @@ def backward(
             for name, val in g.items():
                 grads[f"decoder.{k}.{name}"] = val
     else:
-        grads.zero("decoder.")
         d_text = d_text_out
 
     d_w, d_b, d_fused = fusion.embed_backward(cache.embed_cache, d_visual)
@@ -334,13 +330,9 @@ def backward(
         for i, g in enumerate(d_proj):
             grads[f"fusion.proj.{i}"] = g
         grads["fusion.alpha_logits"] = d_logits
-    else:
-        grads.zero("fusion.")
 
     if cache.text_cache.count > 0:
         grads["ctx.vectors"] = prompt.encode_texts_backward(cache.text_cache, d_text)
-    else:
-        grads.zero("ctx.")
 
     if not np.isfinite(grads.flat).all():
         raise ArithmeticError(
@@ -349,24 +341,19 @@ def backward(
     return loss, grads
 
 
-def sgd_step(mp: ModelParams, grads: Mapping[str, np.ndarray], lr: float) -> ModelParams:
+def sgd_step(mp: ModelParams, grads: Gradients, lr: float) -> ModelParams:
     """Plain descent update in place, ``theta -= lr * g`` on the flat vectors,
     so each array of ``param_items(mp)`` becomes ``arr - lr * g``; the same
     ``mp`` is returned.
 
-    ``grads`` is a :class:`Gradients` of the same layout, or any mapping from
-    parameter name to array, which is first copied into one. A missing name
-    or a shape mismatch raises ValueError before any value changes, and so
-    does a model with an array that is no longer a view of its ``theta``. A
-    non-finite result raises ArithmeticError naming the parameter; the model
-    is then unusable.
+    ``grads`` is a :class:`Gradients` laid out like ``mp``: its own from
+    :func:`backward`, or one from :func:`zero_gradients`. Anything else raises
+    ValueError before any value changes, and so does a model with an array
+    that is no longer a view of its ``theta``. A non-finite result raises
+    ArithmeticError naming the parameter; the model is then unusable.
     """
     if not (isinstance(grads, Gradients) and grads.layout == mp._layout):
-        plain, grads = grads, Gradients(mp, np.empty(mp.theta.size))
-        for name in grads:
-            if name not in plain:
-                raise ValueError(f"no gradient for parameter {name}")
-            grads[name] = plain[name]
+        raise ValueError("sgd_step needs a Gradients laid out like the model")
     items = param_items(mp)
     for name, arr in items:
         if mp._views.get(name) is not arr:
@@ -484,7 +471,7 @@ def load_checkpoint(path) -> Checkpoint:
         if version != CHECKPOINT_VERSION:
             raise FormatError(f"unsupported checkpoint version {version}")
         try:
-            config, affordances = manifest["config"], tuple(manifest["affordances"])
+            config, affordances = manifest["config"], manifest["affordances"]
             entries = [(e["name"], tuple(e["shape"])) for e in manifest["arrays"]]
         except (KeyError, TypeError) as exc:
             raise CorruptionError(f"checkpoint manifest malformed: {exc!r}") from exc
@@ -503,12 +490,24 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         cfg = _config_from_dict(config)
         _check_ablation(ablate)
+        affordances = parse_affordances(affordances, str(path))
     except ValueError as exc:
         raise FormatError(f"checkpoint {exc}") from exc
 
     weight = arrays.get("embedder.weight")
     if weight is None or weight.ndim != 2:
         raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
+    # the config keys that size the model must match the arrays before init_model allocates
+    ctx = arrays.get("ctx.vectors", np.empty((0, 0)))
+    layers = {name.split(".")[1] for name in arrays if name.startswith("decoder.")}
+    for key, name, stored in (
+        ("p", "ctx.vectors", ctx.shape[:1]), ("C_t", "ctx.vectors", ctx.shape[1:]),
+        ("j", "fusion.alpha_logits", np.shape(arrays.get("fusion.alpha_logits"))),
+        ("C", "embedder.weight", weight.shape[1:]), ("t", "decoder.* layer count", (len(layers),)),
+    ):
+        if stored != (getattr(cfg, key),):
+            raise CorruptionError(f"checkpoint config {key}={getattr(cfg, key)} does not match "
+                                  f"{name} {list(stored)}")
     params = init_model(cfg, weight.shape[0])
     slots = dict(param_items(params))
     slots["text_encoder.proj"] = proj = np.empty((cfg.C_t, cfg.C))
@@ -519,7 +518,7 @@ def load_checkpoint(path) -> Checkpoint:
         if name not in arrays:
             raise CorruptionError(f"checkpoint missing array {name}")
         if arrays[name].shape != slot.shape:
-            raise ValueError(
+            raise CorruptionError(
                 f"checkpoint array {name} has shape {arrays[name].shape}, expected {slot.shape}"
             )
         slot[...] = arrays[name]

@@ -51,6 +51,23 @@ class TestGenSynth:
         for rel in sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file()):
             assert (a / rel).read_bytes() == (b / rel).read_bytes()
 
+    @pytest.mark.parametrize("flag, value, match", [
+        # 4 parts need 5 signatures with pairwise |cos| < 0.8: none exist in 1 or 2 dims
+        pytest.param("--feature-dim", "1", "4 parts and a background in feature dim 1",
+                     id="feature-dim-1"),
+        pytest.param("--feature-dim", "2", "4 parts and a background in feature dim 2",
+                     id="feature-dim-2"),
+        pytest.param("--feature-dim", "0", "feature_dim must be >= 1", id="feature-dim-0"),
+        pytest.param("--layers", "0", "num_layers must be >= 1", id="layers-0"),
+        pytest.param("--novel", "-1", "num_novel must be >= 0", id="novel-negative"),
+        pytest.param("--noise", "inf", "noise_scale must be finite and >= 0", id="noise-inf"),
+    ])
+    def test_out_of_range_flag_is_one_error(self, tmp_path, capsys, flag, value, match):
+        assert run("gen-synth", "--seed", "7", "--objects", "2", "--items", "1", flag, value,
+                   "--out", str(tmp_path / "w")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and match in err
+
 
 class TestDensifyCommand:
     def test_roundtrip(self, tmp_path):

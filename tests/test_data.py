@@ -46,6 +46,8 @@ BAD_TARGETS = [
                  id="mask-unknown-target-kind"),
     pytest.param({"kind": "mask", "path": "targets/base-00.ooal",
                   "target_kind": ["dense-binary"]}, id="mask-list-target-kind"),
+    pytest.param({"kind": "bogus"}, id="unknown-kind"),
+    pytest.param({}, id="no-kind"),
 ]
 
 
@@ -241,7 +243,7 @@ class TestManifest:
             load_manifest(path)
 
     @pytest.mark.parametrize("target", [t for t in BAD_TARGETS
-                                        if t.values[0]["kind"] == "keypoints"])
+                                        if t.values[0].get("kind") == "keypoints"])
     def test_bad_keypoint_record_names_the_item(self, tmp_path, target):
         manifest = write_world(tmp_path)
         item = ManifestItem("odd-item", "base-00", manifest.items[0].features, target)

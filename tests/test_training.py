@@ -93,7 +93,8 @@ class TestSgdStep:
         params, *_ = gradcheck.build_problem(seed=1)
         for _, arr in param_items(params):
             arr[...] = 1.0
-        halves = {name: np.full_like(a, 0.5) for name, a in param_items(params)}
+        halves = zero_gradients(params)
+        halves.flat[:] = 0.5
         sgd_step(params, halves, lr=0.01)
         for _, arr in param_items(params):
             np.testing.assert_allclose(arr, 0.995, atol=1e-15)
@@ -108,19 +109,6 @@ class TestSgdStep:
             assert arr is same
             assert arr.tobytes() == ref.tobytes()
 
-    def test_shape_mismatch(self):
-        # a bad gradient anywhere in the dict leaves every array unchanged
-        params, *_ = gradcheck.build_problem(seed=1)
-        before = [arr.copy() for _, arr in param_items(params)]
-        names = [name for name, _ in param_items(params)]
-        for name in (names[0], names[7], names[-1]):
-            grads = {n: np.ones_like(a) for n, a in param_items(params)}
-            grads[name] = np.zeros((1, 1))
-            with pytest.raises(ValueError, match=name):
-                sgd_step(params, grads, 0.1)
-            for (_, a), b in zip(param_items(params), before):
-                np.testing.assert_array_equal(a, b)
-
     def test_overflowing_step_names_parameter(self):
         params, *_ = gradcheck.build_problem(seed=1)
         grads = zero_gradients(params)
@@ -129,14 +117,16 @@ class TestSgdStep:
         with pytest.raises(ArithmeticError, match="embedder.bias"):
             sgd_step(params, grads, 1.0)
 
-    def test_missing_gradient_is_named(self):
+    def test_refuses_gradients_of_another_layout(self):
+        # a complete plain dict, and the Gradients of a model with one decoder layer
         params, *_ = gradcheck.build_problem(seed=1)
         before = params.theta.copy()
-        grads = {n: np.ones_like(a) for n, a in param_items(params)}
-        del grads["fusion.alpha_logits"]
-        with pytest.raises(ValueError, match="no gradient for parameter fusion.alpha_logits"):
-            sgd_step(params, grads, 0.1)
-        np.testing.assert_array_equal(params.theta, before)
+        plain = {n: np.ones_like(a) for n, a in param_items(params)}
+        shallow = zero_gradients(gradcheck.build_problem(seed=1, t=1)[0])
+        for grads in (plain, shallow):
+            with pytest.raises(ValueError, match="Gradients laid out like the model"):
+                sgd_step(params, grads, 0.1)
+            np.testing.assert_array_equal(params.theta, before)
 
 
 def _built_model(how, tmp_path) -> ModelParams:
@@ -211,6 +201,11 @@ class TestParameterLayout:
         for bad in (2.0, np.ones(1), np.ones((1, bias.size)), np.ones(bias.size + 1)):
             with pytest.raises(ValueError, match="embedder.bias"):
                 grads["embedder.bias"] = bad
+        # the first, eighth and last parameter refuse a value of another shape too
+        names = [name for name, _ in param_items(params)]
+        for name in (names[0], names[7], names[-1]):
+            with pytest.raises(ValueError, match=name):
+                grads[name] = np.zeros((1, 1))
         np.testing.assert_array_equal(grads.flat, after_good)
 
     @pytest.mark.parametrize("name,match", [
@@ -468,6 +463,11 @@ def _config(**values):
     return lambda doc: {**doc, "config": {**doc["config"], **values}}
 
 
+def _shape_of(name, shape):
+    return lambda doc: {**doc, "arrays": [{**e, "shape": shape} if e["name"] == name else e
+                                          for e in doc["arrays"]]}
+
+
 class TestCheckpoint:
     def bundle(self, tiny_world, iterations=4):
         items = make_items(tiny_world)
@@ -532,6 +532,18 @@ class TestCheckpoint:
         pytest.param(lambda d: {**d, "arrays": d["arrays"][:-1]
                                 + [{**d["arrays"][-1], "name": "text_encoder.bias"}]},
                      CorruptionError, "unexpected arrays", id="unexpected-name"),
+        pytest.param(_config(p=2**40), CorruptionError,
+                     "config p=1099511627776 does not match ctx.vectors", id="p-2^40"),
+        pytest.param(_config(t=10**6), CorruptionError,
+                     "config t=1000000 does not match decoder", id="t-10^6"),
+        pytest.param(_shape_of("decoder.0.w1", [64, 16]), CorruptionError,
+                     r"decoder.0.w1 has shape \(64, 16\), expected \(16, 64\)",
+                     id="transposed-array"),
+    ] + [
+        pytest.param(lambda d, a=a: {**d, "affordances": a}, FormatError,
+                     r"model\.ooal: affordances must be", id=f"affordances-{i}")
+        for i, a in (("numbers", [1, 2, 3, 4]), ("string", "gras"), ("empty", []),
+                     ("duplicate", ["grasp", "cut", "grasp"]))
     ])
     def test_malformed_manifest_fails_with_one_error(self, tiny_world, tmp_path, mutate, error,
                                                      match):
