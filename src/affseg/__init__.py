@@ -7,7 +7,7 @@ evaluation. Everything is numpy + hand-derived gradients; no pretrained
 models are involved.
 """
 
-from .data import AffordanceTarget, DatasetManifest, KeypointAnnotation, densify
+from .data import AffordanceTarget, DatasetManifest, densify
 from .decoder import DecoderParams, Prediction, cls_mask
 from .features import ClassTokenTable, FeatureStack, load_features, save_features, synth_text_tokens
 from .fusion import Embedder, FusionParams

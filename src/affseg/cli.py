@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_gen_synth(args) -> int:
-    out = Path(args.out)
-    (out / "feats").mkdir(parents=True, exist_ok=True)
-    (out / "targets").mkdir(parents=True, exist_ok=True)
     world = synth.make_world(
         seed=args.seed,
         num_base=args.objects,
@@ -110,6 +107,12 @@ def cmd_gen_synth(args) -> int:
         feature_dim=args.feature_dim,
         num_layers=args.layers,
     )
+    synth.check_noise(args.noise)
+    if args.items < 1:
+        raise ValueError(f"--items must be >= 1, got {args.items}")
+    out = Path(args.out)
+    (out / "feats").mkdir(parents=True, exist_ok=True)
+    (out / "targets").mkdir(parents=True, exist_ok=True)
     items = []
     for obj in world.objects:
         target = data.AffordanceTarget(M=synth.synth_target(world, obj.object_id))

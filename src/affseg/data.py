@@ -77,20 +77,13 @@ class AffordanceTarget:
         return self.M.shape
 
 
-@dataclass(frozen=True)
-class KeypointAnnotation:
-    """Per-affordance pixel keypoints: name -> list of (x, y) positions."""
-
-    points: dict[str, list[tuple[float, float]]]
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-def parse_points(points, where: str) -> KeypointAnnotation:
-    """A keypoints ``points`` object (affordance -> [[x, y], ...]) as an
-    annotation; anything else is a ValueError naming *where*."""
+def parse_points(points, where: str) -> dict[str, list[tuple[float, float]]]:
+    """A keypoints ``points`` object (affordance -> [[x, y], ...]) as
+    ``{name: [(x, y), ...]}``; anything else is a ValueError naming *where*."""
     if not isinstance(points, dict):
         raise ValueError(f"{where}: keypoints need a 'points' object of [[x, y], ...] lists")
     for name, pts in points.items():
@@ -99,7 +92,7 @@ def parse_points(points, where: str) -> KeypointAnnotation:
             for pt in pts
         ):
             raise ValueError(f"{where}: points of {name!r} must be a list of [x, y] numbers")
-    return KeypointAnnotation(points={k: [tuple(pt) for pt in v] for k, v in points.items()})
+    return {k: [tuple(pt) for pt in v] for k, v in points.items()}
 
 
 def parse_affordances(names, where: str) -> tuple[str, ...]:
@@ -118,17 +111,17 @@ def _check_sigma(sigma, where: str = "densify") -> None:
 
 
 def densify(
-    kp: KeypointAnnotation,
+    points: dict,
     sigma: float,
     height: int,
     width: int,
     affordances,
 ) -> AffordanceTarget:
-    """Sum an unnormalized Gaussian over each keypoint, then scale every
-    channel by its own max (empty channels stay all-zero)."""
+    """Sum an unnormalized Gaussian over each (x, y) keypoint of *points*, then
+    scale every channel by its own max (empty channels stay all-zero)."""
     _check_sigma(sigma)
     affordances = list(affordances)
-    unknown = set(kp.points) - set(affordances)
+    unknown = set(points) - set(affordances)
     if unknown:
         raise ValueError(f"keypoints for unknown affordances: {sorted(unknown)}")
     ys = np.arange(height)[:, None]
@@ -142,7 +135,7 @@ def densify(
         acc.fill(0.0)
         # canonical accumulation order makes the output bit-identical under
         # any permutation of the keypoint list
-        for x0, y0 in sorted(kp.points.get(name, [])):
+        for x0, y0 in sorted(points.get(name, [])):
             if not (0 <= x0 < width and 0 <= y0 < height):
                 raise ValueError(f"keypoint ({x0}, {y0}) outside {width}x{height}")
             np.add((xs - x0) ** 2, (ys - y0) ** 2, out=g)
@@ -247,6 +240,32 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def parse_target(record, where: str, sigma: float = DEFAULT_SIGMA):
+    """An item's ``target`` record as ``(path, target_kind, None, None)`` for a
+    mask or ``(None, None, points, sigma)`` for keypoints, whose own ``sigma``
+    overrides *sigma*; anything else is a ValueError naming *where*. Only
+    :func:`load_manifest` checks that ``path`` names a file, once per load."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: target must be an object")
+    kind, path = record.get("kind"), record.get("path")
+    if kind == "keypoints":
+        sigma = record.get("sigma", sigma)
+        _check_sigma(sigma, where)
+        return None, None, parse_points(record.get("points"), where), sigma
+    if kind != "mask":
+        raise ValueError(f"{where}: unknown target kind {kind!r}")
+    target_kind = record.get("target_kind", DENSE_BINARY)
+    if target_kind not in TARGET_KINDS:
+        raise ValueError(f"{where}: mask target_kind must be one of {TARGET_KINDS}, "
+                         f"got {target_kind!r}")
+    return path, target_kind, None, None
+
+
+def _is_id(v) -> bool:
+    # ids appear unquoted in one-line messages, so they may hold no line break
+    return isinstance(v, str) and v.isprintable()
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
@@ -256,43 +275,30 @@ def load_manifest(path) -> DatasetManifest:
     if not isinstance(doc, dict):
         raise ValueError(f"manifest {path} must be a JSON object")
     try:
-        manifest = DatasetManifest(
-            affordances=parse_affordances(doc["affordances"], f"manifest {path}"),
-            objects=tuple((o["id"], bool(o["novel"])) for o in doc["objects"]),
-            items=tuple(
-                ManifestItem(
-                    item_id=i["id"],
-                    object_id=i["object"],
-                    features=i["features"],
-                    target=i["target"],
-                )
-                for i in doc["items"]
-            ),
-            root=path.parent,
-        )
+        affordances = parse_affordances(doc["affordances"], f"manifest {path}")
+        objects = tuple((o["id"], o["novel"]) for o in doc["objects"])
+        items = tuple(ManifestItem(i["id"], i["object"], i["features"], i["target"])
+                      for i in doc["items"])
     except KeyError as exc:
         raise ValueError(f"manifest {path} missing key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"manifest {path} malformed: {exc}") from exc
+    for oid, novel in objects:
+        if not (_is_id(oid) and isinstance(novel, bool)):
+            raise ValueError(f"manifest {path}: object {oid!r} needs a string id and a "
+                             f"boolean novel, got novel {novel!r}")
+    for item in items:
+        if not (_is_id(item.item_id) and _is_id(item.object_id)):
+            raise ValueError(f"manifest {path}: item {item.item_id!r} needs a string id and "
+                             f"object, got object {item.object_id!r}")
+    manifest = DatasetManifest(affordances, objects, items, root=path.parent)
     for item in manifest.items:
         where = f"manifest {path}: item {item.item_id}"
-        if not isinstance(item.target, dict):
-            raise ValueError(f"{where}: target must be an object")
         if not (isinstance(item.features, str) and os.path.isfile(manifest.resolve(item.features))):
             raise ValueError(f"{where}: feature file {item.features!r} not found")
-        kind = item.target.get("kind")
-        if kind == "mask":
-            rel = item.target.get("path")
-            if not (isinstance(rel, str) and os.path.isfile(manifest.resolve(rel))):
-                raise ValueError(f"{where}: mask target file {rel!r} not found")
-            if item.target.get("target_kind", DENSE_BINARY) not in TARGET_KINDS:
-                raise ValueError(f"{where}: mask target_kind must be one of {TARGET_KINDS}, "
-                                 f"got {item.target['target_kind']!r}")
-        elif kind == "keypoints":
-            parse_points(item.target.get("points"), where)
-            _check_sigma(item.target.get("sigma", DEFAULT_SIGMA), where)
-        else:
-            raise ValueError(f"{where}: unknown target kind {kind!r}")
+        rel, _, points, _ = parse_target(item.target, where)
+        if points is None and not (isinstance(rel, str) and os.path.isfile(manifest.resolve(rel))):
+            raise ValueError(f"{where}: mask target file {rel!r} not found")
     return manifest
 
 
@@ -302,38 +308,30 @@ class LoadedItem:
     object_id: str
     stack: FeatureStack
     target: AffordanceTarget
+    points: dict[str, list[tuple[float, float]]] | None = None  # keypoint targets only
 
 
 def load_item(
     manifest: DatasetManifest, item: ManifestItem, sigma: float = DEFAULT_SIGMA
 ) -> LoadedItem:
     stack = load_features(manifest.resolve(item.features))
-    record = item.target
-    kind = record.get("kind")
-    if kind == "mask":
-        path = manifest.resolve(record["path"])
-        target_kind = record.get("target_kind", DENSE_BINARY)
-        try:
+    where = context = f"item {item.item_id}"
+    rel, target_kind, points, sigma = parse_target(item.target, where, sigma)
+    try:
+        if points is None:
+            path = manifest.resolve(rel)
+            context += f": mask target {path} read as target_kind {target_kind!r}"
             target = load_target(path, target_kind)
-        except (FormatError, CorruptionError) as exc:
-            raise type(exc)(
-                f"item {item.item_id}: mask target {path} read as target_kind {target_kind!r}: {exc}"
-            ) from exc
-    elif kind == "keypoints":
-        H, W = stack.image_size
-        kp = parse_points(record.get("points"), f"item {item.item_id}")
-        try:
-            target = densify(kp, record.get("sigma", sigma), H, W, manifest.affordances)
-        except ValueError as exc:
-            raise ValueError(f"item {item.item_id}: {exc}") from exc
-    else:
-        raise ValueError(f"item {item.item_id}: unknown target kind {kind!r}")
+        else:
+            target = densify(points, sigma, *stack.image_size, manifest.affordances)
+    except (FormatError, CorruptionError, ValueError) as exc:
+        raise type(exc)(f"{context}: {exc}") from exc
     if target.shape[2] != len(manifest.affordances):
         raise ValueError(
-            f"item {item.item_id}: target has {target.shape[2]} channels, "
+            f"{where}: target has {target.shape[2]} channels, "
             f"manifest lists {len(manifest.affordances)} affordances"
         )
-    return LoadedItem(item.item_id, item.object_id, stack, target)
+    return LoadedItem(item.item_id, item.object_id, stack, target, points)
 
 
 def build_oneshot_trainset(manifest: DatasetManifest, seed: int) -> list[ManifestItem]:

@@ -130,8 +130,6 @@ def load_features(path) -> FeatureStack:
         n_layers, L, C_v, h_p, w_p, H, W = container.read_u32(fh, 7)
         if n_layers < 1 or L < 1 or C_v < 1:
             raise CorruptionError(f"implausible header ({n_layers} layers, {L}x{C_v})")
-        if h_p * w_p != L:
-            raise CorruptionError(f"grid {h_p}x{w_p} does not tile {L} patches")
         layers = tuple(
             container.read_f64(fh, L * C_v).reshape(L, C_v) for _ in range(n_layers)
         )

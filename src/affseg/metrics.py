@@ -208,10 +208,8 @@ def evaluate_checkpoint(
         loaded = data.load_item(manifest, item, sigma=sigma)
         pred, _ = training.forward_encoded(ckpt.params, text, text_cache, loaded.stack, ckpt.ablate)
         fixations = None
-        if mode == "heatmap" and item.target.get("kind") == "keypoints":
-            fixations = keypoint_fixations(
-                item.target["points"], loaded.target.shape, manifest.affordances
-            )
+        if mode == "heatmap" and loaded.points is not None:
+            fixations = keypoint_fixations(loaded.points, loaded.target.shape, manifest.affordances)
         return item.item_id, pred, loaded.target, fixations
 
     return evaluate(run_item, items, mode, manifest.affordances, threshold)

@@ -104,9 +104,9 @@ def make_world(
     training set. Novel objects draw from the same part pool.
     """
     affordances = tuple(affordances)
-    for name, value, low in (("num_base", num_base, 1), ("num_novel", num_novel, 0),
-                             ("num_parts", num_parts, 1), ("feature_dim", feature_dim, 1),
-                             ("num_layers", num_layers, 1)):
+    for name, value, low in (("seed", seed, 0), ("num_base", num_base, 1),
+                             ("num_novel", num_novel, 0), ("num_parts", num_parts, 1),
+                             ("feature_dim", feature_dim, 1), ("num_layers", num_layers, 1)):
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value!r}")
     if len(affordances) < 1:
@@ -192,6 +192,12 @@ def part_map(spec: SynthWorldSpec, object_id: str) -> np.ndarray:
     return labels
 
 
+def check_noise(noise_scale: float) -> None:
+    """The noise rule of :func:`synth_vision_encode`: finite and >= 0."""
+    if not (np.isfinite(noise_scale) and noise_scale >= 0):
+        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
+
+
 def synth_vision_encode(
     spec: SynthWorldSpec, object_id: str, noise_scale: float, variant: int = 0
 ) -> FeatureStack:
@@ -204,8 +210,7 @@ def synth_vision_encode(
     Seeded Gaussian noise of the given scale is added per patch; ``variant``
     selects an independent noise draw for additional items of one object.
     """
-    if not (np.isfinite(noise_scale) and noise_scale >= 0):
-        raise ValueError(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
+    check_noise(noise_scale)
     obj = spec.object(object_id)
     h_p, w_p = spec.grid
     labels = part_map(spec, object_id).reshape(-1)

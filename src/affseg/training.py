@@ -9,9 +9,10 @@ given the config seed.
 from __future__ import annotations
 
 import copy
+import itertools
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -150,6 +151,23 @@ def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
         for name in ("wq", "wk", "wv", "wc", "w1", "b1", "w2", "b2"):
             items.append((f"decoder.{k}.{name}", getattr(layer, name)))
     return items
+
+
+def param_shapes(cfg: TrainConfig, feature_dim: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """(name, shape) of every trainable tensor of ``init_model(cfg, feature_dim)``,
+    in :func:`param_items` order, without building the model."""
+    C, C_v = cfg.C, feature_dim
+    yield "ctx.vectors", (cfg.p, cfg.C_t)
+    for i in range(cfg.j):
+        yield f"fusion.proj.{i}", (C_v, C_v)
+    yield "fusion.alpha_logits", (cfg.j,)
+    yield "embedder.weight", (C_v, C)
+    yield "embedder.bias", (C,)
+    layer = {"wq": (C, C), "wk": (C, C), "wv": (C, C), "wc": (C_v, C),
+             "w1": (C, 4 * C), "b1": (4 * C,), "w2": (4 * C, C), "b2": (C,)}
+    for k in range(cfg.t):
+        for name, shape in layer.items():
+            yield f"decoder.{k}.{name}", shape
 
 
 class Gradients(Mapping):
@@ -497,31 +515,15 @@ def load_checkpoint(path) -> Checkpoint:
     weight = arrays.get("embedder.weight")
     if weight is None or weight.ndim != 2:
         raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
-    # the config keys that size the model must match the arrays before init_model allocates
-    ctx = arrays.get("ctx.vectors", np.empty((0, 0)))
-    layers = {name.split(".")[1] for name in arrays if name.startswith("decoder.")}
-    for key, name, stored in (
-        ("p", "ctx.vectors", ctx.shape[:1]), ("C_t", "ctx.vectors", ctx.shape[1:]),
-        ("j", "fusion.alpha_logits", np.shape(arrays.get("fusion.alpha_logits"))),
-        ("C", "embedder.weight", weight.shape[1:]), ("t", "decoder.* layer count", (len(layers),)),
-    ):
-        if stored != (getattr(cfg, key),):
-            raise CorruptionError(f"checkpoint config {key}={getattr(cfg, key)} does not match "
-                                  f"{name} {list(stored)}")
+    # every stored name and shape must be the model's, in order, before init_model allocates
+    expected = itertools.chain(param_shapes(cfg, weight.shape[0]),
+                               [("text_encoder.proj", (cfg.C_t, cfg.C))])
+    for i, (got, want) in enumerate(itertools.zip_longest(entries, expected)):
+        if got != want:
+            raise CorruptionError(f"checkpoint array {i} is {got}, the model's is {want}")
     params = init_model(cfg, weight.shape[0])
-    slots = dict(param_items(params))
-    slots["text_encoder.proj"] = proj = np.empty((cfg.C_t, cfg.C))
-    unexpected = sorted(set(arrays) - set(slots))
-    if unexpected:
-        raise CorruptionError(f"checkpoint has unexpected arrays {unexpected}")
-    for name, slot in slots.items():
-        if name not in arrays:
-            raise CorruptionError(f"checkpoint missing array {name}")
-        if arrays[name].shape != slot.shape:
-            raise CorruptionError(
-                f"checkpoint array {name} has shape {arrays[name].shape}, expected {slot.shape}"
-            )
-        slot[...] = arrays[name]
+    *stored, proj = arrays.values()
+    np.concatenate([a.ravel() for a in stored], out=params.theta)
     proj.flags.writeable = False
     enc = StubTextEncoder(proj=proj, seed=cfg.seed)
     return Checkpoint(params, enc, affordances, cfg, ablate)

@@ -61,12 +61,17 @@ class TestGenSynth:
         pytest.param("--layers", "0", "num_layers must be >= 1", id="layers-0"),
         pytest.param("--novel", "-1", "num_novel must be >= 0", id="novel-negative"),
         pytest.param("--noise", "inf", "noise_scale must be finite and >= 0", id="noise-inf"),
+        pytest.param("--noise", "-1", "noise_scale must be finite and >= 0", id="noise-negative"),
+        pytest.param("--items", "0", "--items must be >= 1", id="items-0"),
+        pytest.param("--items", "-1", "--items must be >= 1", id="items-negative"),
+        pytest.param("--seed", "-1", "seed must be >= 0", id="seed-negative"),
     ])
     def test_out_of_range_flag_is_one_error(self, tmp_path, capsys, flag, value, match):
         assert run("gen-synth", "--seed", "7", "--objects", "2", "--items", "1", flag, value,
                    "--out", str(tmp_path / "w")) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and match in err
+        assert not [p for p in tmp_path.rglob("*") if p.is_file()]
 
 
 class TestDensifyCommand:

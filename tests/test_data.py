@@ -1,7 +1,9 @@
 """Densification, manifests, one-shot trainset, and eval splits."""
 
+import functools
 import json
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from affseg.data import (
     SIGMA_RANGE,
     AffordanceTarget,
     DatasetManifest,
-    KeypointAnnotation,
     ManifestItem,
     build_oneshot_trainset,
     densify,
@@ -53,7 +54,7 @@ BAD_TARGETS = [
 
 class TestDensify:
     def test_single_point_peak_and_symmetry(self):
-        kp = KeypointAnnotation(points={"grasp": [(5, 5)]})
+        kp = {"grasp": [(5, 5)]}
         out = densify(kp, sigma=2.0, height=11, width=11, affordances=AFFS)
         ch = out.M[:, :, 0]
         assert ch[5, 5] == 1.0
@@ -64,7 +65,7 @@ class TestDensify:
         assert ch[5, 6] < ch[5, 5] and ch[5, 7] < ch[5, 6]
 
     def test_empty_channel_stays_zero(self):
-        kp = KeypointAnnotation(points={"grasp": [(1, 1)]})
+        kp = {"grasp": [(1, 1)]}
         out = densify(kp, sigma=2.0, height=4, width=4, affordances=AFFS)
         assert out.M[:, :, 1].max() == 0.0
         assert out.kind == "densified-sparse"
@@ -72,7 +73,7 @@ class TestDensify:
     def test_two_point_midpoint_closed_form(self):
         # oracle: two points 10 px apart, sigma 2: midpoint carries
         # 2*exp(-25/8) before the channel-max division
-        kp = KeypointAnnotation(points={"grasp": [(5, 10), (15, 10)]})
+        kp = {"grasp": [(5, 10), (15, 10)]}
         out = densify(kp, sigma=2.0, height=21, width=21, affordances=AFFS)
         ref = gaussian_sum_reference([(5, 10), (15, 10)], 2.0, 21, 21)
         np.testing.assert_allclose(out.M[:, :, 0], ref, atol=1e-12)
@@ -82,22 +83,22 @@ class TestDensify:
 
     def test_keypoint_order_irrelevant(self):
         pts = [(3, 4), (10, 2), (7, 7)]
-        a = densify(KeypointAnnotation(points={"cut": pts}), 3.0, 12, 12, AFFS)
-        b = densify(KeypointAnnotation(points={"cut": pts[::-1]}), 3.0, 12, 12, AFFS)
+        a = densify({"cut": pts}, 3.0, 12, 12, AFFS)
+        b = densify({"cut": pts[::-1]}, 3.0, 12, 12, AFFS)
         np.testing.assert_array_equal(a.M, b.M)
 
     def test_three_sigma_concentration(self):
-        kp = KeypointAnnotation(points={"grasp": [(20, 20)]})
+        kp = {"grasp": [(20, 20)]}
         out = densify(kp, sigma=3.0, height=41, width=41, affordances=AFFS)
         assert out.M[20, 29, 0] < 0.012  # 3 sigma to the side of a lone point
 
     def test_out_of_bounds_point(self):
         with pytest.raises(ValueError):
-            densify(KeypointAnnotation(points={"grasp": [(50, 5)]}), 2.0, 10, 10, AFFS)
+            densify({"grasp": [(50, 5)]}, 2.0, 10, 10, AFFS)
 
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
-            densify(KeypointAnnotation(points={}), 0.0, 4, 4, AFFS)
+            densify({}, 0.0, 4, 4, AFFS)
 
 
 def _coordinate(n):
@@ -126,7 +127,7 @@ def densify_cases(draw, max_side=12):
 @given(case=densify_cases())
 def test_densify_bitwise_equal_to_reference(case):
     points, sigma, H, W, names = case
-    out = densify(KeypointAnnotation(points=points), sigma, H, W, names)
+    out = densify(points, sigma, H, W, names)
     assert out.M.tobytes() == densify_reference(points, sigma, H, W, names).tobytes()
 
 
@@ -222,6 +223,18 @@ class TestManifest:
         pytest.param(lambda d: {**d, "items": [5] + d["items"][1:]}, id="item-entry"),
         pytest.param(lambda d: {**d, "items": [{**d["items"][0], "target": "targets/x.ooal"}]
                                 + d["items"][1:]}, id="item-target"),
+        pytest.param(lambda d: {**d, "objects": [{**d["objects"][0], "novel": "false"}]
+                                + d["objects"][1:]}, id="novel-string"),
+        pytest.param(lambda d: {**d, "objects": [{**d["objects"][0], "novel": 1}]
+                                + d["objects"][1:]}, id="novel-number"),
+        pytest.param(lambda d: {**d, "objects": [{**o, "id": 7} if o["id"] == "base-00" else o
+                                                 for o in d["objects"]],
+                                "items": [{**i, "object": 7} if i["object"] == "base-00" else i
+                                          for i in d["items"]]}, id="object-id-number"),
+        pytest.param(lambda d: {**d, "items": [{**d["items"][0], "id": 7}] + d["items"][1:]},
+                     id="item-id-number"),
+        pytest.param(lambda d: {**d, "items": [{**d["items"][0], "id": "base-00-0\nx"}]
+                                + d["items"][1:]}, id="item-id-line-break"),
     ] + [
         pytest.param(lambda d, t=p.values[0]: {**d, "items": [{**d["items"][0], "target": t}]
                                                + d["items"][1:]}, id=p.id)
@@ -265,7 +278,7 @@ class TestManifest:
 
     def test_mask_target_kind_selects_the_reader(self, tmp_path):
         manifest = write_world(tmp_path)
-        kp = KeypointAnnotation(points={"grasp": [(3, 4)], "cut": [(9, 9)]})
+        kp = {"grasp": [(3, 4)], "cut": [(9, 9)]}
         save_target(densify(kp, 2.0, 16, 16, AFFS), tmp_path / "soft.ooal")
         record = {"kind": "mask", "path": "soft.ooal"}
         item = ManifestItem("soft-item", "base-00", manifest.items[0].features, record)
@@ -317,6 +330,7 @@ _xy = st.lists(st.integers(-1, 16) | st.floats(-1, 16), min_size=2, max_size=2)
 _point = st.one_of(_xy, _xy, _xy, st.lists(_coord, max_size=3), _json)
 _points = st.dictionaries(st.sampled_from(AFFS + ["bogus"]), st.lists(_point, max_size=3)
                           | _json, max_size=3)
+_DELETE = object()  # stands for removing the field
 _target_records = st.one_of(
     st.fixed_dictionaries({"kind": st.just("keypoints"), "points": _points},
                           optional={"sigma": st.floats(0.5, 20) | st.floats() | _json}),
@@ -344,6 +358,38 @@ def test_any_target_record_loads_or_fails_with_one_error(fuzz_world, record):
     except (ValueError, FormatError, CorruptionError):
         return
     assert loaded.target.shape == (16, 16, len(AFFS))
+
+
+# every field of the fuzz world's manifest, as the keys that lead to it from the document
+_MANIFEST_FIELDS = [(), ("affordances",), ("objects",), ("objects", 0), ("objects", 0, "id"),
+                    ("objects", 0, "novel"), ("items",), ("items", 0), ("items", 0, "id"),
+                    ("items", 0, "object"), ("items", 0, "features"), ("items", 0, "target")]
+_paths = st.sampled_from(["feats/base-00-0.ooal", "targets/base-00.ooal", "manifest.json",
+                          "feats", "", "missing.ooal"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.sampled_from(_MANIFEST_FIELDS),
+       value=_json | _paths | _target_records | st.just("base-00") | st.just(AFFS)
+       | st.just(_DELETE))
+def test_any_manifest_field_loads_or_fails_with_one_error(fuzz_world, keys, value):
+    doc = json.loads((fuzz_world / "manifest.json").read_text())
+    if not keys:
+        doc = None if value is _DELETE else value
+    else:
+        parent = functools.reduce(operator.getitem, keys[:-1], doc)
+        if value is _DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+    path = fuzz_world / "fuzzed-manifest.json"
+    path.write_text(json.dumps(doc))
+    try:
+        manifest = load_manifest(path)
+        for item in manifest.items:
+            assert load_item(manifest, item).target.shape == (16, 16, len(manifest.affordances))
+    except (ValueError, FormatError, CorruptionError) as exc:
+        assert "\n" not in str(exc)
 
 
 class TestOneShotTrainset:

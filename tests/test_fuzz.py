@@ -10,7 +10,6 @@ from affseg.container import CorruptionError, FormatError
 from affseg.data import (
     DENSE_BINARY,
     DENSIFIED_SPARSE,
-    KeypointAnnotation,
     densify,
     load_target,
     save_target,
@@ -51,7 +50,7 @@ def intact_files(tmp_path_factory):
     params, enc, table, item = gradcheck.build_problem(seed=0, C=4, C_v=4, t=1)
     save_features(item.stack, root / "features.ooal")
     save_target(item.target, root / "binary.ooal")
-    kp = KeypointAnnotation(points={"aff0": [(1, 2)], "aff2": [(6.5, 0.25), (3, 3)]})
+    kp = {"aff0": [(1, 2)], "aff2": [(6.5, 0.25), (3, 3)]}
     save_target(densify(kp, 2.0, 8, 8, table.names), root / "soft.ooal")
     cfg = training.TrainConfig(seed=0, p=2, j=2, t=1, C=4, C_t=8, iterations=0)
     training.save_checkpoint(training.Checkpoint(params, enc, table.names, cfg),

@@ -368,7 +368,7 @@ def test_heatmap_record_bitwise_equal_to_reference(drawn, case, soft, given_fixa
                                    | st.sampled_from([0.0, 0.5, 1.0])))
     assume((scores.sum(axis=(0, 1)) > 0).all())
     if soft:
-        gt = data.densify(data.KeypointAnnotation(points=points), sigma, H, W, names).M
+        gt = data.densify(points, sigma, H, W, names).M
     else:
         gt = drawn.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0])))
     fix = keypoint_fixations(points, shape, names) if given_fixations else None

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -176,6 +177,16 @@ class TestParameterLayout:
         np.testing.assert_array_equal(
             theta, np.concatenate([arr.ravel() for _, arr in param_items(mp)])
         )
+
+    @pytest.mark.parametrize("cfg, C_v", [
+        (TrainConfig(p=2, j=2, t=1, C=16, C_t=16), 16),
+        (TrainConfig(p=1, j=1, t=0, C=4, C_t=3), 5),
+        (TrainConfig(p=3, j=4, t=3, C=6, C_t=2), 2),
+        (TrainConfig(), 32),
+    ])
+    def test_param_shapes_match_the_built_model(self, cfg, C_v):
+        built = [(name, arr.shape) for name, arr in param_items(training.init_model(cfg, C_v))]
+        assert list(training.param_shapes(cfg, C_v)) == built
 
     def test_direct_construction_leaves_its_arguments_alone(self):
         src, *_ = gradcheck.build_problem(seed=5)
@@ -542,13 +553,18 @@ class TestCheckpoint:
                      CorruptionError, "ctx.vectors twice", id="duplicate-name"),
         pytest.param(lambda d: {**d, "arrays": d["arrays"][:-1]
                                 + [{**d["arrays"][-1], "name": "text_encoder.bias"}]},
-                     CorruptionError, "unexpected arrays", id="unexpected-name"),
+                     CorruptionError, re.escape("array 14 is ('text_encoder.bias', (16, 16)), "
+                                                "the model's is ('text_encoder.proj', (16, 16))"),
+                     id="unexpected-name"),
         pytest.param(_config(p=2**40), CorruptionError,
-                     "config p=1099511627776 does not match ctx.vectors", id="p-2^40"),
+                     re.escape("array 0 is ('ctx.vectors', (2, 16)), "
+                               "the model's is ('ctx.vectors', (1099511627776, 16))"), id="p-2^40"),
         pytest.param(_config(t=10**6), CorruptionError,
-                     "config t=1000000 does not match decoder", id="t-10^6"),
+                     re.escape("array 14 is ('text_encoder.proj', (16, 16)), "
+                               "the model's is ('decoder.1.wq', (16, 16))"), id="t-10^6"),
         pytest.param(_shape_of("decoder.0.w1", [64, 16]), CorruptionError,
-                     r"decoder.0.w1 has shape \(64, 16\), expected \(16, 64\)",
+                     re.escape("array 10 is ('decoder.0.w1', (64, 16)), "
+                               "the model's is ('decoder.0.w1', (16, 64))"),
                      id="transposed-array"),
     ] + [
         pytest.param(lambda d, a=a: {**d, "affordances": a}, FormatError,
@@ -567,6 +583,28 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
         with pytest.raises(error, match=match):
             load_checkpoint(path)
+
+    def test_oversized_config_fails_before_the_model_is_built(self, tiny_world, tmp_path,
+                                                               monkeypatch):
+        # a small file whose config says C = 20000 and whose embedder.weight is listed as
+        # [1, 20000]: building that model would ask for 20000 x 20000 decoder matrices
+        ckpt, *_ = self.bundle(tiny_world, iterations=0)
+        path = tmp_path / "model.ooal"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        doc = json.loads(raw[12:12 + n])
+        doc["config"]["C"] = 20000
+        doc = _shape_of("embedder.weight", [1, 20000])(doc)
+        blob = json.dumps(doc).encode()
+        values = sum(math.prod(e["shape"]) for e in doc["arrays"])
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + bytes(8 * values))
+        assert path.stat().st_size < 200_000
+        calls = []
+        monkeypatch.setattr(training, "init_model", lambda *args: calls.append(args))
+        with pytest.raises(CorruptionError, match=re.escape("('fusion.proj.0', (16, 16))")):
+            load_checkpoint(path)
+        assert calls == []
 
     def test_nonfinite_payload_is_corruption(self, tiny_world, tmp_path):
         ckpt, *_ = self.bundle(tiny_world, iterations=0)
