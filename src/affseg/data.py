@@ -291,7 +291,10 @@ def load_manifest(path) -> DatasetManifest:
         if not (_is_id(item.item_id) and _is_id(item.object_id)):
             raise ValueError(f"manifest {path}: item {item.item_id!r} needs a string id and "
                              f"object, got object {item.object_id!r}")
-    manifest = DatasetManifest(affordances, objects, items, root=path.parent)
+    try:
+        manifest = DatasetManifest(affordances, objects, items, root=path.parent)
+    except ValueError as exc:
+        raise ValueError(f"manifest {path}: {exc}") from exc
     for item in manifest.items:
         where = f"manifest {path}: item {item.item_id}"
         if not (isinstance(item.features, str) and os.path.isfile(manifest.resolve(item.features))):

@@ -4,6 +4,11 @@ The last j encoder layers are each linearly projected and combined with a
 convex weight vector; the weights live as logits under a softmax so the
 simplex constraint holds for any parameter value. The embedder is a single
 affine map aligning the fused visual features with the text embedding width.
+
+At inference the two are one linear map, ``sum_i X_i (alpha_i P_i W) + b``:
+:func:`fold_embedder` computes the per-layer matrices once per set of
+parameters and :func:`embed_folded` applies them to a feature stack.
+Training keeps the separate cached passes, whose caches feed the backward.
 """
 
 from __future__ import annotations
@@ -87,17 +92,28 @@ class FuseCache(NamedTuple):
     alpha: np.ndarray
 
 
-def fuse_cached(stack: FeatureStack, fp: FusionParams):
-    """Weighted sum over the last j projected layers -> (L x C_v, cache)."""
-    j = fp.depth
+def _used_layers(stack: FeatureStack, proj_shapes) -> tuple[np.ndarray, ...]:
+    """The last ``len(proj_shapes)`` layers, order: last, last-1, ..., each
+    checked against the input width of its projection."""
+    j = len(proj_shapes)
     if j > len(stack.layers):
         raise ValueError(f"fusion wants {j} layers but stack has {len(stack.layers)}")
     used = tuple(stack.layers[-i] for i in range(1, j + 1))
-    for i, layer in enumerate(used):
-        if layer.shape[1] != fp.proj[i].shape[0]:
-            raise ValueError(
-                f"layer dim {layer.shape[1]} does not match projection {fp.proj[i].shape}"
-            )
+    for layer, shape in zip(used, proj_shapes):
+        if layer.shape[1] != shape[0]:
+            raise ValueError(f"layer dim {layer.shape[1]} does not match projection {shape}")
+    return used
+
+
+def _check_embed_input(width: int, emb_in: int) -> None:
+    if width != emb_in:
+        raise ValueError(f"feature dim {width} does not match embedder input {emb_in}")
+
+
+def fuse_cached(stack: FeatureStack, fp: FusionParams):
+    """Weighted sum over the last j projected layers -> (L x C_v, cache)."""
+    j = fp.depth
+    used = _used_layers(stack, [P.shape for P in fp.proj])
     alpha = fp.alpha
     projected = [used[i] @ fp.proj[i] for i in range(j)]
     fused = sum(alpha[i] * projected[i] for i in range(j))
@@ -120,10 +136,7 @@ class EmbedCache(NamedTuple):
 
 def embed_cached(fused: np.ndarray, emb: Embedder):
     """Row-wise affine map, no activation -> (L x C, cache)."""
-    if fused.shape[1] != emb.weight.shape[0]:
-        raise ValueError(
-            f"feature dim {fused.shape[1]} does not match embedder input {emb.weight.shape[0]}"
-        )
+    _check_embed_input(fused.shape[1], emb.weight.shape[0])
     return fused @ emb.weight + emb.bias, EmbedCache(fused, emb.weight)
 
 
@@ -133,3 +146,39 @@ def embed_backward(cache: EmbedCache, d_out: np.ndarray):
     d_bias = d_out.sum(axis=0)
     d_fused = d_out @ cache.weight.T
     return d_weight, d_bias, d_fused
+
+
+class FoldedEmbedder(NamedTuple):
+    """Fusion and embedder as one linear map, for inference only."""
+
+    weights: tuple[np.ndarray, ...]  # alpha_i * (P_i @ W), order: last, last-1, ...
+    bias: np.ndarray
+    proj_shapes: tuple[tuple[int, ...], ...] | None  # None: fusion bypassed
+
+
+def fold_embedder(fp: FusionParams | None, emb: Embedder) -> FoldedEmbedder:
+    """One C_v x C matrix per fused layer, ``alpha_i * (P_i @ W)``; with *fp*
+    None (fusion bypassed) the one matrix is ``W`` itself, on the last layer.
+    The result reads the parameters as they are now: fold again after a step."""
+    if fp is None:
+        return FoldedEmbedder((emb.weight,), emb.bias, None)
+    alpha = fp.alpha
+    weights = tuple(alpha[i] * (P @ emb.weight) for i, P in enumerate(fp.proj))
+    return FoldedEmbedder(weights, emb.bias, tuple(P.shape for P in fp.proj))
+
+
+def embed_folded(stack: FeatureStack, folded: FoldedEmbedder) -> np.ndarray:
+    """``embed_cached(fuse_cached(stack, fp), emb)`` from ``fold_embedder(fp,
+    emb)`` -> L x C, equal up to rounding (bitwise with fusion bypassed), with
+    the same errors; the products are summed into one output, the layers are
+    never concatenated."""
+    if folded.proj_shapes is None:
+        used = (stack.last,)
+        _check_embed_input(stack.last.shape[1], folded.weights[0].shape[0])
+    else:
+        used = _used_layers(stack, folded.proj_shapes)
+    visual = used[0] @ folded.weights[0]
+    for layer, M in zip(used[1:], folded.weights[1:]):
+        visual += layer @ M
+    visual += folded.bias
+    return visual

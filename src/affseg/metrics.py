@@ -194,19 +194,22 @@ def evaluate_checkpoint(
     threshold: float = 0.5,
 ) -> MetricsReport:
     """Run the model of a trained checkpoint over manifest items; the prompts
-    are encoded once per call.
+    are encoded and the fusion folded into the embedder once per call.
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
     to the half-peak binarization.
     """
-    from . import data, training
+    from . import data, fusion, training
 
-    text, text_cache = training.encode_prompts(ckpt.params, ckpt.enc, ckpt.text_table(), ckpt.ablate)
+    mp, ablate = ckpt.params, ckpt.ablate
+    text, _ = training.encode_prompts(mp, ckpt.enc, ckpt.text_table(), ablate)
+    folded = fusion.fold_embedder(None if ablate == "mlff" else mp.fp, mp.emb)
 
     def run_item(item):
         loaded = data.load_item(manifest, item, sigma=sigma)
-        pred, _ = training.forward_encoded(ckpt.params, text, text_cache, loaded.stack, ckpt.ablate)
+        visual = fusion.embed_folded(loaded.stack, folded)
+        pred, _, _ = training.decode_and_predict(mp, text, visual, loaded.stack, ablate)
         fixations = None
         if mode == "heatmap" and loaded.points is not None:
             fixations = keypoint_fixations(loaded.points, loaded.target.shape, manifest.affordances)

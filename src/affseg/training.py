@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -241,15 +241,23 @@ def forward(
     stack: FeatureStack,
     ablate: str | None = None,
 ) -> tuple[Prediction, ForwardCache]:
-    """Full model pass on one feature stack: :func:`encode_prompts`, then
-    :func:`forward_encoded`.
+    """Full model pass on one feature stack: :func:`encode_prompts`, fusion
+    and embedding, then :func:`decode_and_predict`.
 
     ``ablate`` disables one module: "tpl" drops the learned context, "mlff"
     bypasses fusion (raw last layer), "td" skips the decoder, "ctm" forces
     the foreground gate to one.
     """
     text, text_cache = encode_prompts(mp, enc, table, ablate)
-    return forward_encoded(mp, text, text_cache, stack, ablate)
+    if ablate == "mlff":
+        fused, fuse_cache = stack.last, None
+    else:
+        fused, fuse_cache = fusion.fuse_cached(stack, mp.fp)
+    visual, embed_cache = fusion.embed_cached(fused, mp.emb)
+    pred, decode_caches, predict_cache = decode_and_predict(mp, text, visual, stack, ablate)
+    return pred, ForwardCache(
+        pred, text_cache, fuse_cache, embed_cache, decode_caches, predict_cache, ablate
+    )
 
 
 def encode_prompts(mp: ModelParams, enc: StubTextEncoder, table: ClassTokenTable,
@@ -261,28 +269,20 @@ def encode_prompts(mp: ModelParams, enc: StubTextEncoder, table: ClassTokenTable
     return prompt.encode_texts_cached(ctx, table, enc)
 
 
-def forward_encoded(mp: ModelParams, text: np.ndarray, text_cache: prompt.TextCache,
-                    stack: FeatureStack, ablate: str | None = None) -> tuple[Prediction, ForwardCache]:
-    """The model pass after the prompts, from the output of :func:`encode_prompts`
-    for the same ``mp`` and ``ablate``; reads ``text`` without changing it."""
-    _check_ablation(ablate)
-    if ablate == "mlff":
-        fused, fuse_cache = stack.last, None
-    else:
-        fused, fuse_cache = fusion.fuse_cached(stack, mp.fp)
-    visual, embed_cache = fusion.embed_cached(fused, mp.emb)
+def decode_and_predict(mp: ModelParams, text: np.ndarray, visual: np.ndarray,
+                       stack: FeatureStack, ablate: str | None = None):
+    """The model pass after the prompts and the visual embedding: the decoder
+    (skipped under "td", ungated under "ctm") and the prediction head.
+    Reads ``text`` and ``visual`` without changing them.
+    -> (Prediction, decoder caches, head cache)."""
     if ablate == "td":
         text_out, decode_caches = text, []
     else:
         text_out, decode_caches = decoder.decode_cached(
             text, visual, stack.cls, mp.dp, use_gate=(ablate != "ctm")
         )
-    pred, predict_cache = decoder.predict_cached(
-        visual, text_out, stack.grid, stack.image_size
-    )
-    return pred, ForwardCache(
-        pred, text_cache, fuse_cache, embed_cache, decode_caches, predict_cache, ablate
-    )
+    pred, predict_cache = decoder.predict_cached(visual, text_out, stack.grid, stack.image_size)
+    return pred, decode_caches, predict_cache
 
 
 def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
@@ -446,9 +446,16 @@ class Checkpoint:
     affordances: tuple[str, ...]
     cfg: TrainConfig
     ablate: str | None = None
+    _table: ClassTokenTable = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        table = synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
+        table.tokens.flags.writeable = False  # shared by every text_table() call
+        object.__setattr__(self, "_table", table)
 
     def text_table(self) -> ClassTokenTable:
-        return synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
+        """The frozen token table the model was trained with, built once."""
+        return self._table
 
 
 CHECKPOINT_VERSION = 1
@@ -497,7 +504,7 @@ def load_checkpoint(path) -> Checkpoint:
         for name, shape in entries:
             if name in arrays:
                 raise CorruptionError(f"checkpoint lists array {name} twice")
-            if not all(isinstance(d, int) and d >= 0 for d in shape):
+            if not all(type(d) is int and d >= 0 for d in shape):
                 raise CorruptionError(f"checkpoint array {name} has bad shape {list(shape)}")
             arrays[name] = container.read_f64(fh, math.prod(shape)).reshape(shape)
             if not np.isfinite(arrays[name]).all():

@@ -5,9 +5,9 @@ the public ``*_cached`` / ``*_backward`` layer calls and wraps other layer
 functions through their module attributes. These tests load it unchanged, so
 a refactor that breaks the tracer fails here in about a second.
 Traced training must equal untraced training bitwise.
-Eval goes through ``training.forward_encoded``, which the tracer leaves in
-place; the upsampling it calls is still wrapped, and traced reports must
-equal untraced ones.
+Eval goes through ``fusion.embed_folded`` and ``training.decode_and_predict``,
+which the tracer leaves in place; the upsampling they call is still wrapped,
+and traced reports must equal untraced ones.
 """
 
 import dataclasses

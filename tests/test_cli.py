@@ -318,6 +318,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and doc["items"][-1]["id"] in err
 
+    def test_inconsistent_manifest_is_one_error(self, world_dir, cfg_path, tmp_path, capsys):
+        doc = json.loads((world_dir / "manifest.json").read_text())
+        doc["items"].append(doc["items"][0])
+        bad = world_dir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg_path), "--manifest", str(bad),
+                   "--out", str(tmp_path / "model.ooal")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: manifest {bad}: duplicate item id {doc['items'][0]['id']}\n"
+
     def test_bad_patch_spec(self, world_dir, tmp_path):
         from affseg.data import load_manifest
 

@@ -172,6 +172,19 @@ class TestTargetFile:
             AffordanceTarget(M=np.full((2, 2, 1), 0.25), kind="dense-binary")
 
 
+# manifest edits that only DatasetManifest's cross-checks catch, with their message
+MANIFEST_CONSISTENCY = [
+    pytest.param(lambda d: {**d, "objects": d["objects"] + d["objects"][:1]},
+                 "duplicate object ids", id="duplicate-object"),
+    pytest.param(lambda d: {**d, "items": d["items"] + d["items"][:1]},
+                 "duplicate item id base-00-0", id="duplicate-item"),
+    pytest.param(lambda d: {**d, "items": [{**d["items"][0], "object": "ghost"}] + d["items"][1:]},
+                 "item base-00-0 references unknown object ghost", id="unknown-object"),
+    pytest.param(lambda d: {**d, "objects": d["objects"] + [{"id": "lonely", "novel": False}]},
+                 "object lonely has no items", id="object-without-items"),
+]
+
+
 def write_world(tmp_path, num_base=3, num_novel=2, items=2, seed=21):
     """Small on-disk synthetic dataset via the library (not the CLI)."""
     from affseg.features import save_features
@@ -254,6 +267,15 @@ class TestManifest:
         path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
         with pytest.raises(ValueError, match="manifest.json"):
             load_manifest(path)
+
+    @pytest.mark.parametrize("mutate, message", MANIFEST_CONSISTENCY)
+    def test_consistency_errors_name_the_manifest(self, tmp_path, mutate, message):
+        write_world(tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(mutate(json.loads(path.read_text()))))
+        with pytest.raises(ValueError) as info:
+            load_manifest(path)
+        assert str(info.value) == f"manifest {path}: {message}"
 
     @pytest.mark.parametrize("target", [t for t in BAD_TARGETS
                                         if t.values[0].get("kind") == "keypoints"])

@@ -9,6 +9,8 @@ from affseg.fusion import (
     FusionParams,
     embed_cached,
     embed_backward,
+    embed_folded,
+    fold_embedder,
     fuse_cached,
     fuse_backward,
     init_embedder,
@@ -103,6 +105,57 @@ class TestEmbed:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             embed_cached(np.zeros((4, 3)), Embedder(weight=np.eye(2), bias=np.zeros(2)))
+
+
+def fold_problem(C_v, C, L, j=3, depth=4, seed=0):
+    rng = np.random.default_rng(seed)
+    side = int(np.sqrt(L))
+    stack = stack_of([rng.standard_normal((L, C_v)) for _ in range(depth)], grid=(side, side))
+    fp = init_fusion(j, C_v, seed=seed)
+    fp.alpha_logits = rng.standard_normal(j)
+    emb = init_embedder(C_v, C, seed=seed)
+    emb.bias = rng.standard_normal(C)
+    return stack, fp, emb
+
+
+def error_message(fn, *args) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
+
+
+class TestFold:
+    @pytest.mark.parametrize("C_v, C, L", [
+        pytest.param(384, 64, 256, id="C_v-above-C"),
+        pytest.param(32, 64, 64, id="C_v-below-C"),
+    ])
+    def test_matches_fuse_then_embed(self, C_v, C, L):
+        stack, fp, emb = fold_problem(C_v, C, L)
+        want = embed_cached(fuse_cached(stack, fp)[0], emb)[0]
+        got = embed_folded(stack, fold_embedder(fp, emb))
+        assert got.shape == want.shape == (L, C)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_bypassed_fusion_is_the_embedder_bitwise(self):
+        stack, _, emb = fold_problem(32, 64, 64)
+        got = embed_folded(stack, fold_embedder(None, emb))
+        assert got.tobytes() == embed_cached(stack.last, emb)[0].tobytes()
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        stack, fp, emb = fold_problem(32, 16, 16)
+        first = embed_folded(stack, fold_embedder(fp, emb))
+        assert first.tobytes() == embed_folded(stack, fold_embedder(fp, emb)).tobytes()
+
+    def test_errors_match_the_cached_passes(self):
+        stack, fp, emb = fold_problem(3, 4, 4, j=2, depth=2)
+        short = stack_of([stack.last], grid=(2, 2))
+        message = error_message(embed_folded, short, fold_embedder(fp, emb))
+        assert "wants 2 layers" in message and message == error_message(fuse_cached, short, fp)
+        wide = stack_of([np.zeros((4, 5))] * 2, grid=(2, 2))
+        assert error_message(embed_folded, wide, fold_embedder(fp, emb)) == \
+            error_message(fuse_cached, wide, fp)
+        assert error_message(embed_folded, wide, fold_embedder(None, emb)) == \
+            error_message(embed_cached, wide.last, emb)
 
 
 def test_gradients_match_finite_differences():

@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affseg import data, prompt, synth, training
+from affseg import data, fusion, prompt, synth, training
 from affseg.data import AffordanceTarget
 from affseg.decoder import Prediction
 from affseg.features import save_features
@@ -451,7 +451,26 @@ def test_evaluate_checkpoint_equals_per_item_forward(trained_world, ablate):
         assert dense[threshold] == evaluate_reference(ckpt, manifest, masks, "dense", threshold)
     assert dense[0.3] != dense[0.7]
     heatmap = evaluate_checkpoint(ckpt, manifest, manifest.items, "heatmap").to_json()
-    assert heatmap == evaluate_reference(ckpt, manifest, manifest.items, "heatmap")
+    reference = evaluate_reference(ckpt, manifest, manifest.items, "heatmap")
+    if ablate == "mlff":  # fusion bypassed: the folded embedder is the embedder itself
+        assert heatmap == reference
+    else:  # the fold re-associates the fusion products, which moves the last bits
+        assert_heatmap_reports_close(heatmap, reference, rel=1e-12, abs_=1e-13)
+
+
+def assert_heatmap_reports_close(got: dict, want: dict, rel: float, abs_: float):
+    """Mode, count and item ids equal; every KLD/SIM/NSS value within *rel*
+    of the reference or *abs_* of it, whichever is larger. The absolute part
+    covers values that are zero up to rounding (an NSS whose fixations are
+    every pixel) or nearly zero (the KLD of a near-perfect fit), where a
+    last-bit change reads as a large relative one."""
+    assert (got["mode"], got["count"]) == (want["mode"], want["count"])
+    assert [r["id"] for r in got["items"]] == [r["id"] for r in want["items"]]
+    for g, w in [*zip(got["items"], want["items"]), (got["aggregates"], want["aggregates"])]:
+        for key in ("kld", "sim", "nss"):
+            assert (g[key] is None) == (w[key] is None)
+            if w[key] is not None:
+                assert g[key] == pytest.approx(w[key], rel=rel, abs=abs_), key
 
 
 @pytest.mark.parametrize("count", [1, 5])
@@ -469,3 +488,19 @@ def test_prompts_encoded_once_per_call(trained_world, monkeypatch, count):
         calls.clear()
         report = evaluate_checkpoint(ckpts[None], manifest, manifest.items[:count], mode)
         assert report.to_json()["count"] == count and len(calls) == 1
+
+
+@pytest.mark.parametrize("ablate", [None, "mlff"])
+def test_fusion_folded_once_per_call(trained_world, monkeypatch, ablate):
+    manifest, ckpts = trained_world
+    calls = []
+    fold = fusion.fold_embedder
+
+    def counted(*args):
+        calls.append(args)
+        return fold(*args)
+
+    monkeypatch.setattr(fusion, "fold_embedder", counted)
+    report = evaluate_checkpoint(ckpts[ablate], manifest, manifest.items[:5], "dense")
+    assert report.to_json()["count"] == 5 and len(calls) == 1
+    assert (calls[0][0] is None) == (ablate == "mlff")

@@ -512,6 +512,13 @@ class TestCheckpoint:
         save_checkpoint(loaded, second)
         assert path.read_bytes() == second.read_bytes()
 
+    def test_text_table_is_built_once(self, tiny_world):
+        ckpt, _, table, _ = self.bundle(tiny_world, iterations=0)
+        first, second = ckpt.text_table(), ckpt.text_table()
+        assert first is second and first.names == table.names
+        assert first.tokens.tobytes() == table.tokens.tobytes()
+        assert not first.tokens.flags.writeable
+
     def test_truncated_file(self, tiny_world, tmp_path):
         ckpt, *_ = self.bundle(tiny_world)
         path = tmp_path / "model.ooal"
@@ -531,6 +538,8 @@ class TestCheckpoint:
                      "bad shape", id="negative-shape"),
         pytest.param(_first_array({"name": "ctx.vectors", "shape": [2.0, 16]}), CorruptionError,
                      "bad shape", id="float-shape"),
+        pytest.param(_first_array({"name": "ctx.vectors", "shape": [True, 16]}), CorruptionError,
+                     "bad shape", id="bool-shape"),
         pytest.param(lambda d: {**d, "arrays": [{**e, "name": e["name"].replace("embedder.", "")}
                                                 for e in d["arrays"]]},
                      CorruptionError, "embedder.weight", id="no-embedder-weight"),
