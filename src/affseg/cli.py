@@ -142,6 +142,7 @@ def cmd_gen_synth(args) -> int:
 
 
 def cmd_densify(args) -> int:
+    data.check_sigma(args.sigma, "--sigma")
     where = f"keypoints file {args.inp}"
     doc = json.loads(Path(args.inp).read_text())
     if not isinstance(doc, dict):
@@ -160,6 +161,7 @@ def cmd_densify(args) -> int:
 
 
 def cmd_train(args) -> int:
+    data.check_sigma(args.sigma, "--sigma")
     cfg = training.load_config(args.config)
     manifest = data.load_manifest(args.manifest)
     chosen = data.build_oneshot_trainset(manifest, cfg.seed)
@@ -178,6 +180,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    data.check_sigma(args.sigma, "--sigma")
+    if not 0.0 < args.threshold < 1.0:
+        raise ValueError(f"--threshold must be in (0, 1), got {args.threshold!r}")
     ckpt = training.load_checkpoint(args.ckpt)
     manifest = data.load_manifest(args.manifest)
     if tuple(manifest.affordances) != ckpt.affordances:

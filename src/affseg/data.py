@@ -104,7 +104,8 @@ def parse_affordances(names, where: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _check_sigma(sigma, where: str = "densify") -> None:
+def check_sigma(sigma, where: str = "densify") -> None:
+    """ValueError naming *where* unless *sigma* is a number in SIGMA_RANGE."""
     lo, hi = SIGMA_RANGE
     if not (_is_number(sigma) and lo <= sigma <= hi):
         raise ValueError(f"{where}: sigma must be a number in [{lo:g}, {hi:g}], got {sigma!r}")
@@ -119,7 +120,7 @@ def densify(
 ) -> AffordanceTarget:
     """Sum an unnormalized Gaussian over each (x, y) keypoint of *points*, then
     scale every channel by its own max (empty channels stay all-zero)."""
-    _check_sigma(sigma)
+    check_sigma(sigma)
     affordances = list(affordances)
     unknown = set(points) - set(affordances)
     if unknown:
@@ -250,7 +251,7 @@ def parse_target(record, where: str, sigma: float = DEFAULT_SIGMA):
     kind, path = record.get("kind"), record.get("path")
     if kind == "keypoints":
         sigma = record.get("sigma", sigma)
-        _check_sigma(sigma, where)
+        check_sigma(sigma, where)
         return None, None, parse_points(record.get("points"), where), sigma
     if kind != "mask":
         raise ValueError(f"{where}: unknown target kind {kind!r}")

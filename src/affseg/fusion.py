@@ -159,7 +159,8 @@ class FoldedEmbedder(NamedTuple):
 def fold_embedder(fp: FusionParams | None, emb: Embedder) -> FoldedEmbedder:
     """One C_v x C matrix per fused layer, ``alpha_i * (P_i @ W)``; with *fp*
     None (fusion bypassed) the one matrix is ``W`` itself, on the last layer.
-    The result reads the parameters as they are now: fold again after a step."""
+    The result reads the parameters as they are now; a ``training.Checkpoint``
+    folds once, as its parameters are read-only."""
     if fp is None:
         return FoldedEmbedder((emb.weight,), emb.bias, None)
     alpha = fp.alpha

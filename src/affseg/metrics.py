@@ -19,12 +19,16 @@ from .decoder import Prediction
 EPS = 1e-12
 
 
-def _normalize_sum(m: np.ndarray) -> np.ndarray:
+def _normalize_sum(m: np.ndarray, zero_ok: bool = False) -> np.ndarray:
+    """*m* over its sum. An all-zero map raises ValueError, or with *zero_ok*
+    is returned as is: the zero distribution of a saturated prediction."""
     m = np.asarray(m, dtype=np.float64)
     if m.min() < 0:
         raise ValueError("map has negative values")
     total = m.sum()
     if total <= 0:
+        if zero_ok:
+            return m
         raise ValueError("all-zero map")
     return m / total
 
@@ -45,13 +49,15 @@ def _sim_normalized(p: np.ndarray, g: np.ndarray) -> float:
 
 def kld(pred: np.ndarray, gt: np.ndarray) -> float:
     """KL divergence of the ground truth from the prediction (asymmetric;
-    both maps sum-normalized first)."""
-    return _kld_normalized(_normalize_sum(pred), _normalize_sum(gt))
+    both maps sum-normalized first). An all-zero prediction is the zero
+    distribution, ``sum(g * log(g / EPS + EPS))``; an all-zero gt raises."""
+    return _kld_normalized(_normalize_sum(pred, zero_ok=True), _normalize_sum(gt))
 
 
 def sim(pred: np.ndarray, gt: np.ndarray) -> float:
-    """Histogram intersection of the two sum-normalized maps, in [0, 1]."""
-    return _sim_normalized(_normalize_sum(pred), _normalize_sum(gt))
+    """Histogram intersection of the two sum-normalized maps, in [0, 1]; an
+    all-zero prediction scores 0, an all-zero gt raises."""
+    return _sim_normalized(_normalize_sum(pred, zero_ok=True), _normalize_sum(gt))
 
 
 def nss(pred: np.ndarray, fixations: np.ndarray) -> float:
@@ -193,8 +199,9 @@ def evaluate_checkpoint(
     sigma: float = DEFAULT_SIGMA,
     threshold: float = 0.5,
 ) -> MetricsReport:
-    """Run the model of a trained checkpoint over manifest items; the prompts
-    are encoded and the fusion folded into the embedder once per call.
+    """Run the model of a trained checkpoint over manifest items. The prompts
+    and the folded fusion come from the checkpoint, which builds them once,
+    so each item costs only its own embedding, decoder, head and scores.
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
@@ -203,13 +210,11 @@ def evaluate_checkpoint(
     from . import data, fusion, training
 
     mp, ablate = ckpt.params, ckpt.ablate
-    text, _ = training.encode_prompts(mp, ckpt.enc, ckpt.text_table(), ablate)
-    folded = fusion.fold_embedder(None if ablate == "mlff" else mp.fp, mp.emb)
 
     def run_item(item):
         loaded = data.load_item(manifest, item, sigma=sigma)
-        visual = fusion.embed_folded(loaded.stack, folded)
-        pred, _, _ = training.decode_and_predict(mp, text, visual, loaded.stack, ablate)
+        visual = fusion.embed_folded(loaded.stack, ckpt.folded)
+        pred, _, _ = training.decode_and_predict(mp, ckpt.text, visual, loaded.stack, ablate)
         fixations = None
         if mode == "heatmap" and loaded.points is not None:
             fixations = keypoint_fixations(loaded.points, loaded.target.shape, manifest.affordances)
@@ -233,7 +238,9 @@ def keypoint_fixations(points: dict, shape, affordances) -> np.ndarray:
 
 
 def heatmap_record(item_id, scores: np.ndarray, gt: np.ndarray, fixations=None) -> dict:
-    """KLD/SIM/NSS for one image, averaged over non-empty gt channels.
+    """KLD/SIM/NSS for one image, averaged over non-empty gt channels. An
+    all-zero prediction channel (saturated scores) is scored as the zero
+    distribution, as :func:`kld`, :func:`sim` and :func:`nss` score it.
 
     ``fixations`` may give a boolean H x W x N stack of true fixation
     pixels (from keypoints); otherwise fixations are binarized from the gt
@@ -245,7 +252,7 @@ def heatmap_record(item_id, scores: np.ndarray, gt: np.ndarray, fixations=None) 
         if g.max() <= 0:
             continue
         p = scores[:, :, ch]
-        p_norm, g_norm = _normalize_sum(p), _normalize_sum(g)
+        p_norm, g_norm = _normalize_sum(p, zero_ok=True), _normalize_sum(g)
         klds.append(_kld_normalized(p_norm, g_norm))
         sims.append(_sim_normalized(p_norm, g_norm))
         fix = fixations[:, :, ch] if fixations is not None else fixations_from_heatmap(g)

@@ -38,6 +38,7 @@ class ModelParams:
     objects whose arrays are views into it; the objects passed in are left as
     they were. Change parameters in place: an array rebound to a new object
     is no longer part of ``theta``, and :func:`sgd_step` refuses the model.
+    A :class:`Checkpoint` makes ``theta`` and every array read-only.
     The model also owns the gradient vector that :func:`backward` fills,
     allocated on the first call; :func:`train` releases it when done.
     Models compare by identity; :func:`params_checksum` compares values.
@@ -263,7 +264,7 @@ def forward(
 def encode_prompts(mp: ModelParams, enc: StubTextEncoder, table: ClassTokenTable,
                    ablate: str | None = None) -> tuple[np.ndarray, prompt.TextCache]:
     """The N x C class prompt embeddings and their cache. They depend on the
-    parameters only, so eval encodes them once per call."""
+    parameters only, so a :class:`Checkpoint` encodes them once."""
     _check_ablation(ablate)
     ctx = None if ablate == "tpl" else mp.ctx
     return prompt.encode_texts_cached(ctx, table, enc)
@@ -439,7 +440,15 @@ def save_loss_log(log: LossLog, path) -> None:
 @dataclass(frozen=True)
 class Checkpoint:
     """Self-contained trained model: parameters, the frozen text projection,
-    the vocabulary it was trained with, and the exact config."""
+    the vocabulary it was trained with, and the exact config.
+
+    Construction builds what depends on the parameters alone, once: the token
+    table, the encoded class prompts ``text`` and the folded fusion and
+    embedder ``folded`` (:func:`fusion.fold_embedder`). It then makes
+    ``params.theta`` and every parameter array read-only, so a write to the
+    model (:func:`sgd_step` included) raises ValueError and the built values
+    never go stale; train a model before checkpointing it.
+    """
 
     params: ModelParams
     enc: StubTextEncoder
@@ -447,11 +456,20 @@ class Checkpoint:
     cfg: TrainConfig
     ablate: str | None = None
     _table: ClassTokenTable = field(init=False, compare=False, repr=False)
+    text: np.ndarray = field(init=False, compare=False, repr=False)
+    folded: fusion.FoldedEmbedder = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        mp = self.params
         table = synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
-        table.tokens.flags.writeable = False  # shared by every text_table() call
-        object.__setattr__(self, "_table", table)
+        text, _ = encode_prompts(mp, self.enc, table, self.ablate)
+        folded = fusion.fold_embedder(None if self.ablate == "mlff" else mp.fp, mp.emb)
+        # shared by every eval call; the parameters they were built from stay as they are
+        for arr in (table.tokens, text, *folded.weights, mp.theta,
+                    *(a for _, a in param_items(mp))):
+            arr.flags.writeable = False
+        for name, value in (("_table", table), ("text", text), ("folded", folded)):
+            object.__setattr__(self, name, value)
 
     def text_table(self) -> ClassTokenTable:
         """The frozen token table the model was trained with, built once."""

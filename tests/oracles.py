@@ -145,11 +145,12 @@ def heatmap_record_reference(item_id, scores, gt, fixations=None, eps=1e-12):
     """``metrics.heatmap_record`` as it was written before its in-place
     rewrite: each KLD step makes a fresh temporary, and NSS standardizes the
     whole prediction before picking the fixation pixels. Inputs must be
-    valid (nonnegative maps, no all-zero prediction channel). The rewrite
-    must match it bitwise."""
+    nonnegative maps; an all-zero prediction channel normalizes to all
+    zeros. The rewrite must match it bitwise."""
 
     def normalized(m):
-        return m / m.sum()
+        total = m.sum()
+        return m / total if total > 0 else np.zeros_like(m)
 
     klds, sims, nsss = [], [], []
     for ch in range(gt.shape[2]):

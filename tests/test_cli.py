@@ -1,14 +1,27 @@
 """Command-line surface: smoke flows, determinism, error exits."""
 
+import contextlib
+import io
 import json
+import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affseg.cli import main
+from affseg import fusion, training
+from affseg.cli import build_parser, main
+from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSIFIED_SPARSE
-from tests.test_data import BAD_TARGETS
+from tests.test_data import (
+    _MANIFEST_FIELDS,
+    BAD_TARGETS,
+    _field_values,
+    damage,
+    write_world,
+)
 
 
 def run(*argv):
@@ -219,6 +232,100 @@ class TestTrainEval:
                    str(world_dir / "manifest.json"), "--out", str(ablated),
                    "--ablate", flag) == 0
         assert plain.read_bytes() != ablated.read_bytes()
+
+    def test_saturated_prediction_scores_finite(self, tmp_path):
+        # embedder weight 0 and bias -1e6 * prompt 0 drive every score of channel 0 to exactly 0
+        world = tmp_path / "w"
+        assert run("gen-synth", "--seed", "7", "--objects", "3", "--novel", "1", "--items", "2",
+                   "--out", str(world)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 20, "p": 2, "j": 2, "t": 0, "C": 8, "C_t": 8}))
+        ckpt = tmp_path / "m.ooal"
+        manifest = str(world / "manifest.json")
+        assert run("train", "--config", str(cfg), "--manifest", manifest, "--out", str(ckpt)) == 0
+        trained = training.load_checkpoint(ckpt)
+        mp = trained.params
+        emb = fusion.Embedder(weight=np.zeros_like(mp.emb.weight), bias=-1e6 * trained.text[0])
+        params = training.ModelParams(ctx=mp.ctx, fp=mp.fp, emb=emb, dp=mp.dp)
+        saturated = training.Checkpoint(params, trained.enc, trained.affordances, trained.cfg)
+        training.save_checkpoint(saturated, ckpt)
+
+        report = tmp_path / "heat.json"
+        assert run("eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", "heatmap",
+                   "--report", str(report)) == 0
+        doc = json.loads(report.read_text())
+        values = [rec[key] for split in ("seen", "unseen")
+                  for rec in doc[split]["items"] + [doc[split]["aggregates"]]
+                  for key in ("kld", "sim", "nss")]
+        assert values and all(v is not None and math.isfinite(v) for v in values)
+        assert run("eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", "dense",
+                   "--report", str(tmp_path / "dense.json")) == 0
+
+    @pytest.mark.parametrize("argv, flag", [
+        pytest.param([command, "--sigma", value], "--sigma", id=f"{command}-sigma-{value}")
+        for command in ("train", "densify") for value in ("nan", "inf", "0", "-1", "1e7")
+    ] + [
+        pytest.param(["eval", "--mode", mode, "--sigma", value], "--sigma",
+                     id=f"eval-{mode}-sigma-{value}")
+        for mode in ("dense", "heatmap") for value in ("nan", "0", "1e7")
+    ] + [
+        pytest.param(["eval", "--mode", mode, "--threshold", value], "--threshold",
+                     id=f"eval-{mode}-threshold-{value}")
+        for mode in ("dense", "heatmap") for value in ("5", "0", "1", "-0.5", "nan")
+    ])
+    def test_malformed_flag_fails_before_any_file_is_read(self, tmp_path, capsys, argv, flag):
+        # every input path is missing: only a check made before reading them can name the flag
+        command, *flags = argv
+        files = {"train": ["--config", "cfg.json", "--manifest", "m.json", "--out", "o.ooal"],
+                 "eval": ["--ckpt", "c.ooal", "--manifest", "m.json", "--report", "r.json"],
+                 "densify": ["--in", "kp.json", "--out", "o.ooal"]}
+        paths = [str(tmp_path / f) if f.endswith(("json", "ooal")) else f for f in files[command]]
+        assert run(command, *paths, *flags) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag}")
+        assert not list(tmp_path.iterdir())
+
+
+@pytest.fixture(scope="module")
+def damage_world(tmp_path_factory):
+    """A one-base, one-novel world, a config and a checkpoint trained on it."""
+    root = tmp_path_factory.mktemp("damage")
+    write_world(root, num_base=1, num_novel=1, items=1)
+    cfg = root / "cfg.json"
+    cfg.write_text(json.dumps({"iterations": 2, "p": 1, "j": 1, "t": 1, "C": 4, "C_t": 4}))
+    assert run("train", "--config", str(cfg), "--manifest", str(root / "manifest.json"),
+               "--out", str(root / "model.ooal")) == 0
+    return root
+
+
+_damages = st.lists(st.tuples(st.sampled_from(_MANIFEST_FIELDS), _field_values),
+                    min_size=2, max_size=4)
+
+
+@settings(max_examples=80, deadline=None)
+@given(damages=_damages)
+def test_damaged_manifest_through_train_and_eval(damage_world, damages):
+    doc = json.loads((damage_world / "manifest.json").read_text())
+    for keys, value in damages:
+        doc = damage(doc, keys, value)
+    manifest = damage_world / "damaged.json"
+    manifest.write_text(json.dumps(doc))
+    for argv in (["train", "--config", str(damage_world / "cfg.json"), "--out",
+                  str(damage_world / "out.ooal")],
+                 *(["eval", "--ckpt", str(damage_world / "model.ooal"), "--mode", mode,
+                    "--report", str(damage_world / "report.json")]
+                   for mode in ("dense", "heatmap"))):
+        argv += ["--manifest", str(manifest)]
+        args = build_parser().parse_args(argv)
+        try:
+            args.func(args)
+        except (ValueError, FormatError, CorruptionError) as exc:
+            assert "\n" not in str(exc)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code == 0 or (code == 1 and err.getvalue().count("\n") == 1), err.getvalue()
+
 
 class TestAnalyzeCommands:
     def test_pca_and_simmap(self, world_dir, tmp_path):

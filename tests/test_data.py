@@ -388,22 +388,30 @@ _MANIFEST_FIELDS = [(), ("affordances",), ("objects",), ("objects", 0), ("object
                     ("items", 0, "object"), ("items", 0, "features"), ("items", 0, "target")]
 _paths = st.sampled_from(["feats/base-00-0.ooal", "targets/base-00.ooal", "manifest.json",
                           "feats", "", "missing.ooal"])
+_field_values = (_json | _paths | _target_records | st.just("base-00") | st.just(AFFS)
+                 | st.just(_DELETE))
 
 
-@settings(max_examples=300, deadline=None)
-@given(keys=st.sampled_from(_MANIFEST_FIELDS),
-       value=_json | _paths | _target_records | st.just("base-00") | st.just(AFFS)
-       | st.just(_DELETE))
-def test_any_manifest_field_loads_or_fails_with_one_error(fuzz_world, keys, value):
-    doc = json.loads((fuzz_world / "manifest.json").read_text())
+def damage(doc, keys, value):
+    """*doc* with the field at *keys* set to *value*, or removed for
+    ``_DELETE``; a field that an earlier damage took away is left alone."""
     if not keys:
-        doc = None if value is _DELETE else value
-    else:
+        return None if value is _DELETE else value
+    try:
         parent = functools.reduce(operator.getitem, keys[:-1], doc)
         if value is _DELETE:
             del parent[keys[-1]]
         else:
             parent[keys[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(keys=st.sampled_from(_MANIFEST_FIELDS), value=_field_values)
+def test_any_manifest_field_loads_or_fails_with_one_error(fuzz_world, keys, value):
+    doc = damage(json.loads((fuzz_world / "manifest.json").read_text()), keys, value)
     path = fuzz_world / "fuzzed-manifest.json"
     path.write_text(json.dumps(doc))
     try:

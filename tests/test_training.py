@@ -519,6 +519,19 @@ class TestCheckpoint:
         assert first.tokens.tobytes() == table.tokens.tobytes()
         assert not first.tokens.flags.writeable
 
+    def test_parameters_are_read_only(self, tiny_world):
+        ckpt, items, table, enc = self.bundle(tiny_world)
+        mp = ckpt.params
+        before = mp.theta.copy()
+        assert not mp.theta.flags.writeable
+        assert not [name for name, arr in param_items(mp) if arr.flags.writeable]
+        _, grads = backward(mp, items[0], enc, table)
+        with pytest.raises(ValueError, match="read-only"):
+            sgd_step(mp, grads, 0.1)
+        with pytest.raises(ValueError, match="read-only"):
+            mp.emb.weight[0, 0] = 1.0
+        np.testing.assert_array_equal(mp.theta, before)
+
     def test_truncated_file(self, tiny_world, tmp_path):
         ckpt, *_ = self.bundle(tiny_world)
         path = tmp_path / "model.ooal"
