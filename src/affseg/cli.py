@@ -17,6 +17,7 @@ import numpy as np
 
 from . import analysis, data, gradcheck, metrics, synth, training
 from .features import load_features, save_features
+from .prompt import StubTextEncoder
 
 
 def main(argv=None) -> int:
@@ -167,7 +168,7 @@ def cmd_train(args) -> int:
     chosen = data.build_oneshot_trainset(manifest, cfg.seed)
     trainset = [data.load_item(manifest, it, sigma=args.sigma) for it in chosen]
     params, log = training.train(cfg, trainset, manifest.affordances, ablate=args.ablate)
-    table, enc = training.build_text_pipeline(cfg, manifest.affordances)
+    enc = StubTextEncoder.create(cfg.C_t, cfg.C, cfg.seed)
     ckpt = training.Checkpoint(
         params=params, enc=enc, affordances=manifest.affordances, cfg=cfg, ablate=args.ablate
     )

@@ -191,6 +191,7 @@ def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5)
     return report
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_checkpoint(
     ckpt,
     manifest,
@@ -205,7 +206,8 @@ def evaluate_checkpoint(
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
-    to the half-peak binarization.
+    to the half-peak binarization. Overflow is not warned about: the
+    decoder's finiteness check raises ArithmeticError naming the item.
     """
     from . import data, fusion, training
 
@@ -213,8 +215,11 @@ def evaluate_checkpoint(
 
     def run_item(item):
         loaded = data.load_item(manifest, item, sigma=sigma)
-        visual = fusion.embed_folded(loaded.stack, ckpt.folded)
-        pred, _, _ = training.decode_and_predict(mp, ckpt.text, visual, loaded.stack, ablate)
+        try:
+            visual = fusion.embed_folded(loaded.stack, ckpt.folded)
+            pred, _, _ = training.decode_and_predict(mp, ckpt.text, visual, loaded.stack, ablate)
+        except ArithmeticError as exc:
+            raise ArithmeticError(f"item {item.item_id}: {exc}") from exc
         fixations = None
         if mode == "heatmap" and loaded.points is not None:
             fixations = keypoint_fixations(loaded.points, loaded.target.shape, manifest.affordances)

@@ -289,11 +289,18 @@ def decode_and_predict(mp: ModelParams, text: np.ndarray, visual: np.ndarray,
 def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
     """Mean binary cross entropy over every pixel and affordance channel, from
     the pixel logits z as max(z, 0) - y*z + log(1 + exp(-|z|)), finite for finite z."""
-    z = pred.logits
     y = target.M
-    if z.shape != y.shape:
-        raise ValueError(f"prediction {z.shape} vs target {y.shape}")
-    return float((np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))).mean())
+    if pred.logits.shape != y.shape:
+        raise ValueError(f"prediction {pred.logits.shape} vs target {y.shape}")
+    # C order like the target, so no pass runs on mismatched strides; the
+    # terms and the mean are taken in the same order as the one-line expression
+    z = np.ascontiguousarray(pred.logits)
+    t = np.maximum(z, 0.0)
+    a = np.multiply(y, z)
+    t -= a
+    np.log1p(np.exp(np.negative(np.abs(z, out=a), out=a), out=a), out=a)
+    t += a
+    return float(t.mean())
 
 
 def _bce_score_grad(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -315,7 +322,8 @@ def backward(
     written: with ``ablate`` set the vector is first filled with zero, so
     disabled or bypassed parameter groups get zero gradients and the
     optimizer step is uniform across ablations. A non-finite gradient raises
-    ArithmeticError naming the first such parameter.
+    ArithmeticError naming the first such parameter; a non-finite loss with
+    finite gradients raises it too.
     """
     pred, cache = forward(mp, enc, table, item.stack, ablate)
     loss = bce_loss(pred, item.target)
@@ -357,6 +365,8 @@ def backward(
         raise ArithmeticError(
             f"non-finite gradient for parameter {_first_nonfinite(grads.layout, grads.flat)}"
         )
+    if not math.isfinite(loss):  # finite pixel terms can still sum past float64
+        raise ArithmeticError(f"non-finite loss {loss} with finite gradients")
     return loss, grads
 
 
@@ -395,6 +405,7 @@ def sgd_step(mp: ModelParams, grads: Gradients, lr: float) -> ModelParams:
 LossLog = list[tuple[int, float]]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     cfg: TrainConfig,
     trainset: list[LoadedItem],
@@ -402,7 +413,10 @@ def train(
     ablate: str | None = None,
 ) -> tuple[ModelParams, LossLog]:
     """One-shot training: each step draws one item from a seeded shuffle,
-    runs forward/backward, and applies SGD. Bitwise deterministic."""
+    runs forward/backward, and applies SGD. Bitwise deterministic.
+
+    Overflow is not warned about: the finiteness checks of the decoder,
+    :func:`backward` and :func:`sgd_step` raise ArithmeticError instead."""
     if not trainset:
         raise ValueError("empty trainset")
     _check_ablation(ablate)
@@ -462,8 +476,11 @@ class Checkpoint:
     def __post_init__(self):
         mp = self.params
         table = synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
-        text, _ = encode_prompts(mp, self.enc, table, self.ablate)
-        folded = fusion.fold_embedder(None if self.ablate == "mlff" else mp.fp, mp.emb)
+        with np.errstate(over="ignore", invalid="ignore"):
+            text, _ = encode_prompts(mp, self.enc, table, self.ablate)
+            folded = fusion.fold_embedder(None if self.ablate == "mlff" else mp.fp, mp.emb)
+        if not all(np.isfinite(a).all() for a in (text, *folded.weights)):
+            raise ValueError("checkpoint parameters overflow to non-finite prompts or fusion")
         # shared by every eval call; the parameters they were built from stay as they are
         for arr in (table.tokens, text, *folded.weights, mp.theta,
                     *(a for _, a in param_items(mp))):

@@ -112,6 +112,12 @@ def bilinear_reference(grid, H, W):
     return out
 
 
+def bce_loss_reference(z, y):
+    """The one-expression BCE on pixel logits, max(z, 0) - y*z + log(1 + exp(-|z|)),
+    averaged over every element: the form ``training.bce_loss`` computes in place."""
+    return float((np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))).mean())
+
+
 def gaussian_sum_reference(points, sigma, H, W):
     """Channel of unnormalized Gaussians, then divide by the max."""
     M = np.zeros((H, W))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from affseg import fusion, training
 from affseg.cli import build_parser, main
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSIFIED_SPARSE
+from affseg.features import FeatureStack, load_features, save_features
 from tests.test_data import (
     _MANIFEST_FIELDS,
     BAD_TARGETS,
@@ -260,6 +262,36 @@ class TestTrainEval:
         assert values and all(v is not None and math.isfinite(v) for v in values)
         assert run("eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", "dense",
                    "--report", str(tmp_path / "dense.json")) == 0
+
+    @pytest.mark.parametrize("command, scale, message", [
+        ("train", 1e150, "error: non-finite gradient for parameter fusion.proj.0\n"),
+        ("dense", 1e200, "error: item base-00-00: non-finite value in decoder layer output\n"),
+        ("heatmap", 1e200, "error: item base-00-00: non-finite value in decoder layer output\n"),
+    ])
+    def test_overflowing_features_fail_with_one_line(self, tmp_path, capsys, command, scale,
+                                                     message):
+        world = tmp_path / "w"
+        assert run("gen-synth", "--seed", "7", "--objects", "3", "--novel", "1", "--items", "2",
+                   "--out", str(world)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 5, "p": 2, "j": 2, "t": 1, "C": 8, "C_t": 8}))
+        manifest, ckpt = str(world / "manifest.json"), str(tmp_path / "m.ooal")
+        assert run("train", "--config", str(cfg), "--manifest", manifest, "--out", ckpt) == 0
+        for path in (world / "feats").iterdir():
+            stack = load_features(path)
+            save_features(FeatureStack(layers=tuple(scale * x for x in stack.layers),
+                                       cls=scale * stack.cls, grid=stack.grid,
+                                       image_size=stack.image_size), path)
+        if command == "train":
+            argv = ["train", "--config", str(cfg), "--out", ckpt]
+        else:
+            argv = ["eval", "--ckpt", ckpt, "--mode", command, "--report", str(tmp_path / "r")]
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(*argv, "--manifest", manifest) == 1
+        assert not caught
+        assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("argv, flag", [
         pytest.param([command, "--sigma", value], "--sigma", id=f"{command}-sigma-{value}")

@@ -7,13 +7,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from affseg import decoder, fusion, gradcheck, synth, training
 from affseg.container import CorruptionError, FormatError
-from affseg.data import DENSIFIED_SPARSE, AffordanceTarget, LoadedItem
+from affseg.data import DENSE_BINARY, DENSIFIED_SPARSE, AffordanceTarget, LoadedItem
 from affseg.decoder import Prediction, _sigmoid
 from affseg.features import FeatureStack
 from affseg.training import (
@@ -31,7 +31,7 @@ from affseg.training import (
     train,
     zero_gradients,
 )
-from tests.oracles import max_rel_err, train_reference
+from tests.oracles import bce_loss_reference, max_rel_err, train_reference
 
 
 def pred_of(logits: np.ndarray) -> Prediction:
@@ -68,6 +68,29 @@ class TestBceLoss:
         z = np.array([800.0, -800.0, 40.0]).reshape(1, 1, 3)
         y = np.array([0.0, 1.0, 0.0]).reshape(1, 1, 3)
         assert bce_loss(pred_of(z), AffordanceTarget(M=y)) == 1640.0 / 3.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 20), st.integers(1, 20), st.integers(1, 6)),
+           seed=st.integers(0, 2**32 - 1), channels_first=st.booleans(),
+           soft=st.booleans(), log_scale=st.floats(0.0, 300.0))
+    @example(shape=(64, 64, 4), seed=0, channels_first=True, soft=False, log_scale=0.5)
+    @example(shape=(3, 5, 2), seed=1, channels_first=False, soft=True, log_scale=300.0)
+    def test_bitwise_equal_to_one_expression(self, shape, seed, channels_first, soft,
+                                             log_scale):
+        # logits as the head lays them out (channel by channel) or C-ordered,
+        # against a C-ordered binary or soft target; |z| reaches 1e300
+        rng = np.random.default_rng(seed)
+        H, W, N = shape
+        z = rng.standard_normal((N, H, W) if channels_first else (H, W, N)) * 10.0**log_scale
+        if channels_first:
+            z = z.transpose(1, 2, 0)
+        y = rng.random((H, W, N))
+        if not soft:
+            y = (y < 0.5).astype(np.float64)
+        kind = DENSIFIED_SPARSE if soft else DENSE_BINARY
+        got = bce_loss(pred_of(z), AffordanceTarget(M=y, kind=kind))
+        want = bce_loss_reference(z, y)
+        assert math.isfinite(got) and got == want
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), shape=hnp.array_shapes(min_dims=3, max_dims=3, max_side=4))
@@ -447,6 +470,29 @@ class TestTrainLoop:
             descents += loss1 <= loss0
         assert descents >= 99
 
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(0, 300), t=st.integers(0, 1),
+           ablate=st.sampled_from((None,) + training.ABLATIONS))
+    @example(k=104, t=0, ablate=None)  # finite pixel terms whose mean overflows
+    @example(k=150, t=1, ablate=None)
+    def test_extreme_finite_features_train_or_fail_by_name(self, tiny_world, k, t, ablate):
+        # runs under the suite's error::RuntimeWarning filter: an overflow on
+        # the way is no warning, only the finiteness checks may report it
+        item = make_items(tiny_world)[0]
+        s = 10.0**k
+        stack = FeatureStack(layers=tuple(s * x for x in item.stack.layers), cls=s * item.stack.cls,
+                             grid=item.stack.grid, image_size=item.stack.image_size)
+        scaled = LoadedItem(item.item_id, item.object_id, stack, item.target)
+        cfg = TrainConfig(iterations=2, seed=8, p=2, j=2, t=t, C=16, C_t=16, log_every=1)
+        try:
+            params, log = train(cfg, [scaled], tiny_world.affordances, ablate)
+        except ArithmeticError as exc:
+            assert re.fullmatch(r"non-finite (gradient for parameter \S+|value in decoder layer "
+                                r"output|loss \S+ with finite gradients)", str(exc)), str(exc)
+        else:
+            assert all(math.isfinite(loss) for _, loss in log)
+            assert np.isfinite(params.theta).all()
+
     @pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
     def test_equals_per_array_reference_bitwise(self, tiny_world, ablate):
         items = make_items(tiny_world)
@@ -518,6 +564,17 @@ class TestCheckpoint:
         assert first is second and first.names == table.names
         assert first.tokens.tobytes() == table.tokens.tobytes()
         assert not first.tokens.flags.writeable
+
+    def test_overflowing_prompts_are_refused(self, tiny_world):
+        # finite parameters whose encoded prompts overflow to NaN, as a
+        # flipped exponent bit in a checkpoint file can give
+        items = make_items(tiny_world)
+        cfg = TrainConfig(iterations=0, seed=10, p=2, j=2, t=1, C=16, C_t=16)
+        params, _ = train(cfg, items, tiny_world.affordances)
+        params.ctx.vectors[:, 0] = 1e308
+        _, enc = training.build_text_pipeline(cfg, tiny_world.affordances)
+        with pytest.raises(ValueError, match="overflow"):
+            Checkpoint(params=params, enc=enc, affordances=tiny_world.affordances, cfg=cfg)
 
     def test_parameters_are_read_only(self, tiny_world):
         ckpt, items, table, enc = self.bundle(tiny_world)
