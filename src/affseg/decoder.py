@@ -96,16 +96,20 @@ _GATE_HI = 1.0 - 2.0**-53
 def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray, d_k: float | None = None) -> np.ndarray:
     """Foreground gate per key: sigmoid((cls @ wc) @ K^T / sqrt(d_k)) -> (L,).
 
-    d_k defaults to the key width C; every entry is strictly inside (0, 1).
+    Stacked items, cls (B, C_v) and K (B, L, C), give (B, L). d_k defaults to
+    the key width C; every entry is strictly inside (0, 1).
     """
-    if cls.shape != (wc.shape[0],):
+    if cls.shape[-1:] != (wc.shape[0],):
         raise ValueError(f"cls shape {cls.shape} does not match map {wc.shape}")
-    if K.shape[1] != wc.shape[1]:
-        raise ValueError(f"key width {K.shape[1]} does not match map {wc.shape}")
+    if K.shape[-1] != wc.shape[1]:
+        raise ValueError(f"key width {K.shape[-1]} does not match map {wc.shape}")
     if d_k is None:
-        d_k = K.shape[1]
-    g = cls @ wc
-    return np.clip(_sigmoid(K @ g / math.sqrt(d_k)), _GATE_LO, _GATE_HI)
+        d_k = K.shape[-1]
+    # vector-matrix products per item: a stacked (B, C_v) @ (C_v, C) product
+    # is one gemm, which does not round like B separate vector products
+    g = cls[..., None, :] @ wc
+    return np.clip(_sigmoid((K @ g.swapaxes(-1, -2))[..., 0] / math.sqrt(d_k)),
+                   _GATE_LO, _GATE_HI)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -121,8 +125,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _row_softmax(S: np.ndarray) -> np.ndarray:
-    e = np.exp(S - S.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(S - S.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class LayerCache(NamedTuple):
@@ -142,20 +146,24 @@ class LayerCache(NamedTuple):
 
 
 def decoder_layer_cached(text, visual, cls, params: DecoderLayerParams, use_gate=True):
-    """One gated cross-attention + FFN layer -> (N x C text, cache)."""
+    """One gated cross-attention + FFN layer -> (N x C text, cache).
+
+    Batch-native: visual (B, L, C) and cls (B, C_v) with text (N, C) or
+    (B, N, C) give (B, N, C), each slice bitwise equal to its own 2-D call.
+    """
     C = params.wq.shape[0]
-    if text.shape[1] != C or visual.shape[1] != C:
+    if text.shape[-1] != C or visual.shape[-1] != C:
         raise ValueError(
             f"embed width mismatch: text {text.shape}, visual {visual.shape}, params {C}"
         )
     Q = text @ params.wq
     K = visual @ params.wk
     V = visual @ params.wv
-    S = Q @ K.T / math.sqrt(C)
+    S = Q @ K.swapaxes(-1, -2) / math.sqrt(C)
     attn = _row_softmax(S)
     if use_gate:
         gate = cls_mask(cls, K, params.wc)
-        gated = attn * gate[None, :]
+        gated = attn * gate[..., None, :]
     else:
         gate = None
         gated = attn
@@ -225,7 +233,8 @@ def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
 
 
 def decode_cached(text, visual, cls, dp: DecoderParams, use_gate=True):
-    """All decoder layers in sequence -> (text, layer caches); zero layers is the identity."""
+    """All decoder layers in sequence -> (text, layer caches); zero layers is
+    the identity. Takes stacked items as :func:`decoder_layer_cached` does."""
     caches = []
     cur = text
     for layer in dp.layers:

@@ -10,9 +10,11 @@ seen and unseen mIoU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
+from . import data, decoder, fusion
 from .data import DEFAULT_SIGMA, DENSE_BINARY, AffordanceTarget
 from .decoder import Prediction
 
@@ -191,6 +193,11 @@ def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5)
     return report
 
 
+# an eval chunk holds at most this many bytes of targets and visual
+# embeddings, and at least one item
+EVAL_CHUNK_BYTES = 1 << 20
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def evaluate_checkpoint(
     ckpt,
@@ -201,31 +208,114 @@ def evaluate_checkpoint(
     threshold: float = 0.5,
 ) -> MetricsReport:
     """Run the model of a trained checkpoint over manifest items. The prompts
-    and the folded fusion come from the checkpoint, which builds them once,
-    so each item costs only its own embedding, decoder, head and scores.
+    and the folded fusion come from the checkpoint, which builds them once.
+
+    Consecutive items that share a grid, image size and feature width are
+    loaded and embedded as one chunk (at most :data:`EVAL_CHUNK_BYTES` of
+    targets and embeddings), and the decoder runs once over the chunk's
+    stacked embeddings; the head and the scores stay per item. A chunk of
+    one item runs the decoder on it alone. Each result is bitwise equal to
+    the item's own forward, and errors come in item order: a chunk ends
+    before an item that fails to load.
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
     to the half-peak binarization. Overflow is not warned about: the
     decoder's finiteness check raises ArithmeticError naming the item.
     """
-    from . import data, fusion, training
-
-    mp, ablate = ckpt.params, ckpt.ablate
+    items = list(items)
+    predicted = _predict_chunks(ckpt, _embedded_chunks(manifest, items, ckpt.folded, sigma))
 
     def run_item(item):
-        loaded = data.load_item(manifest, item, sigma=sigma)
-        try:
-            visual = fusion.embed_folded(loaded.stack, ckpt.folded)
-            pred, _, _ = training.decode_and_predict(mp, ckpt.text, visual, loaded.stack, ablate)
-        except ArithmeticError as exc:
-            raise ArithmeticError(f"item {item.item_id}: {exc}") from exc
+        # evaluate calls this once per item, in order, as the chunks yield them
+        entry, pred = next(predicted)
         fixations = None
-        if mode == "heatmap" and loaded.points is not None:
-            fixations = keypoint_fixations(loaded.points, loaded.target.shape, manifest.affordances)
-        return item.item_id, pred, loaded.target, fixations
+        if mode == "heatmap" and entry.points is not None:
+            fixations = keypoint_fixations(entry.points, entry.target.shape, manifest.affordances)
+        return item.item_id, pred, entry.target, fixations
 
     return evaluate(run_item, items, mode, manifest.affordances, threshold)
+
+
+class _Embedded(NamedTuple):
+    """One loaded item after its embedding; the feature stack is dropped."""
+
+    item_id: str
+    target: AffordanceTarget
+    points: dict | None
+    visual: np.ndarray      # L x C
+    cls: np.ndarray
+    grid: tuple[int, int]
+    image_size: tuple[int, int]
+
+
+def _embed_item(manifest, item, folded, sigma) -> _Embedded:
+    loaded = data.load_item(manifest, item, sigma=sigma)
+    s = loaded.stack
+    return _Embedded(item.item_id, loaded.target, loaded.points,
+                     fusion.embed_folded(s, folded), s.cls, s.grid, s.image_size)
+
+
+def _embedded_chunks(manifest, items, folded, sigma):
+    """Runs of consecutive embedded items that share grid, image size and
+    feature width, within :data:`EVAL_CHUNK_BYTES`. An item that fails to
+    load or embed ends the run before it; its error is raised once that run
+    has been taken."""
+    chunk, key, size = [], None, 0
+    for item in items:
+        try:
+            entry = _embed_item(manifest, item, folded, sigma)
+        except Exception:
+            if chunk:
+                yield chunk
+            raise
+        k = (entry.grid, entry.image_size, entry.cls.shape)
+        nbytes = entry.target.M.nbytes + entry.visual.nbytes
+        if chunk and (k != key or size + nbytes > EVAL_CHUNK_BYTES):
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(entry)
+        key, size = k, size + nbytes
+    if chunk:
+        yield chunk
+
+
+def _predict_chunks(ckpt, chunks):
+    """(entry, Prediction) per item: the decoder once per chunk, the head per
+    item on its slice. A chunk of one decodes its 2-D arrays, unstacked; a
+    chunk that overflows is decoded again one item at a time, so the first
+    item that overflows is the one named."""
+    for chunk in chunks:
+        B = len(chunk)
+        if B == 1:
+            visual, cls = chunk[0].visual, chunk[0].cls
+        else:
+            visual = np.stack([e.visual for e in chunk])
+            cls = np.stack([e.cls for e in chunk])
+        try:
+            text_out = _decode(ckpt, visual, cls)
+        except ArithmeticError as exc:
+            if B == 1:
+                raise ArithmeticError(f"item {chunk[0].item_id}: {exc}") from exc
+            yield from _predict_chunks(ckpt, ([e] for e in chunk))
+            continue
+        # under "td" the prompts pass through undecoded, shared by every item
+        text_out = np.broadcast_to(text_out, (B, *text_out.shape[-2:]))
+        visual = visual.reshape(B, *visual.shape[-2:])
+        for b, e in enumerate(chunk):
+            pred, _ = decoder.predict_cached(visual[b], text_out[b], e.grid, e.image_size)
+            yield e, pred
+            del pred  # freed before the next item's head allocates
+
+
+def _decode(ckpt, visual, cls):
+    """The checkpoint's decoder (skipped under "td", ungated under "ctm"), as
+    in ``training.forward``, on one item or a stack of them. No cache is kept:
+    each layer's keys and values are freed before the next layer runs."""
+    text = ckpt.text
+    for layer in () if ckpt.ablate == "td" else ckpt.params.dp.layers:
+        text = decoder.decoder_layer_cached(text, visual, cls, layer, ckpt.ablate != "ctm")[0]
+    return text
 
 
 def keypoint_fixations(points: dict, shape, affordances) -> np.ndarray:

@@ -83,7 +83,9 @@ class TextCache(NamedTuple):
 
 def encode_texts_cached(ctx: ContextVectors | None, table: ClassTokenTable, enc: StubTextEncoder):
     """-> (N x C text embeddings with zero-mean, unit-variance rows, cache);
-    ``ctx`` None encodes the class tokens alone (the "tpl" ablation)."""
+    ``ctx`` None encodes the class tokens alone (the "tpl" ablation). A row
+    whose variance overflows raises ArithmeticError: normalized by an
+    infinite deviation, it would be all zeros."""
     if ctx is not None and ctx.token_dim != table.token_dim:
         raise ValueError(
             f"context dim {ctx.token_dim} does not match token dim {table.token_dim}"
@@ -101,6 +103,8 @@ def encode_texts_cached(ctx: ContextVectors | None, table: ClassTokenTable, enc:
     h = pooled @ enc.proj
     mu = h.mean(axis=1, keepdims=True)
     var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
+    if not np.isfinite(var).all():
+        raise ArithmeticError("non-finite layer-norm variance in text encoding")
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     normed = (h - mu) * inv_std
     return normed, TextCache(pooled, normed, inv_std[:, 0], p, enc.proj)

@@ -243,7 +243,7 @@ def forward(
     ablate: str | None = None,
 ) -> tuple[Prediction, ForwardCache]:
     """Full model pass on one feature stack: :func:`encode_prompts`, fusion
-    and embedding, then :func:`decode_and_predict`.
+    and embedding, the decoder, then the prediction head.
 
     ``ablate`` disables one module: "tpl" drops the learned context, "mlff"
     bypasses fusion (raw last layer), "td" skips the decoder, "ctm" forces
@@ -255,7 +255,13 @@ def forward(
     else:
         fused, fuse_cache = fusion.fuse_cached(stack, mp.fp)
     visual, embed_cache = fusion.embed_cached(fused, mp.emb)
-    pred, decode_caches, predict_cache = decode_and_predict(mp, text, visual, stack, ablate)
+    if ablate == "td":
+        text_out, decode_caches = text, []
+    else:
+        text_out, decode_caches = decoder.decode_cached(
+            text, visual, stack.cls, mp.dp, use_gate=(ablate != "ctm")
+        )
+    pred, predict_cache = decoder.predict_cached(visual, text_out, stack.grid, stack.image_size)
     return pred, ForwardCache(
         pred, text_cache, fuse_cache, embed_cache, decode_caches, predict_cache, ablate
     )
@@ -268,22 +274,6 @@ def encode_prompts(mp: ModelParams, enc: StubTextEncoder, table: ClassTokenTable
     _check_ablation(ablate)
     ctx = None if ablate == "tpl" else mp.ctx
     return prompt.encode_texts_cached(ctx, table, enc)
-
-
-def decode_and_predict(mp: ModelParams, text: np.ndarray, visual: np.ndarray,
-                       stack: FeatureStack, ablate: str | None = None):
-    """The model pass after the prompts and the visual embedding: the decoder
-    (skipped under "td", ungated under "ctm") and the prediction head.
-    Reads ``text`` and ``visual`` without changing them.
-    -> (Prediction, decoder caches, head cache)."""
-    if ablate == "td":
-        text_out, decode_caches = text, []
-    else:
-        text_out, decode_caches = decoder.decode_cached(
-            text, visual, stack.cls, mp.dp, use_gate=(ablate != "ctm")
-        )
-    pred, predict_cache = decoder.predict_cached(visual, text_out, stack.grid, stack.image_size)
-    return pred, decode_caches, predict_cache
 
 
 def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
@@ -476,11 +466,15 @@ class Checkpoint:
     def __post_init__(self):
         mp = self.params
         table = synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
-        with np.errstate(over="ignore", invalid="ignore"):
-            text, _ = encode_prompts(mp, self.enc, table, self.ablate)
-            folded = fusion.fold_embedder(None if self.ablate == "mlff" else mp.fp, mp.emb)
-        if not all(np.isfinite(a).all() for a in (text, *folded.weights)):
-            raise ValueError("checkpoint parameters overflow to non-finite prompts or fusion")
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                text, _ = encode_prompts(mp, self.enc, table, self.ablate)
+                folded = fusion.fold_embedder(None if self.ablate == "mlff" else mp.fp, mp.emb)
+            if not all(np.isfinite(a).all() for a in (text, *folded.weights)):
+                raise ArithmeticError
+        except ArithmeticError:
+            raise ValueError(
+                "checkpoint parameters overflow to non-finite prompts or fusion") from None
         # shared by every eval call; the parameters they were built from stay as they are
         for arr in (table.tokens, text, *folded.weights, mp.theta,
                     *(a for _, a in param_items(mp))):

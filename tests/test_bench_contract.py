@@ -5,9 +5,10 @@ the public ``*_cached`` / ``*_backward`` layer calls and wraps other layer
 functions through their module attributes. These tests load it unchanged, so
 a refactor that breaks the tracer fails here in about a second.
 Traced training must equal untraced training bitwise.
-Eval goes through ``fusion.embed_folded`` and ``training.decode_and_predict``,
-which the tracer leaves in place; the upsampling they call is still wrapped,
-and traced reports must equal untraced ones.
+Eval goes through ``fusion.embed_folded`` and the decoder layers, once per
+chunk of items, which the tracer leaves in place; the item loads and the
+upsampling of each item are still wrapped, and traced reports must equal
+untraced ones.
 """
 
 import dataclasses
@@ -75,13 +76,16 @@ def test_training_emits_every_layer_span():
     assert LAYER_SPANS <= names, sorted(LAYER_SPANS - names)
 
 
-@pytest.mark.parametrize("mode, keypoints", [
-    pytest.param("dense", False, id="dense"),
-    pytest.param("heatmap", False, id="heatmap"),
-    pytest.param("heatmap", True, id="heatmap-keypoints"),
+@pytest.mark.parametrize("mode, keypoints, chunk_items", [
+    pytest.param("dense", False, None, id="dense"),
+    pytest.param("dense", False, 3, id="dense-chunks"),
+    pytest.param("heatmap", False, None, id="heatmap"),
+    pytest.param("heatmap", True, None, id="heatmap-keypoints"),
 ])
-def test_traced_eval_reports_equal_untraced(tmp_path, mode, keypoints):
+def test_traced_eval_reports_equal_untraced(tmp_path, monkeypatch, mode, keypoints, chunk_items):
     manifest = write_world(tmp_path)
+    if chunk_items:  # the 10 items take four chunks: a 16 x 16 x 2 target, a 16 x 8 embedding
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_BYTES", chunk_items * (16 * 16 * 2 + 16 * 8) * 8)
     cfg = training.TrainConfig(iterations=5, seed=1, p=2, j=2, t=1, C=8, C_t=8)
     trainset = [data.load_item(manifest, it) for it in manifest.items[:2]]
     params, _ = training.train(cfg, trainset, manifest.affordances)
@@ -100,7 +104,9 @@ def test_traced_eval_reports_equal_untraced(tmp_path, mode, keypoints):
         traced = metrics.evaluate_checkpoint(ckpt, manifest, manifest.items, mode).to_json()
     assert traced == plain
     names = [span[3] for span in tracer.spans()]
-    assert names.count("resample.upsample.fwd") == len(manifest.items)
+    # the per-layer table of eval-dense reads these spans
+    for name in ("data.load_item", "resample.upsample.fwd"):
+        assert names.count(name) == len(manifest.items), name
     if keypoints:
         # the per-layer table of query-heatmap-224 reads these spans
         for name in ("data.densify", "metrics.keypoint_fixations", "metrics.heatmap_record"):

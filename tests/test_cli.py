@@ -484,3 +484,54 @@ def test_console_script_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "gen-synth" in proc.stdout
+
+
+_accepted_configs = st.fixed_dictionaries(
+    {"iterations": st.integers(0, 3), "C": st.integers(1, 8)},
+    optional={"lr": st.floats(1e-300, 1e300) | st.integers(1, 10**6),
+              "seed": st.integers(0, 2**64), "p": st.integers(1, 4), "j": st.integers(1, 5),
+              "t": st.integers(0, 3), "C_t": st.integers(1, 8),
+              "log_every": st.integers(1, 4)},
+)
+_small_worlds = st.fixed_dictionaries({
+    "--seed": st.integers(0, 2**32), "--objects": st.integers(1, 3),
+    "--novel": st.integers(0, 2), "--parts": st.integers(1, 4), "--items": st.integers(1, 2),
+    "--noise": st.floats(0.0, 1.0), "--feature-dim": st.integers(1, 8),
+    "--layers": st.integers(1, 4),
+})
+
+
+def run_or_fail_in_one_line(argv) -> None:
+    """Run one command as ``main`` would: it returns, or fails with one of
+    the program's one-line errors (never KeyError, IndexError, TypeError)."""
+    args = build_parser().parse_args(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            args.func(args)
+    except (ValueError, FormatError, CorruptionError, ArithmeticError) as exc:
+        assert "\n" not in str(exc), (argv, str(exc))
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=_accepted_configs, world=_small_worlds,
+       ablate=st.sampled_from((None,) + training.ABLATIONS), k=st.integers(1, 4))
+def test_any_accepted_config_runs_every_command(tmp_path_factory, cfg, world, ablate, k):
+    root = tmp_path_factory.mktemp("prop")
+    (root / "cfg.json").write_text(json.dumps(cfg))
+    training.load_config(root / "cfg.json")  # accepted
+    run_or_fail_in_one_line(["gen-synth", *(str(x) for kv in world.items() for x in kv),
+                               "--out", str(root / "w")])
+    if not (root / "w/manifest.json").exists():
+        return
+    manifest, ckpt = str(root / "w/manifest.json"), str(root / "model.ooal")
+    run_or_fail_in_one_line(["train", "--config", str(root / "cfg.json"), "--manifest",
+                               manifest, "--out", ckpt] + (["--ablate", ablate] if ablate else []))
+    if (root / "model.ooal").exists():
+        for mode in ("dense", "heatmap"):
+            run_or_fail_in_one_line(["eval", "--ckpt", ckpt, "--manifest", manifest,
+                                       "--mode", mode, "--report", str(root / "r.json")])
+    feats = sorted(str(p) for p in (root / "w/feats").iterdir())
+    run_or_fail_in_one_line(["analyze", "pca", "--features", *feats[:2], "-k", str(k),
+                               "--scores-csv", str(root / "s.csv")])
+    run_or_fail_in_one_line(["analyze", "simmap", "--features", feats[0], "--target",
+                               feats[-1], "--patch", f"{k - 1},0", "--out", str(root / "s.ppm")])

@@ -246,6 +246,53 @@ class TestDecode:
         assert worst < 1e-4
 
 
+# (B, L, C, C_v, N): odd sizes, the eval-dense geometry, a 384-wide summary token
+STACKED_SHAPES = [(5, 7, 6, 3, 2), (6, 64, 64, 32, 4), (8, 16, 8, 384, 3)]
+
+
+class TestStacked:
+    """Items stacked along a leading axis give, slice by slice, the bytes of
+    separate 2-D calls; eval decodes a chunk of items in one call on this."""
+
+    @staticmethod
+    def problem(B, L, C, Cv, N):
+        rng = np.random.default_rng([B, L, C, Cv, N])
+        dp = DecoderParams(
+            layers=[layer_params(C=C, cls_dim=Cv, rng=rng, identity=False) for _ in range(2)]
+        )
+        texts = {2: rng.standard_normal((N, C)), 3: rng.standard_normal((B, N, C))}
+        visual = rng.standard_normal((B, L, C))
+        cls = rng.standard_normal((B, Cv)) / math.sqrt(Cv)
+        return dp, texts, visual, cls
+
+    @pytest.mark.parametrize("shape", STACKED_SHAPES)
+    def test_cls_mask_slices_equal_separate_calls(self, shape):
+        dp, _, K, cls = self.problem(*shape)
+        gates = cls_mask(cls, K, dp.layers[0].wc)
+        assert gates.shape == K.shape[:2]
+        for b in range(len(K)):
+            assert gates[b].tobytes() == cls_mask(cls[b], K[b], dp.layers[0].wc).tobytes()
+
+    @pytest.mark.parametrize("shape", STACKED_SHAPES)
+    @pytest.mark.parametrize("use_gate", [True, False])
+    @pytest.mark.parametrize("text_dims", [2, 3])
+    def test_layer_and_decode_slices_equal_separate_calls(self, shape, use_gate, text_dims):
+        dp, texts, visual, cls = self.problem(*shape)
+        text = texts[text_dims]
+        layer_out, layer_cache = decoder_layer_cached(text, visual, cls, dp.layers[0], use_gate)
+        out, _ = decode_cached(text, visual, cls, dp, use_gate)
+        assert out.shape == layer_out.shape == visual.shape[:1] + text.shape[-2:]
+        for b in range(len(visual)):
+            text_b = text if text_dims == 2 else text[b]
+            one, one_cache = decoder_layer_cached(text_b, visual[b], cls[b], dp.layers[0],
+                                                  use_gate)
+            assert layer_out[b].tobytes() == one.tobytes()
+            if use_gate:
+                assert layer_cache.gate[b].tobytes() == one_cache.gate.tobytes()
+            one, _ = decode_cached(text_b, visual[b], cls[b], dp, use_gate)
+            assert out[b].tobytes() == one.tobytes()
+
+
 class TestPredict:
     def test_zero_text_gives_half_everywhere(self):
         rng = np.random.default_rng(12)

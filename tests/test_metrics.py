@@ -1,5 +1,7 @@
 """Heatmap and segmentation metrics against hand-arithmetic oracles."""
 
+import dataclasses
+import json
 import math
 import threading
 import weakref
@@ -10,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affseg import data, fusion, prompt, synth, training
+from affseg import data, decoder, fusion, metrics, prompt, synth, training
 from affseg.data import AffordanceTarget
 from affseg.decoder import Prediction
-from affseg.features import save_features
+from affseg.features import FeatureStack, save_features
 from affseg.metrics import (
     EPS,
     MetricsReport,
@@ -578,3 +580,133 @@ def test_fusion_folded_once_per_checkpoint(trained_world, tmp_path, monkeypatch,
     assert_built_once_per_checkpoint(ckpts[ablate], manifest, manifest.items[:5], tmp_path,
                                      calls)
     assert (calls[0][0] is None) == (ablate == "mlff")
+
+
+@pytest.fixture(scope="module")
+def mixed_world(trained_world):
+    """trained_world's mask items interleaved with items of a second world at
+    another grid and image size, so eval chunks break on shape. -> (manifest,
+    dense items, heatmap items (every other one with keypoints), the chunk
+    sizes the dense items form)."""
+    masks = trained_world[0]
+    root = masks.root
+    world = synth.make_world(seed=22, num_base=4, num_novel=2, num_parts=2, grid=(2, 3),
+                             image_size=(10, 14), feature_dim=8, affordances=AFFS)
+    (root / "other").mkdir()
+    other = []
+    for k, obj in enumerate(world.objects):
+        data.save_target(AffordanceTarget(M=synth.synth_target(world, obj.object_id)),
+                         root / f"other/{obj.object_id}.target")
+        save_features(synth.synth_vision_encode(world, obj.object_id, 0.02),
+                      root / f"other/{obj.object_id}.ooal")
+        other.append(data.ManifestItem(
+            f"other-{k}", masks.items[k].object_id, f"other/{obj.object_id}.ooal",
+            {"kind": "mask", "path": f"other/{obj.object_id}.target"}))
+    ours = [it for it in masks.items if it.target["kind"] == "mask"]
+    order = "AAABBABBBAAAAB"
+    runs = {"A": iter(ours), "B": iter(other)}
+    dense = [next(runs[c]) for c in order]
+    heatmap = []
+    for k, it in enumerate(dense):
+        if k % 2:
+            H, W = (16, 16) if it in ours else (10, 14)
+            it = dataclasses.replace(it, item_id=f"{it.item_id}-kp", target={
+                "kind": "keypoints", "sigma": 2.0,
+                "points": {AFFS[0]: [[k % W, H - 1.25]], AFFS[1]: [[W - 0.5, k / 3]]}})
+        heatmap.append(it)
+    manifest = dataclasses.replace(masks, items=masks.items + tuple(other + heatmap[1::2]))
+    return manifest, dense, heatmap, [3, 2, 1, 3, 4, 1]
+
+
+def chunk_sizes(monkeypatch):
+    """Record how many items each decoder pass in eval takes."""
+    sizes = []
+    decode = metrics._decode
+
+    def spy(ckpt, visual, cls):
+        sizes.append(len(visual) if visual.ndim == 3 else 1)
+        return decode(ckpt, visual, cls)
+
+    monkeypatch.setattr(metrics, "_decode", spy)
+    return sizes
+
+
+def one_item_chunks(fn):
+    """*fn()* with every eval chunk holding one item: the unstacked path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "EVAL_CHUNK_BYTES", 0)
+        return fn()
+
+
+def raised(fn):
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+# two items of the first world, which hold 4096 bytes of target and 1024 of
+# embedding each; three of the second world's fit too
+TWO_ITEMS = 2 * (16 * 16 * 2 * 8 + 16 * 8 * 8)
+
+
+@pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
+def test_chunked_eval_equals_one_item_chunks(trained_world, mixed_world, monkeypatch, ablate):
+    ckpt = trained_world[1][ablate]
+    manifest, dense, heatmap, sizes = mixed_world
+    for mode, items in (("dense", dense), ("heatmap", heatmap)):
+        want = one_item_chunks(lambda: evaluate_checkpoint(ckpt, manifest, items, mode).to_json())
+        if mode == "dense":
+            assert want == evaluate_reference(ckpt, manifest, items, mode)
+        for budget, chunks in ((metrics.EVAL_CHUNK_BYTES, sizes),
+                               (TWO_ITEMS, [2, 1, 2, 1, 3, 2, 2, 1])):
+            with monkeypatch.context() as patch:
+                patch.setattr(metrics, "EVAL_CHUNK_BYTES", budget)
+                seen = chunk_sizes(patch)
+                got = evaluate_checkpoint(ckpt, manifest, items, mode).to_json()
+            assert json.dumps(got) == json.dumps(want), (mode, budget)
+            assert seen == chunks
+
+
+def test_chunked_eval_holds_one_prediction_at_a_time(trained_world, mixed_world, monkeypatch):
+    manifest, dense, _, _ = mixed_world
+    alive = []
+    predict = decoder.predict_cached
+
+    def spy(*args):
+        assert all(ref() is None for ref in alive), "an earlier prediction is still held"
+        pred, cache = predict(*args)
+        alive.append(weakref.ref(pred))
+        return pred, cache
+
+    monkeypatch.setattr(decoder, "predict_cached", spy)
+    evaluate_checkpoint(trained_world[1][None], manifest, dense, "dense")
+    assert len(alive) == len(dense)
+
+
+def write_scaled(manifest, item, scale, name):
+    """A copy of *item* whose features are multiplied by *scale*."""
+    stack = data.load_item(manifest, item).stack
+    save_features(FeatureStack(tuple(scale * x for x in stack.layers), scale * stack.cls,
+                               stack.grid, stack.image_size), manifest.root / name)
+    return dataclasses.replace(item, item_id=f"{item.item_id}-x{scale:g}", features=name)
+
+
+@pytest.mark.parametrize("mode", ["dense", "heatmap"])
+def test_chunked_eval_errors_come_in_item_order(trained_world, mixed_world, mode):
+    ckpt = trained_world[1][None]
+    manifest, dense, _, _ = mixed_world
+    a0, a1, a2 = dense[:3]
+    huge = write_scaled(manifest, a1, 1e200, f"huge-{mode}.ooal")
+    (manifest.root / f"bad-{mode}.ooal").write_bytes(b"not a feature file")
+    bad = dataclasses.replace(a2, item_id="unreadable", features=f"bad-{mode}.ooal")
+    today = raised(lambda: data.load_item(manifest, bad))
+    overflow = ArithmeticError, f"item {huge.item_id}: non-finite value in decoder layer output"
+    for items, want in (([a0, huge, a2, dense[3]], overflow),  # mid-chunk overflow
+                        ([a0, huge, bad, a2], overflow),  # unreadable after an overflow
+                        ([a0, a2, bad, huge], today),  # unreadable before an overflow
+                        ([bad], today)):
+        def run():
+            return evaluate_checkpoint(ckpt, manifest, items, mode)
+
+        assert raised(run) == want
+        assert one_item_chunks(lambda: raised(run)) == want

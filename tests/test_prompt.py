@@ -108,6 +108,15 @@ class TestEncodeTexts:
         (half_sum,) = encode_texts_backward(cache._replace(count=1), probe)
         np.testing.assert_array_equal(grad[0], (2.0 * half_sum) / 6)
 
+    def test_overflowing_variance_raises(self):
+        # every pooled value stays finite, but the layer-norm variance
+        # overflows; normalized by it, every prompt would be all zeros
+        ctx, table, enc = pipeline(p=2, C_t=16)
+        ctx.vectors[0, 0] = -3e306
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match="non-finite layer-norm variance"):
+            encode_texts_cached(ctx, table, enc)
+
     def test_no_context_variant(self):
         _, table, enc = pipeline()
         out, cache = encode_texts_cached(None, table, enc)

@@ -488,7 +488,8 @@ class TestTrainLoop:
             params, log = train(cfg, [scaled], tiny_world.affordances, ablate)
         except ArithmeticError as exc:
             assert re.fullmatch(r"non-finite (gradient for parameter \S+|value in decoder layer "
-                                r"output|loss \S+ with finite gradients)", str(exc)), str(exc)
+                                r"output|loss \S+ with finite gradients|layer-norm variance "
+                                r"in text encoding)", str(exc)), str(exc)
         else:
             assert all(math.isfinite(loss) for _, loss in log)
             assert np.isfinite(params.theta).all()
@@ -574,6 +575,17 @@ class TestCheckpoint:
         params.ctx.vectors[:, 0] = 1e308
         _, enc = training.build_text_pipeline(cfg, tiny_world.affordances)
         with pytest.raises(ValueError, match="overflow"):
+            Checkpoint(params=params, enc=enc, affordances=tiny_world.affordances, cfg=cfg)
+
+    def test_prompts_erased_by_variance_overflow_are_refused(self, tiny_world):
+        # a finite context value whose layer-norm variance overflows
+        items = make_items(tiny_world)
+        cfg = TrainConfig(iterations=0, seed=10, p=2, j=2, t=1, C=16, C_t=16)
+        params, _ = train(cfg, items, tiny_world.affordances)
+        params.ctx.vectors[0, 0] = -3e306
+        _, enc = training.build_text_pipeline(cfg, tiny_world.affordances)
+        with pytest.raises(ValueError, match="^checkpoint parameters overflow to non-finite "
+                                             "prompts or fusion$"):
             Checkpoint(params=params, enc=enc, affordances=tiny_world.affordances, cfg=cfg)
 
     def test_parameters_are_read_only(self, tiny_world):
