@@ -49,7 +49,11 @@ class DecoderLayerParams:
 
 @dataclass
 class DecoderParams:
+    """The decoder layers, and whether their foreground gate is on; ungated,
+    every key gets weight one and ``wc`` gets a zero gradient."""
+
     layers: list[DecoderLayerParams] = field(default_factory=list)
+    gated: bool = True
 
     @property
     def depth(self) -> int:
@@ -66,7 +70,8 @@ class Prediction:
     grid: tuple[int, int]
 
 
-def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int) -> DecoderParams:
+def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int,
+                 gated: bool = True) -> DecoderParams:
     """Attention maps near identity, FFN output branch near zero."""
     rng = np.random.default_rng([seed, 0xDEC0])
     C = embed_dim
@@ -84,7 +89,7 @@ def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int) -> Decoder
                 b2=np.zeros(C),
             )
         )
-    return DecoderParams(layers=layers)
+    return DecoderParams(layers=layers, gated=gated)
 
 
 # the gate must stay strictly inside (0, 1) even where float64 sigmoid
@@ -232,13 +237,14 @@ def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
     return grads, d_text, d_visual
 
 
-def decode_cached(text, visual, cls, dp: DecoderParams, use_gate=True):
-    """All decoder layers in sequence -> (text, layer caches); zero layers is
-    the identity. Takes stacked items as :func:`decoder_layer_cached` does."""
+def decode_cached(text, visual, cls, dp: DecoderParams):
+    """All decoder layers in sequence, gated as ``dp.gated`` says -> (text,
+    layer caches); zero layers is the identity. Takes stacked items as
+    :func:`decoder_layer_cached` does."""
     caches = []
     cur = text
     for layer in dp.layers:
-        cur, cache = decoder_layer_cached(cur, visual, cls, layer, use_gate)
+        cur, cache = decoder_layer_cached(cur, visual, cls, layer, dp.gated)
         caches.append(cache)
     return cur, caches
 

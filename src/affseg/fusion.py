@@ -2,7 +2,8 @@
 
 The last j encoder layers are each linearly projected and combined with a
 convex weight vector; the weights live as logits under a softmax so the
-simplex constraint holds for any parameter value. The embedder is a single
+simplex constraint holds for any parameter value. With j = 0 there is no
+fusion: the raw last layer goes to the embedder. The embedder is a single
 affine map aligning the fused visual features with the text embedding width.
 
 At inference the two are one linear map, ``sum_i X_i (alpha_i P_i W) + b``:
@@ -111,9 +112,12 @@ def _check_embed_input(width: int, emb_in: int) -> None:
 
 
 def fuse_cached(stack: FeatureStack, fp: FusionParams):
-    """Weighted sum over the last j projected layers -> (L x C_v, cache)."""
+    """Weighted sum over the last j projected layers -> (L x C_v, cache); the
+    raw last layer when j is 0."""
     j = fp.depth
     used = _used_layers(stack, [P.shape for P in fp.proj])
+    if j == 0:
+        return stack.last, FuseCache((), [], np.zeros(0))
     alpha = fp.alpha
     projected = [used[i] @ fp.proj[i] for i in range(j)]
     fused = sum(alpha[i] * projected[i] for i in range(j))
@@ -121,7 +125,7 @@ def fuse_cached(stack: FeatureStack, fp: FusionParams):
 
 
 def fuse_backward(cache: FuseCache, d_fused: np.ndarray):
-    """-> (d_proj list, d_alpha_logits)."""
+    """-> (d_proj list, d_alpha_logits), both empty when j is 0."""
     alpha = cache.alpha
     d_proj = [alpha[i] * cache.layers[i].T @ d_fused for i in range(len(alpha))]
     d_alpha = np.array([np.sum(d_fused * P) for P in cache.projected])
@@ -153,16 +157,16 @@ class FoldedEmbedder(NamedTuple):
 
     weights: tuple[np.ndarray, ...]  # alpha_i * (P_i @ W), order: last, last-1, ...
     bias: np.ndarray
-    proj_shapes: tuple[tuple[int, ...], ...] | None  # None: fusion bypassed
+    proj_shapes: tuple[tuple[int, ...], ...]  # empty: no fusion
 
 
-def fold_embedder(fp: FusionParams | None, emb: Embedder) -> FoldedEmbedder:
-    """One C_v x C matrix per fused layer, ``alpha_i * (P_i @ W)``; with *fp*
-    None (fusion bypassed) the one matrix is ``W`` itself, on the last layer.
+def fold_embedder(fp: FusionParams, emb: Embedder) -> FoldedEmbedder:
+    """One C_v x C matrix per fused layer, ``alpha_i * (P_i @ W)``; with j 0
+    (no fusion) the one matrix is ``W`` itself, on the last layer.
     The result reads the parameters as they are now; a ``training.Checkpoint``
     folds once, as its parameters are read-only."""
-    if fp is None:
-        return FoldedEmbedder((emb.weight,), emb.bias, None)
+    if fp.depth == 0:
+        return FoldedEmbedder((emb.weight,), emb.bias, ())
     alpha = fp.alpha
     weights = tuple(alpha[i] * (P @ emb.weight) for i, P in enumerate(fp.proj))
     return FoldedEmbedder(weights, emb.bias, tuple(P.shape for P in fp.proj))
@@ -170,14 +174,11 @@ def fold_embedder(fp: FusionParams | None, emb: Embedder) -> FoldedEmbedder:
 
 def embed_folded(stack: FeatureStack, folded: FoldedEmbedder) -> np.ndarray:
     """``embed_cached(fuse_cached(stack, fp), emb)`` from ``fold_embedder(fp,
-    emb)`` -> L x C, equal up to rounding (bitwise with fusion bypassed), with
-    the same errors; the products are summed into one output, the layers are
-    never concatenated."""
-    if folded.proj_shapes is None:
-        used = (stack.last,)
-        _check_embed_input(stack.last.shape[1], folded.weights[0].shape[0])
-    else:
-        used = _used_layers(stack, folded.proj_shapes)
+    emb)`` -> L x C, equal up to rounding (bitwise with j 0), with the same
+    errors; the products are summed into one output, the layers are never
+    concatenated."""
+    used = _used_layers(stack, folded.proj_shapes) or (stack.last,)
+    _check_embed_input(used[0].shape[1], folded.weights[0].shape[0])
     visual = used[0] @ folded.weights[0]
     for layer, M in zip(used[1:], folded.weights[1:]):
         visual += layer @ M

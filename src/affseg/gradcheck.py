@@ -28,14 +28,16 @@ def build_problem(
     j: int = 2,
     t: int = 2,
     image_size: tuple[int, int] = (8, 8),
+    gate: bool = True,
 ):
-    """Random dims-as-requested instance: params, encoder, table, one item."""
-    cfg = TrainConfig(seed=seed, p=p, j=j, t=t, C=C, C_t=8, iterations=0)
+    """Random dims-as-requested instance: params, encoder, table, one item
+    whose feature stack has max(j, 1) layers."""
+    cfg = TrainConfig(seed=seed, p=p, j=j, t=t, C=C, C_t=8, iterations=0, gate=gate)
     names = [f"aff{i}" for i in range(num_classes)]
     table, enc = training.build_text_pipeline(cfg, names)
     rng = np.random.default_rng([seed, 0xFD])
     L = grid[0] * grid[1]
-    layers = tuple(rng.standard_normal((L, C_v)) for _ in range(j))
+    layers = tuple(rng.standard_normal((L, C_v)) for _ in range(max(j, 1)))
     stack = FeatureStack(
         layers=layers,
         cls=rng.standard_normal(C_v),
@@ -69,15 +71,16 @@ def finite_difference(loss_fn, params: ModelParams):
     return grads
 
 
-def run_check(seed: int = 0, ablate: str | None = None):
-    """-> (max relative error, per-parameter error dict)."""
-    params, enc, table, item = build_problem(seed=seed)
+def run_check(seed: int = 0, **overrides):
+    """-> (max relative error, per-parameter error dict) of the model that
+    :func:`build_problem` builds with *overrides* (say ``t=0``)."""
+    params, enc, table, item = build_problem(seed=seed, **overrides)
 
     def loss_fn(mp):
-        pred, _ = training.forward(mp, enc, table, item.stack, ablate=ablate)
+        pred, _ = training.forward(mp, enc, table, item.stack)
         return training.bce_loss(pred, item.target)
 
-    _, analytic = training.backward(params, item, enc, table, ablate=ablate)
+    _, analytic = training.backward(params, item, enc, table)
     numeric = finite_difference(loss_fn, params)
 
     per_param = {}

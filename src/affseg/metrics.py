@@ -299,7 +299,7 @@ def _predict_chunks(ckpt, chunks):
                 raise ArithmeticError(f"item {chunk[0].item_id}: {exc}") from exc
             yield from _predict_chunks(ckpt, ([e] for e in chunk))
             continue
-        # under "td" the prompts pass through undecoded, shared by every item
+        # with no decoder layers the prompts pass through, shared by every item
         text_out = np.broadcast_to(text_out, (B, *text_out.shape[-2:]))
         visual = visual.reshape(B, *visual.shape[-2:])
         for b, e in enumerate(chunk):
@@ -309,12 +309,12 @@ def _predict_chunks(ckpt, chunks):
 
 
 def _decode(ckpt, visual, cls):
-    """The checkpoint's decoder (skipped under "td", ungated under "ctm"), as
-    in ``training.forward``, on one item or a stack of them. No cache is kept:
-    each layer's keys and values are freed before the next layer runs."""
-    text = ckpt.text
-    for layer in () if ckpt.ablate == "td" else ckpt.params.dp.layers:
-        text = decoder.decoder_layer_cached(text, visual, cls, layer, ckpt.ablate != "ctm")[0]
+    """The checkpoint's decoder, as in ``training.forward``, on one item or a
+    stack of them. No cache is kept: each layer's keys and values are freed
+    before the next layer runs."""
+    dp, text = ckpt.params.dp, ckpt.text
+    for layer in dp.layers:
+        text = decoder.decoder_layer_cached(text, visual, cls, layer, dp.gated)[0]
     return text
 
 

@@ -21,14 +21,15 @@ LN_EPS = 1e-12
 
 @dataclass
 class ContextVectors:
-    """p x C_t trainable context matrix, prepended to every class token."""
+    """p x C_t trainable context matrix, prepended to every class token;
+    p may be 0, and the class tokens are then encoded alone."""
 
     vectors: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] < 1:
-            raise ValueError(f"context must be a p x C_t matrix with p >= 1, got {v.shape}")
+        if v.ndim != 2:
+            raise ValueError(f"context must be a p x C_t matrix, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite context vector")
         self.vectors = v
@@ -67,8 +68,8 @@ class StubTextEncoder:
 
 def init_context(count: int, token_dim: int, seed: int) -> ContextVectors:
     """Gaussian init, mean 0, std 0.02."""
-    if count < 1:
-        raise ValueError("need at least one context vector")
+    if count < 0:
+        raise ValueError(f"context vector count must be >= 0, got {count}")
     rng = np.random.default_rng([seed, 0xC0DE])
     return ContextVectors(vectors=0.02 * rng.standard_normal((count, token_dim)))
 
@@ -81,12 +82,12 @@ class TextCache(NamedTuple):
     proj: np.ndarray        # C_t x C
 
 
-def encode_texts_cached(ctx: ContextVectors | None, table: ClassTokenTable, enc: StubTextEncoder):
+def encode_texts_cached(ctx: ContextVectors, table: ClassTokenTable, enc: StubTextEncoder):
     """-> (N x C text embeddings with zero-mean, unit-variance rows, cache);
-    ``ctx`` None encodes the class tokens alone (the "tpl" ablation). A row
+    with no context vectors the class tokens are encoded alone. A row
     whose variance overflows raises ArithmeticError: normalized by an
     infinite deviation, it would be all zeros."""
-    if ctx is not None and ctx.token_dim != table.token_dim:
+    if ctx.token_dim != table.token_dim:
         raise ValueError(
             f"context dim {ctx.token_dim} does not match token dim {table.token_dim}"
         )
@@ -94,12 +95,8 @@ def encode_texts_cached(ctx: ContextVectors | None, table: ClassTokenTable, enc:
         raise ValueError(
             f"token dim {table.token_dim} does not match encoder input {enc.token_dim}"
         )
-    if ctx is None:
-        pooled = table.tokens.copy()
-        p = 0
-    else:
-        p = ctx.count
-        pooled = (ctx.vectors.sum(axis=0)[None, :] + table.tokens) / (p + 1)
+    p = ctx.count
+    pooled = (ctx.vectors.sum(axis=0)[None, :] + table.tokens) / (p + 1)
     h = pooled @ enc.proj
     mu = h.mean(axis=1, keepdims=True)
     var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
@@ -111,8 +108,7 @@ def encode_texts_cached(ctx: ContextVectors | None, table: ClassTokenTable, enc:
 
 
 def encode_texts_backward(cache: TextCache, d_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the context vectors (p x C_t); zeros-shaped (0, C_t)
-    when encoding ran without context."""
+    """Gradient w.r.t. the context vectors (p x C_t), empty when p is 0."""
     y = cache.normed
     C = y.shape[1]
     row_mean = d_out.mean(axis=1, keepdims=True)

@@ -26,8 +26,6 @@ from .features import ClassTokenTable, FeatureStack, synth_text_tokens
 from .fusion import Embedder, FusionParams
 from .prompt import ContextVectors, StubTextEncoder
 
-ABLATIONS = ("tpl", "mlff", "td", "ctm")
-
 
 @dataclass(eq=False)
 class ModelParams:
@@ -75,6 +73,9 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Hyperparameters and architecture; ``p``, ``j`` or ``t`` 0 leaves out the
+    learned context, the fusion or the decoder, ``gate`` false the decoder's gate."""
+
     lr: float = 0.01
     iterations: int = 2000
     seed: int = 0
@@ -84,11 +85,12 @@ class TrainConfig:
     C: int = 64
     C_t: int = 64
     log_every: int = 100
+    gate: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
-        for name, low in (("iterations", 0), ("seed", 0), ("p", 1), ("j", 1), ("t", 0),
+        for name, low in (("iterations", 0), ("seed", 0), ("p", 0), ("j", 0), ("t", 0),
                           ("C", 1), ("C_t", 1), ("log_every", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
@@ -110,14 +112,9 @@ def _config_from_dict(doc) -> TrainConfig:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     for name, value in doc.items():
         allowed = (int, float) if types[name] is float else types[name]
-        if isinstance(value, bool) or not isinstance(value, allowed):
+        if isinstance(value, bool) != (types[name] is bool) or not isinstance(value, allowed):
             raise ValueError(f"config {name} must be {types[name].__name__}, got {value!r}")
     return TrainConfig(**doc)
-
-
-def _check_ablation(ablate: str | None) -> None:
-    if ablate is not None and ablate not in ABLATIONS:
-        raise ValueError(f"unknown ablation {ablate!r}, expected one of {ABLATIONS}")
 
 
 def build_text_pipeline(cfg: TrainConfig, affordances) -> tuple[ClassTokenTable, StubTextEncoder]:
@@ -132,7 +129,7 @@ def init_model(cfg: TrainConfig, feature_dim: int) -> ModelParams:
         ctx=prompt.init_context(cfg.p, cfg.C_t, cfg.seed),
         fp=fusion.init_fusion(cfg.j, feature_dim, cfg.seed),
         emb=fusion.init_embedder(feature_dim, cfg.C, cfg.seed),
-        dp=decoder.init_decoder(cfg.t, cfg.C, feature_dim, cfg.seed),
+        dp=decoder.init_decoder(cfg.t, cfg.C, feature_dim, cfg.seed, cfg.gate),
     )
 
 
@@ -228,11 +225,11 @@ def params_checksum(mp: ModelParams) -> bytes:
 class ForwardCache(NamedTuple):
     prediction: Prediction
     text_cache: prompt.TextCache
-    fuse_cache: fusion.FuseCache | None
+    fuse_cache: fusion.FuseCache
     embed_cache: fusion.EmbedCache
     decode_caches: list
     predict_cache: decoder.PredictCache
-    ablate: str | None
+    ablate: None  # always None, read by nothing; goes when forward records a tape
 
 
 def forward(
@@ -240,40 +237,24 @@ def forward(
     enc: StubTextEncoder,
     table: ClassTokenTable,
     stack: FeatureStack,
-    ablate: str | None = None,
 ) -> tuple[Prediction, ForwardCache]:
     """Full model pass on one feature stack: :func:`encode_prompts`, fusion
-    and embedding, the decoder, then the prediction head.
-
-    ``ablate`` disables one module: "tpl" drops the learned context, "mlff"
-    bypasses fusion (raw last layer), "td" skips the decoder, "ctm" forces
-    the foreground gate to one.
-    """
-    text, text_cache = encode_prompts(mp, enc, table, ablate)
-    if ablate == "mlff":
-        fused, fuse_cache = stack.last, None
-    else:
-        fused, fuse_cache = fusion.fuse_cached(stack, mp.fp)
+    and embedding, the decoder, then the prediction head."""
+    text, text_cache = encode_prompts(mp, enc, table)
+    fused, fuse_cache = fusion.fuse_cached(stack, mp.fp)
     visual, embed_cache = fusion.embed_cached(fused, mp.emb)
-    if ablate == "td":
-        text_out, decode_caches = text, []
-    else:
-        text_out, decode_caches = decoder.decode_cached(
-            text, visual, stack.cls, mp.dp, use_gate=(ablate != "ctm")
-        )
+    text_out, decode_caches = decoder.decode_cached(text, visual, stack.cls, mp.dp)
     pred, predict_cache = decoder.predict_cached(visual, text_out, stack.grid, stack.image_size)
     return pred, ForwardCache(
-        pred, text_cache, fuse_cache, embed_cache, decode_caches, predict_cache, ablate
+        pred, text_cache, fuse_cache, embed_cache, decode_caches, predict_cache, None
     )
 
 
-def encode_prompts(mp: ModelParams, enc: StubTextEncoder, table: ClassTokenTable,
-                   ablate: str | None = None) -> tuple[np.ndarray, prompt.TextCache]:
+def encode_prompts(mp: ModelParams, enc: StubTextEncoder,
+                   table: ClassTokenTable) -> tuple[np.ndarray, prompt.TextCache]:
     """The N x C class prompt embeddings and their cache. They depend on the
     parameters only, so a :class:`Checkpoint` encodes them once."""
-    _check_ablation(ablate)
-    ctx = None if ablate == "tpl" else mp.ctx
-    return prompt.encode_texts_cached(ctx, table, enc)
+    return prompt.encode_texts_cached(mp.ctx, table, enc)
 
 
 def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
@@ -303,19 +284,16 @@ def backward(
     item: LoadedItem,
     enc: StubTextEncoder,
     table: ClassTokenTable,
-    ablate: str | None = None,
 ) -> tuple[float, Gradients]:
     """Loss and exact gradients for every trainable tensor.
 
     The gradients are the model's own :class:`Gradients`, overwritten by the
     next call on the same model; copy them to keep them. Every slot is
-    written: with ``ablate`` set the vector is first filled with zero, so
-    disabled or bypassed parameter groups get zero gradients and the
-    optimizer step is uniform across ablations. A non-finite gradient raises
-    ArithmeticError naming the first such parameter; a non-finite loss with
-    finite gradients raises it too.
+    written on every call, so the vector is never cleared. A non-finite
+    gradient raises ArithmeticError naming the first such parameter; a
+    non-finite loss with finite gradients raises it too.
     """
-    pred, cache = forward(mp, enc, table, item.stack, ablate)
+    pred, cache = forward(mp, enc, table, item.stack)
     loss = bce_loss(pred, item.target)
 
     if mp._grads is None:
@@ -324,32 +302,25 @@ def backward(
         # page fault per 4 kB touched
         mp._grads = Gradients(mp, np.empty(mp.theta.size))
     grads = mp._grads
-    if ablate is not None:
-        grads.flat.fill(0.0)
     d_logits = _bce_score_grad(pred.upsampled, item.target.M)
     d_visual, d_text_out = decoder.predict_backward(cache.predict_cache, d_logits)
 
-    if cache.decode_caches:
-        layer_grads, d_text, d_vis2 = decoder.decode_backward(cache.decode_caches, d_text_out)
+    layer_grads, d_text, d_vis2 = decoder.decode_backward(cache.decode_caches, d_text_out)
+    if d_vis2 is not None:  # None with no decoder layers
         d_visual = d_visual + d_vis2
-        for k, g in enumerate(layer_grads):
-            for name, val in g.items():
-                grads[f"decoder.{k}.{name}"] = val
-    else:
-        d_text = d_text_out
+    for k, g in enumerate(layer_grads):
+        for name, val in g.items():
+            grads[f"decoder.{k}.{name}"] = val
 
     d_w, d_b, d_fused = fusion.embed_backward(cache.embed_cache, d_visual)
     grads["embedder.weight"] = d_w
     grads["embedder.bias"] = d_b
 
-    if cache.fuse_cache is not None:
-        d_proj, d_logits = fusion.fuse_backward(cache.fuse_cache, d_fused)
-        for i, g in enumerate(d_proj):
-            grads[f"fusion.proj.{i}"] = g
-        grads["fusion.alpha_logits"] = d_logits
-
-    if cache.text_cache.count > 0:
-        grads["ctx.vectors"] = prompt.encode_texts_backward(cache.text_cache, d_text)
+    d_proj, d_logits = fusion.fuse_backward(cache.fuse_cache, d_fused)
+    for i, g in enumerate(d_proj):
+        grads[f"fusion.proj.{i}"] = g
+    grads["fusion.alpha_logits"] = d_logits
+    grads["ctx.vectors"] = prompt.encode_texts_backward(cache.text_cache, d_text)
 
     if not np.isfinite(grads.flat).all():
         raise ArithmeticError(
@@ -400,16 +371,20 @@ def train(
     cfg: TrainConfig,
     trainset: list[LoadedItem],
     affordances,
-    ablate: str | None = None,
 ) -> tuple[ModelParams, LossLog]:
     """One-shot training: each step draws one item from a seeded shuffle,
     runs forward/backward, and applies SGD. Bitwise deterministic.
 
-    Overflow is not warned about: the finiteness checks of the decoder,
+    An item with fewer feature layers than ``cfg.j`` raises ValueError before
+    the first step, also when there are no steps: the model could not run on
+    it. Overflow is not warned about: the finiteness checks of the decoder,
     :func:`backward` and :func:`sgd_step` raise ArithmeticError instead."""
     if not trainset:
         raise ValueError("empty trainset")
-    _check_ablation(ablate)
+    for item in trainset:
+        if len(item.stack.layers) < cfg.j:
+            raise ValueError(f"config j {cfg.j} wants {cfg.j} feature layers but item "
+                             f"{item.item_id} has {len(item.stack.layers)}")
     feature_dim = trainset[0].stack.feature_dim
     table, enc = build_text_pipeline(cfg, affordances)
     params = init_model(cfg, feature_dim)
@@ -422,7 +397,7 @@ def train(
         if k == 0:
             order = order_rng.permutation(len(trainset))
         item = trainset[order[k]]
-        loss, grads = backward(params, item, enc, table, ablate)
+        loss, grads = backward(params, item, enc, table)
         sgd_step(params, grads, cfg.lr)
         if (i + 1) % cfg.log_every == 0 or i == cfg.iterations - 1:
             log.append((i + 1, loss))
@@ -458,7 +433,6 @@ class Checkpoint:
     enc: StubTextEncoder
     affordances: tuple[str, ...]
     cfg: TrainConfig
-    ablate: str | None = None
     _table: ClassTokenTable = field(init=False, compare=False, repr=False)
     text: np.ndarray = field(init=False, compare=False, repr=False)
     folded: fusion.FoldedEmbedder = field(init=False, compare=False, repr=False)
@@ -468,8 +442,8 @@ class Checkpoint:
         table = synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                text, _ = encode_prompts(mp, self.enc, table, self.ablate)
-                folded = fusion.fold_embedder(None if self.ablate == "mlff" else mp.fp, mp.emb)
+                text, _ = encode_prompts(mp, self.enc, table)
+                folded = fusion.fold_embedder(mp.fp, mp.emb)
             if not all(np.isfinite(a).all() for a in (text, *folded.weights)):
                 raise ArithmeticError
         except ArithmeticError:
@@ -487,7 +461,7 @@ class Checkpoint:
         return self._table
 
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -497,7 +471,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config": {f.name: getattr(ckpt.cfg, f.name) for f in fields(TrainConfig)},
-        "ablate": ckpt.ablate,
         "affordances": list(ckpt.affordances),
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in names_arrays],
     }
@@ -540,10 +513,8 @@ def load_checkpoint(path) -> Checkpoint:
                 raise CorruptionError(f"checkpoint array {name} has a non-finite value")
         container.expect_eof(fh)
 
-    ablate = manifest.get("ablate")
     try:
         cfg = _config_from_dict(config)
-        _check_ablation(ablate)
         affordances = parse_affordances(affordances, str(path))
     except ValueError as exc:
         raise FormatError(f"checkpoint {exc}") from exc
@@ -562,4 +533,4 @@ def load_checkpoint(path) -> Checkpoint:
     np.concatenate([a.ravel() for a in stored], out=params.theta)
     proj.flags.writeable = False
     enc = StubTextEncoder(proj=proj, seed=cfg.seed)
-    return Checkpoint(params, enc, affordances, cfg, ablate)
+    return Checkpoint(params, enc, affordances, cfg)

@@ -238,7 +238,7 @@ def evaluate_reference(ckpt, manifest, items, mode, threshold=0.5):
     records, inter, union = [], 0.0, 0.0
     for item in items:
         loaded = data.load_item(manifest, item)
-        pred, _ = training.forward(ckpt.params, ckpt.enc, table, loaded.stack, ckpt.ablate)
+        pred, _ = training.forward(ckpt.params, ckpt.enc, table, loaded.stack)
         if mode == "heatmap":
             fix = None
             if item.target.get("kind") == "keypoints":
@@ -263,7 +263,7 @@ def evaluate_reference(ckpt, manifest, items, mode, threshold=0.5):
     return {"mode": mode, "count": len(records), "items": records, "aggregates": aggregates}
 
 
-def train_reference(cfg, trainset, affordances, ablate=None):
+def train_reference(cfg, trainset, affordances):
     """``training.train`` as a loop over separate arrays: each step writes
     plain copies of the parameters into the model, takes
     ``training.backward`` on it, and replaces every copy by
@@ -281,7 +281,7 @@ def train_reference(cfg, trainset, affordances, ablate=None):
             order = order_rng.permutation(len(trainset))
         for name, arr in training.param_items(mp):
             arr[...] = arrays[name]
-        loss, grads = training.backward(mp, trainset[order[k]], enc, table, ablate)
+        loss, grads = training.backward(mp, trainset[order[k]], enc, table)
         arrays = {name: arr - cfg.lr * grads[name] for name, arr in arrays.items()}
         if (i + 1) % cfg.log_every == 0 or i == cfg.iterations - 1:
             log.append((i + 1, loss))

@@ -1,9 +1,11 @@
 """Command-line surface: smoke flows, determinism, error exits."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
+import struct
 import sys
 import warnings
 
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affseg import fusion, training
-from affseg.cli import build_parser, main
+from affseg.cli import ABLATIONS, build_parser, main
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSIFIED_SPARSE
 from affseg.features import FeatureStack, load_features, save_features
@@ -235,6 +237,70 @@ class TestTrainEval:
                    "--ablate", flag) == 0
         assert plain.read_bytes() != ablated.read_bytes()
 
+    @pytest.mark.parametrize("flag", ["tpl", "mlff", "td", "ctm"])
+    def test_ablate_flag_is_its_config_override(self, world_dir, cfg_path, tmp_path, capsys,
+                                                flag):
+        manifest = str(world_dir / "manifest.json")
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps({**json.loads(cfg_path.read_text()), **ABLATIONS[flag]}))
+        outputs = {}
+        for name, argv in (("flag", ["--config", str(cfg_path), "--ablate", flag]),
+                           ("config", ["--config", str(override)])):
+            files = [tmp_path / f"{name}.{ext}" for ext in ("ooal", "csv", "dense", "heatmap")]
+            assert run("train", *argv, "--manifest", manifest, "--out", str(files[0]),
+                       "--loss-log", str(files[1])) == 0
+            for report in files[2:]:
+                assert run("eval", "--ckpt", str(files[0]), "--manifest", manifest,
+                           "--mode", report.suffix[1:], "--report", str(report)) == 0
+            outputs[name] = [f.read_bytes() for f in files]
+        assert outputs["flag"] == outputs["config"]
+
+        ckpt = tmp_path / "flag.ooal"
+        cfg = training.load_checkpoint(ckpt).cfg
+        assert cfg == dataclasses.replace(training.load_config(cfg_path), **ABLATIONS[flag])
+        raw = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        doc = json.loads(raw[12:12 + n])
+        assert "ablate" not in doc and doc["version"] == 2
+        want = [*training.param_shapes(cfg, 32), ("text_encoder.proj", (cfg.C_t, cfg.C))]
+        assert [(e["name"], tuple(e["shape"])) for e in doc["arrays"]] == want
+
+        # the same file stamped version 1 is refused, not read as another model
+        blob = json.dumps({**doc, "version": 1}).encode()
+        ckpt.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+        capsys.readouterr()
+        assert run("eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", "dense",
+                   "--report", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err == "error: unsupported checkpoint version 1\n"
+
+    def test_model_without_every_optional_module_runs_every_command(self, world_dir, tmp_path):
+        manifest = str(world_dir / "manifest.json")
+        cfg = tmp_path / "bare.json"
+        cfg.write_text(json.dumps({"iterations": 5, "p": 0, "j": 0, "t": 0, "gate": False,
+                                   "C": 8, "C_t": 8}))
+        ckpt = tmp_path / "bare.ooal"
+        assert run("train", "--config", str(cfg), "--manifest", manifest, "--out", str(ckpt)) == 0
+        for mode in ("dense", "heatmap"):
+            assert run("eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", mode,
+                       "--report", str(tmp_path / f"{mode}.json")) == 0
+
+    @pytest.mark.parametrize("iterations", [0, 1])
+    def test_more_fused_layers_than_features_fails_before_training(self, tmp_path, capsys,
+                                                                   iterations):
+        world = tmp_path / "w"
+        assert run("gen-synth", "--seed", "7", "--objects", "2", "--novel", "1", "--items", "1",
+                   "--layers", "2", "--out", str(world)) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": iterations, "j": 5, "C": 8, "C_t": 8}))
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg), "--manifest", str(world / "manifest.json"),
+                   "--out", str(tmp_path / "m.ooal")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("error: config j 5 wants 5 feature layers but item base-0")
+        assert err.endswith(" has 2\n")
+        assert not (tmp_path / "m.ooal").exists()
+
     def test_saturated_prediction_scores_finite(self, tmp_path):
         # embedder weight 0 and bias -1e6 * prompt 0 drive every score of channel 0 to exactly 0
         world = tmp_path / "w"
@@ -405,8 +471,13 @@ class TestAnalyzeCommands:
 class TestCheckGrad:
     def test_exit_zero_on_healthy_gradients(self, capsys):
         assert run("check-grad", "--seed", "0") == 0
-        out = capsys.readouterr().out
-        assert "max relative error" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1].startswith("max relative error")
+        # the full model and each --ablate config, every parameter of each
+        for label in ("full", *ABLATIONS):
+            assert any(line.startswith(f"{label} ") for line in lines), label
+        assert sum(line.startswith("full ") for line in lines) == 1 + 2 + 1 + 2 + 2 * 8
+        assert not any(line.startswith("td ") and "decoder." in line for line in lines)
 
 
 class TestErrorPaths:
@@ -489,8 +560,8 @@ def test_console_script_installed():
 _accepted_configs = st.fixed_dictionaries(
     {"iterations": st.integers(0, 3), "C": st.integers(1, 8)},
     optional={"lr": st.floats(1e-300, 1e300) | st.integers(1, 10**6),
-              "seed": st.integers(0, 2**64), "p": st.integers(1, 4), "j": st.integers(1, 5),
-              "t": st.integers(0, 3), "C_t": st.integers(1, 8),
+              "seed": st.integers(0, 2**64), "p": st.integers(0, 4), "j": st.integers(0, 5),
+              "t": st.integers(0, 3), "gate": st.booleans(), "C_t": st.integers(1, 8),
               "log_every": st.integers(1, 4)},
 )
 _small_worlds = st.fixed_dictionaries({
@@ -513,9 +584,8 @@ def run_or_fail_in_one_line(argv) -> None:
 
 
 @settings(max_examples=30, deadline=None)
-@given(cfg=_accepted_configs, world=_small_worlds,
-       ablate=st.sampled_from((None,) + training.ABLATIONS), k=st.integers(1, 4))
-def test_any_accepted_config_runs_every_command(tmp_path_factory, cfg, world, ablate, k):
+@given(cfg=_accepted_configs, world=_small_worlds, k=st.integers(1, 4))
+def test_any_accepted_config_runs_every_command(tmp_path_factory, cfg, world, k):
     root = tmp_path_factory.mktemp("prop")
     (root / "cfg.json").write_text(json.dumps(cfg))
     training.load_config(root / "cfg.json")  # accepted
@@ -525,7 +595,7 @@ def test_any_accepted_config_runs_every_command(tmp_path_factory, cfg, world, ab
         return
     manifest, ckpt = str(root / "w/manifest.json"), str(root / "model.ooal")
     run_or_fail_in_one_line(["train", "--config", str(root / "cfg.json"), "--manifest",
-                               manifest, "--out", ckpt] + (["--ablate", ablate] if ablate else []))
+                               manifest, "--out", ckpt])
     if (root / "model.ooal").exists():
         for mode in ("dense", "heatmap"):
             run_or_fail_in_one_line(["eval", "--ckpt", ckpt, "--manifest", manifest,

@@ -278,9 +278,10 @@ class TestStacked:
     @pytest.mark.parametrize("text_dims", [2, 3])
     def test_layer_and_decode_slices_equal_separate_calls(self, shape, use_gate, text_dims):
         dp, texts, visual, cls = self.problem(*shape)
+        dp.gated = use_gate
         text = texts[text_dims]
         layer_out, layer_cache = decoder_layer_cached(text, visual, cls, dp.layers[0], use_gate)
-        out, _ = decode_cached(text, visual, cls, dp, use_gate)
+        out, _ = decode_cached(text, visual, cls, dp)
         assert out.shape == layer_out.shape == visual.shape[:1] + text.shape[-2:]
         for b in range(len(visual)):
             text_b = text if text_dims == 2 else text[b]
@@ -289,7 +290,7 @@ class TestStacked:
             assert layer_out[b].tobytes() == one.tobytes()
             if use_gate:
                 assert layer_cache.gate[b].tobytes() == one_cache.gate.tobytes()
-            one, _ = decode_cached(text_b, visual[b], cls[b], dp, use_gate)
+            one, _ = decode_cached(text_b, visual[b], cls[b], dp)
             assert out[b].tobytes() == one.tobytes()
 
 

@@ -137,8 +137,13 @@ class TestFold:
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_bypassed_fusion_is_the_embedder_bitwise(self):
-        stack, _, emb = fold_problem(32, 64, 64)
-        got = embed_folded(stack, fold_embedder(None, emb))
+        # j = 0: no fusion parameters, the raw last layer, empty gradients
+        stack, fp, emb = fold_problem(32, 64, 64, j=0)
+        fused, cache = fuse_cached(stack, fp)
+        assert fused is stack.last
+        d_proj, d_logits = fuse_backward(cache, np.ones_like(fused))
+        assert d_proj == [] and d_logits.shape == (0,)
+        got = embed_folded(stack, fold_embedder(fp, emb))
         assert got.tobytes() == embed_cached(stack.last, emb)[0].tobytes()
 
     def test_repeated_calls_are_bitwise_equal(self):
@@ -154,7 +159,7 @@ class TestFold:
         wide = stack_of([np.zeros((4, 5))] * 2, grid=(2, 2))
         assert error_message(embed_folded, wide, fold_embedder(fp, emb)) == \
             error_message(fuse_cached, wide, fp)
-        assert error_message(embed_folded, wide, fold_embedder(None, emb)) == \
+        assert error_message(embed_folded, wide, fold_embedder(init_fusion(0, 3, 0), emb)) == \
             error_message(embed_cached, wide.last, emb)
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from affseg import data, decoder, fusion, metrics, prompt, synth, training
+from affseg.cli import ABLATIONS
 from affseg.data import AffordanceTarget
 from affseg.decoder import Prediction
 from affseg.features import FeatureStack, save_features
@@ -480,14 +481,15 @@ def trained_world(tmp_path_factory):
     trainset = [data.load_item(manifest, it)
                 for it in data.build_oneshot_trainset(manifest, cfg.seed)]
     ckpts = {}
-    for ablate in (None,) + training.ABLATIONS:
-        params, _ = training.train(cfg, trainset, manifest.affordances, ablate)
-        _, enc = training.build_text_pipeline(cfg, manifest.affordances)
-        ckpts[ablate] = training.Checkpoint(params, enc, manifest.affordances, cfg, ablate)
+    for ablate in (None, *ABLATIONS):
+        ablated = dataclasses.replace(cfg, **ABLATIONS.get(ablate, {}))
+        params, _ = training.train(ablated, trainset, manifest.affordances)
+        _, enc = training.build_text_pipeline(ablated, manifest.affordances)
+        ckpts[ablate] = training.Checkpoint(params, enc, manifest.affordances, ablated)
     return manifest, ckpts
 
 
-@pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
+@pytest.mark.parametrize("ablate", (None, *ABLATIONS))
 def test_evaluate_checkpoint_equals_per_item_forward(trained_world, ablate):
     manifest, ckpts = trained_world
     ckpt = ckpts[ablate]
@@ -500,7 +502,7 @@ def test_evaluate_checkpoint_equals_per_item_forward(trained_world, ablate):
     assert dense[0.3] != dense[0.7]
     heatmap = evaluate_checkpoint(ckpt, manifest, manifest.items, "heatmap").to_json()
     reference = evaluate_reference(ckpt, manifest, manifest.items, "heatmap")
-    if ablate == "mlff":  # fusion bypassed: the folded embedder is the embedder itself
+    if ablate == "mlff":  # j 0, no fusion: the folded embedder is the embedder itself
         assert heatmap == reference
     else:  # the fold re-associates the fusion products, which moves the last bits
         assert_heatmap_reports_close(heatmap, reference, rel=1e-12, abs_=1e-13)
@@ -521,7 +523,7 @@ def assert_heatmap_reports_close(got: dict, want: dict, rel: float, abs_: float)
                 assert g[key] == pytest.approx(w[key], rel=rel, abs=abs_), key
 
 
-@pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
+@pytest.mark.parametrize("ablate", (None, *ABLATIONS))
 def test_repeated_eval_equals_a_fresh_load(trained_world, tmp_path, ablate):
     manifest, ckpts = trained_world
     ckpt = ckpts[ablate]
@@ -539,8 +541,7 @@ def assert_built_once_per_checkpoint(ckpt, manifest, items, tmp_path, calls):
     exactly one entry to *calls*; evaluating either, twice in each mode, adds
     none."""
     training.save_checkpoint(ckpt, tmp_path / "m.ooal")
-    for make in (lambda: training.Checkpoint(ckpt.params, ckpt.enc, ckpt.affordances, ckpt.cfg,
-                                             ckpt.ablate),
+    for make in (lambda: training.Checkpoint(ckpt.params, ckpt.enc, ckpt.affordances, ckpt.cfg),
                  lambda: training.load_checkpoint(tmp_path / "m.ooal")):
         calls.clear()
         built = make()
@@ -579,7 +580,7 @@ def test_fusion_folded_once_per_checkpoint(trained_world, tmp_path, monkeypatch,
     monkeypatch.setattr(fusion, "fold_embedder", counted)
     assert_built_once_per_checkpoint(ckpts[ablate], manifest, manifest.items[:5], tmp_path,
                                      calls)
-    assert (calls[0][0] is None) == (ablate == "mlff")
+    assert (calls[0][0].depth == 0) == (ablate == "mlff")
 
 
 @pytest.fixture(scope="module")
@@ -649,7 +650,7 @@ def raised(fn):
 TWO_ITEMS = 2 * (16 * 16 * 2 * 8 + 16 * 8 * 8)
 
 
-@pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
+@pytest.mark.parametrize("ablate", (None, *ABLATIONS))
 def test_chunked_eval_equals_one_item_chunks(trained_world, mixed_world, monkeypatch, ablate):
     ckpt = trained_world[1][ablate]
     manifest, dense, heatmap, sizes = mixed_world

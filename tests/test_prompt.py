@@ -40,9 +40,10 @@ class TestInitContext:
         assert -0.01 < ctx.vectors.mean() < 0.01
         assert 0.015 < ctx.vectors.std() < 0.025
 
-    def test_zero_count_rejected(self):
-        with pytest.raises(ValueError):
-            init_context(0, 8, seed=0)
+    def test_negative_count_rejected(self):
+        assert init_context(0, 8, seed=0).vectors.shape == (0, 8)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            init_context(-1, 8, seed=0)
 
 
 class TestEncodeTexts:
@@ -118,10 +119,14 @@ class TestEncodeTexts:
             encode_texts_cached(ctx, table, enc)
 
     def test_no_context_variant(self):
-        _, table, enc = pipeline()
-        out, cache = encode_texts_cached(None, table, enc)
+        # p = 0 encodes the class tokens alone, bitwise
+        ctx, table, enc = pipeline(p=0)
+        out, cache = encode_texts_cached(ctx, table, enc)
         assert cache.count == 0
-        np.testing.assert_allclose(out.mean(axis=1), 0.0, atol=1e-8)
+        h = table.tokens @ enc.proj
+        mu = h.mean(axis=1, keepdims=True)
+        var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
+        assert out.tobytes() == ((h - mu) * (1.0 / np.sqrt(var + 1e-12))).tobytes()
         assert encode_texts_backward(cache, np.ones_like(out)).shape == (0, table.token_dim)
 
 

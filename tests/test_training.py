@@ -1,5 +1,6 @@
 """Loss, gradients, SGD loop, determinism, and checkpointing."""
 
+import dataclasses
 import json
 import math
 import re
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from affseg import decoder, fusion, gradcheck, synth, training
+from affseg.cli import ABLATIONS
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSE_BINARY, DENSIFIED_SPARSE, AffordanceTarget, LoadedItem
 from affseg.decoder import Prediction, _sigmoid
@@ -32,6 +34,11 @@ from affseg.training import (
     zero_gradients,
 )
 from tests.oracles import bce_loss_reference, max_rel_err, train_reference
+
+
+def ablated(cfg: TrainConfig, ablate: str | None) -> TrainConfig:
+    """*cfg* as ``train --ablate`` rewrites it; None leaves it as it is."""
+    return dataclasses.replace(cfg, **ABLATIONS.get(ablate, {}))
 
 
 def pred_of(logits: np.ndarray) -> Prediction:
@@ -337,28 +344,25 @@ class TestBackward:
         max_err, per_param = gradcheck.run_check(seed=0)
         assert max_err < 1e-4, per_param
 
-    @pytest.mark.parametrize("ablate", training.ABLATIONS)
+    @pytest.mark.parametrize("ablate", ABLATIONS)
     def test_ablated_model_matches_finite_differences(self, ablate):
         # the unablated model is checked above, at the same step and tolerance
-        max_err, per_param = gradcheck.run_check(seed=0, ablate=ablate)
+        max_err, per_param = gradcheck.run_check(seed=0, **ABLATIONS[ablate])
         assert max_err < gradcheck.REL_TOL, per_param
 
-    @pytest.mark.parametrize("ablate", training.ABLATIONS)
-    def test_bypassed_groups_get_zero_gradients(self, ablate):
-        params, enc, table, item = gradcheck.build_problem(seed=0)
-        # the model's gradient vector is reused: a full pass first fills
-        # every slot, so a slot the ablated pass leaves unwritten shows
-        _, full = backward(params, item, enc, table)
-        assert all(full[name].any() for name in full)
-        _, grads = backward(params, item, enc, table, ablate=ablate)
-        assert grads is full
-        bypassed = {"tpl": "ctx.", "mlff": "fusion.", "td": "decoder.", "ctm": "decoder.0.wc"}
-        for name in grads:
-            assert np.isfinite(grads[name]).all(), name
-            if name.startswith(bypassed[ablate]):
-                assert not grads[name].any(), name
-        if ablate == "ctm":
-            assert not grads["decoder.1.wc"].any()
+    @pytest.mark.parametrize("ablate", (None, *ABLATIONS))
+    def test_every_gradient_slot_written(self, ablate):
+        # backward never clears the model's gradient vector, so it must write
+        # every slot: NaN left in one raises, naming the parameter
+        params, enc, table, item = gradcheck.build_problem(seed=0, **ABLATIONS.get(ablate, {}))
+        params._grads = training.Gradients(params, np.full(params.theta.size, np.nan))
+        _, grads = backward(params, item, enc, table)
+        assert grads is params._grads and np.isfinite(grads.flat).all()
+        gated = ablate != "ctm"
+        assert params.dp.gated == gated and params.dp.depth == (0 if ablate == "td" else 2)
+        for k in range(params.dp.depth):
+            wc = grads[f"decoder.{k}.wc"]
+            assert wc.any() if gated else not wc.any()
 
     @pytest.mark.parametrize("poison,expected", [
         (("embedder.bias",), "embedder.bias"),
@@ -443,11 +447,6 @@ class TestTrainLoop:
             _, log = train(cfg, items, tiny_world.affordances)
             assert len(log) == math.ceil(iters / every)
 
-    def test_unknown_ablation_rejected_before_training(self, tiny_world):
-        cfg = TrainConfig(iterations=0, seed=8, p=2, j=2, t=1, C=16, C_t=16)
-        with pytest.raises(ValueError, match="bogus"):
-            train(cfg, make_items(tiny_world), tiny_world.affordances, ablate="bogus")
-
     def test_empty_trainset(self):
         cfg = TrainConfig(iterations=1)
         with pytest.raises(ValueError):
@@ -472,7 +471,7 @@ class TestTrainLoop:
 
     @settings(max_examples=60, deadline=None)
     @given(k=st.integers(0, 300), t=st.integers(0, 1),
-           ablate=st.sampled_from((None,) + training.ABLATIONS))
+           ablate=st.sampled_from((None, *ABLATIONS)))
     @example(k=104, t=0, ablate=None)  # finite pixel terms whose mean overflows
     @example(k=150, t=1, ablate=None)
     def test_extreme_finite_features_train_or_fail_by_name(self, tiny_world, k, t, ablate):
@@ -483,9 +482,10 @@ class TestTrainLoop:
         stack = FeatureStack(layers=tuple(s * x for x in item.stack.layers), cls=s * item.stack.cls,
                              grid=item.stack.grid, image_size=item.stack.image_size)
         scaled = LoadedItem(item.item_id, item.object_id, stack, item.target)
-        cfg = TrainConfig(iterations=2, seed=8, p=2, j=2, t=t, C=16, C_t=16, log_every=1)
+        cfg = ablated(TrainConfig(iterations=2, seed=8, p=2, j=2, t=t, C=16, C_t=16,
+                                  log_every=1), ablate)
         try:
-            params, log = train(cfg, [scaled], tiny_world.affordances, ablate)
+            params, log = train(cfg, [scaled], tiny_world.affordances)
         except ArithmeticError as exc:
             assert re.fullmatch(r"non-finite (gradient for parameter \S+|value in decoder layer "
                                 r"output|loss \S+ with finite gradients|layer-norm variance "
@@ -494,13 +494,13 @@ class TestTrainLoop:
             assert all(math.isfinite(loss) for _, loss in log)
             assert np.isfinite(params.theta).all()
 
-    @pytest.mark.parametrize("ablate", (None,) + training.ABLATIONS)
+    @pytest.mark.parametrize("ablate", (None, *ABLATIONS))
     def test_equals_per_array_reference_bitwise(self, tiny_world, ablate):
         items = make_items(tiny_world)
-        cfg = TrainConfig(lr=0.05, iterations=9, seed=8, p=2, j=2, t=2, C=16, C_t=16,
-                          log_every=2)
-        params, log = train(cfg, items, tiny_world.affordances, ablate)
-        ref, ref_log = train_reference(cfg, items, tiny_world.affordances, ablate)
+        cfg = ablated(TrainConfig(lr=0.05, iterations=9, seed=8, p=2, j=2, t=2, C=16, C_t=16,
+                                  log_every=2), ablate)
+        params, log = train(cfg, items, tiny_world.affordances)
+        ref, ref_log = train_reference(cfg, items, tiny_world.affordances)
         assert params_checksum(params) == params_checksum(ref)
         assert log == ref_log
 
@@ -638,7 +638,10 @@ class TestCheckpoint:
                      CorruptionError, "payload shorter than expected", id="claims-2^62-values"),
         pytest.param(_first_array({"name": "ctx.vectors", "shape": [2**32, 2**32]}),
                      CorruptionError, "payload shorter than expected", id="claims-2^64-values"),
-        pytest.param(lambda d: {**d, "ablate": "bogus"}, FormatError, "bogus", id="bad-ablation"),
+        pytest.param(lambda d: {**d, "version": 1}, FormatError,
+                     "^unsupported checkpoint version 1$", id="version-1"),
+        pytest.param(_config(gate=1), FormatError, "config gate must be bool", id="gate-int"),
+        pytest.param(_config(p=True), FormatError, "config p must be int", id="p-bool"),
         pytest.param(lambda d: [d], FormatError, "version", id="not-an-object"),
         pytest.param(lambda d: {**d, "arrays": d["arrays"][:1] + d["arrays"][:-1]},
                      CorruptionError, "ctx.vectors twice", id="duplicate-name"),
