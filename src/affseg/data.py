@@ -53,7 +53,9 @@ class AffordanceTarget:
     """Per-pixel, per-affordance ground truth, values in [0, 1].
 
     ``kind`` records provenance: exact binary masks or keypoints densified
-    with a Gaussian kernel.
+    with a Gaussian kernel. ``M`` keeps the layout it is given: C order for a
+    target read from a file, channel-major (a view of an N x H x W buffer)
+    for one built by :func:`densify`.
     """
 
     M: np.ndarray = field(repr=False)
@@ -63,7 +65,8 @@ class AffordanceTarget:
         M = np.asarray(self.M, dtype=np.float64)
         if M.ndim != 3:
             raise ValueError(f"target must be H x W x N, got {M.shape}")
-        if not np.all(np.isfinite(M)) or M.min() < 0.0 or M.max() > 1.0:
+        # min and max propagate NaN, and +-inf is outside the range
+        if not (M.min() >= 0.0 and M.max() <= 1.0):
             raise ValueError("target values must be finite and in [0, 1]")
         if self.kind == DENSE_BINARY and not np.all((M == 0.0) | (M == 1.0)):
             raise ValueError("dense-binary target has non-binary entries "
@@ -119,7 +122,9 @@ def densify(
     affordances,
 ) -> AffordanceTarget:
     """Sum an unnormalized Gaussian over each (x, y) keypoint of *points*, then
-    scale every channel by its own max (empty channels stay all-zero)."""
+    scale every channel by its own max (empty channels stay all-zero). The
+    H x W x N result is a view of an N x H x W buffer, channel-major like a
+    :class:`~affseg.decoder.Prediction`."""
     check_sigma(sigma)
     affordances = list(affordances)
     unknown = set(points) - set(affordances)
@@ -129,10 +134,9 @@ def densify(
     xs = np.arange(width)[None, :]
     # IEEE division is sign-symmetric: d / -(2 sigma^2) == -d / (2 sigma^2)
     neg_denom = -(2.0 * sigma**2)
-    M = np.empty((height, width, len(affordances)))
-    acc = np.empty((height, width))
+    M = np.empty((len(affordances), height, width))
     g = np.empty((height, width))
-    for ch, name in enumerate(affordances):
+    for acc, name in zip(M, affordances):
         acc.fill(0.0)
         # canonical accumulation order makes the output bit-identical under
         # any permutation of the keypoint list
@@ -146,8 +150,7 @@ def densify(
         peak = acc.max()
         if peak > 0:
             acc /= peak
-        M[:, :, ch] = acc
-    return AffordanceTarget(M=M, kind=DENSIFIED_SPARSE)
+    return AffordanceTarget(M=M.transpose(1, 2, 0), kind=DENSIFIED_SPARSE)
 
 
 def save_target(target: AffordanceTarget, path) -> None:

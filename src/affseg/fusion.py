@@ -63,7 +63,8 @@ class Embedder:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
+    # the initial value lets empty logits (j 0) give empty weights
+    e = np.exp(z - z.max(initial=-np.inf))
     return e / e.sum()
 
 

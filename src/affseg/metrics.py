@@ -23,11 +23,15 @@ EPS = 1e-12
 
 def _normalize_sum(m: np.ndarray, zero_ok: bool = False) -> np.ndarray:
     """*m* over its sum. An all-zero map raises ValueError, or with *zero_ok*
-    is returned as is: the zero distribution of a saturated prediction."""
+    is returned as is: the zero distribution of a saturated prediction. A map
+    whose sum is not finite (a NaN or inf value, or an overflowing sum) raises
+    ValueError."""
     m = np.asarray(m, dtype=np.float64)
     if m.min() < 0:
         raise ValueError("map has negative values")
     total = m.sum()
+    if not np.isfinite(total):
+        raise ValueError(f"map sum {total} is not finite")
     if total <= 0:
         if zero_ok:
             return m
@@ -69,30 +73,23 @@ def nss(pred: np.ndarray, fixations: np.ndarray) -> float:
     all pixels; a constant prediction scores 0 by convention.
     """
     fix = np.asarray(fixations)
+    p = np.asarray(pred, dtype=np.float64)
+    if p.shape != fix.shape:
+        raise ValueError(f"prediction {p.shape} vs fixations {fix.shape}")
     if not fix.any():
         raise ValueError("empty fixation set")
-    p = np.asarray(pred, dtype=np.float64)
     if not np.all(np.isfinite(p)):
         raise ValueError("non-finite prediction")
     std = p.std()
     if std < 1e-12:
         return 0.0
-    return float(((p[fix.astype(bool)] - p.mean()) / std).mean())
+    return float(((p[fix.astype(bool, copy=False)] - p.mean()) / std).mean())
 
 
 def fixations_from_heatmap(channel: np.ndarray) -> np.ndarray:
     """Binarize a densified channel at half its peak."""
     peak = channel.max()
     return channel >= 0.5 * peak if peak > 0 else np.zeros_like(channel, dtype=bool)
-
-
-def iou_per_class(
-    pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5
-) -> np.ndarray:
-    """Per-class IoU for a single image (NaN where the union is empty)."""
-    inter, union = iou_counts(pred, gt, threshold)
-    with np.errstate(invalid="ignore"):
-        return np.where(union > 0, inter / np.maximum(union, 1), np.nan)
 
 
 def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
@@ -321,15 +318,16 @@ def _decode(ckpt, visual, cls):
 def keypoint_fixations(points: dict, shape, affordances) -> np.ndarray:
     """Boolean H x W x N stack marking the annotated keypoint pixels; each
     point rounds to the nearest pixel, clamped into the image (``densify``
-    accepts x < W, which can round to W)."""
+    accepts x < W, which can round to W). The stack is a view of an
+    N x H x W array, channel-major like the targets ``densify`` builds."""
     H, W, N = shape
-    fix = np.zeros((H, W, N), dtype=bool)
+    fix = np.zeros((N, H, W), dtype=bool)
     for ch, name in enumerate(affordances):
         for x0, y0 in points.get(name, []):
             row = min(max(int(round(y0)), 0), H - 1)
             col = min(max(int(round(x0)), 0), W - 1)
-            fix[row, col, ch] = True
-    return fix
+            fix[ch, row, col] = True
+    return fix.transpose(1, 2, 0)
 
 
 def heatmap_record(item_id, scores: np.ndarray, gt: np.ndarray, fixations=None) -> dict:
@@ -339,8 +337,12 @@ def heatmap_record(item_id, scores: np.ndarray, gt: np.ndarray, fixations=None) 
 
     ``fixations`` may give a boolean H x W x N stack of true fixation
     pixels (from keypoints); otherwise fixations are binarized from the gt
-    heatmap at half the channel peak.
+    heatmap at half the channel peak. Scores and fixations must have the
+    gt's shape.
     """
+    for name, m in (("scores", scores), ("fixations", fixations)):
+        if m is not None and m.shape != gt.shape:
+            raise ValueError(f"{name} {m.shape} vs gt {gt.shape}")
     klds, sims, nsss = [], [], []
     for ch in range(gt.shape[2]):
         g = gt[:, :, ch]

@@ -263,7 +263,7 @@ def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
     y = target.M
     if pred.logits.shape != y.shape:
         raise ValueError(f"prediction {pred.logits.shape} vs target {y.shape}")
-    # C order like the target, so no pass runs on mismatched strides; the
+    # C order like a mask target (a densified one is channel-major); the
     # terms and the mean are taken in the same order as the one-line expression
     z = np.ascontiguousarray(pred.logits)
     t = np.maximum(z, 0.0)
@@ -276,7 +276,9 @@ def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
 
 def _bce_score_grad(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Gradient of ``bce_loss`` in the pixel logits z, from scores = sigmoid(z): (s - y) / n."""
-    return (scores - target) / scores.size
+    # C order whatever the target's layout: the upsampling adjoint reads a
+    # C-ordered gradient as is, but copies a channel-major one
+    return np.subtract(scores, target, order="C") / scores.size
 
 
 def backward(

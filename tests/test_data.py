@@ -131,7 +131,19 @@ def test_densify_bitwise_equal_to_reference(case):
     assert out.M.tobytes() == densify_reference(points, sigma, H, W, names).tobytes()
 
 
+def test_densified_target_is_channel_major():
+    M = densify({"cut": [(1.0, 2.0)]}, 2.0, 6, 7, AFFS).M
+    assert M.shape == (6, 7, len(AFFS)) and M.transpose(2, 0, 1).flags.c_contiguous
+
+
 class TestTargetFile:
+    def test_channel_major_target_writes_c_order_bytes(self, tmp_path):
+        target = densify({"cut": [(1.0, 2.0)], "grasp": [(4.5, 0.0)]}, 2.0, 6, 7, AFFS)
+        save_target(target, tmp_path / "cm.ooal")
+        c_ordered = AffordanceTarget(np.ascontiguousarray(target.M), target.kind)
+        save_target(c_ordered, tmp_path / "c.ooal")
+        assert (tmp_path / "cm.ooal").read_bytes() == (tmp_path / "c.ooal").read_bytes()
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
         M = (rng.random((6, 5, 3)) < 0.4).astype(float)
@@ -166,6 +178,13 @@ class TestTargetFile:
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
             AffordanceTarget(M=np.full((2, 2, 1), 1.5))
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf, -np.inf])
+    def test_non_finite_or_negative_values_rejected(self, bad):
+        M = np.zeros((2, 2, 1))
+        M[1, 0, 0] = bad
+        with pytest.raises(ValueError, match=r"must be finite and in \[0, 1\]"):
+            AffordanceTarget(M=M)
 
     def test_dense_binary_rejects_soft_values(self):
         with pytest.raises(ValueError):

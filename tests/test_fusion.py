@@ -82,6 +82,17 @@ class TestFuse:
             assert abs(a.sum() - 1.0) < 1e-12
             assert (a > 0).all()
 
+    def test_alpha_of_no_layers_is_empty(self):
+        a = init_fusion(0, 4, seed=0).alpha
+        assert a.shape == (0,) and a.dtype == np.float64
+
+    @pytest.mark.parametrize("j", [1, 2, 5])
+    def test_alpha_bitwise_equals_max_shifted_softmax(self, j):
+        z = np.random.default_rng(j).standard_normal(j) * 30
+        fp = FusionParams(proj=[np.eye(3)] * j, alpha_logits=z)
+        e = np.exp(z - z.max())
+        assert fp.alpha.tobytes() == (e / e.sum()).tobytes()
+
     def test_linear_in_features(self):
         rng = np.random.default_rng(3)
         layers = [rng.standard_normal((4, 3)) for _ in range(2)]

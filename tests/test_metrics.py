@@ -26,7 +26,6 @@ from affseg.metrics import (
     heatmap_record,
     hiou,
     iou_counts,
-    iou_per_class,
     keypoint_fixations,
     kld,
     miou,
@@ -90,6 +89,21 @@ class TestKld:
             kld(np.ones((2, 2)), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="all-zero map"):
             sim(np.ones((2, 2)), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [
+        pytest.param([[np.nan, 1.0]], id="nan"),
+        pytest.param([[np.inf, 1.0]], id="inf"),
+        # finite values whose sum overflows; scored as an all-zero map before
+        pytest.param([[1e308, 1e308]], id="overflowing-sum"),
+    ])
+    @pytest.mark.parametrize("metric", [kld, sim])
+    def test_non_finite_map_rejected(self, metric, bad):
+        ok = np.ones((1, 2))
+        # as in eval, which runs under np.errstate(over="ignore")
+        with np.errstate(over="ignore"):
+            for pred, gt in ((np.array(bad), ok), (ok, np.array(bad))):
+                with pytest.raises(ValueError, match="is not finite"):
+                    metric(pred, gt)
 
 
 class TestSim:
@@ -155,6 +169,12 @@ class TestNss:
         with pytest.raises(ValueError):
             nss(np.ones((2, 2)), np.zeros((2, 2), dtype=bool))
 
+    @pytest.mark.parametrize("pred", [np.arange(9.0).reshape(3, 3), np.full((3, 3), 2.0)],
+                             ids=["varying", "constant"])
+    def test_shape_mismatch_rejected(self, pred):
+        with pytest.raises(ValueError, match=r"prediction \(3, 3\) vs fixations \(2, 2\)"):
+            nss(pred, np.ones((2, 2), dtype=bool))
+
     def test_fixation_binarization_rule(self):
         ch = np.array([[1.0, 0.6], [0.49, 0.0]])
         np.testing.assert_array_equal(
@@ -208,15 +228,16 @@ class TestSaliencyOracles:
 class TestIoU:
     def test_perfect_prediction(self):
         y = (np.random.default_rng(7).random((4, 4, 3)) < 0.5).astype(float)
-        per = iou_per_class(pred_of(y), AffordanceTarget(M=y))
-        np.testing.assert_array_equal(per[~np.isnan(per)], 1.0)
+        inter, union = iou_counts(pred_of(y), AffordanceTarget(M=y))
+        np.testing.assert_array_equal(inter, union)
 
     def test_disjoint_nonempty(self):
         y = np.zeros((2, 2, 1))
         y[0, 0, 0] = 1.0
         s = np.zeros((2, 2, 1))
         s[1, 1, 0] = 1.0
-        assert iou_per_class(pred_of(s), AffordanceTarget(M=y))[0] == 0.0
+        inter, union = iou_counts(pred_of(s), AffordanceTarget(M=y))
+        assert inter[0] == 0.0 and union[0] == 2.0
 
     def test_counting_hand_case(self):
         # oracle: pred covers 3 cells, gt 2, overlap 2 -> IoU 2/3
@@ -224,22 +245,22 @@ class TestIoU:
         y = np.array([[1.0, 1.0], [0.0, 0.0]]).reshape(2, 2, 1)
         inter, union = iou_counts(pred_of(s), AffordanceTarget(M=y), 0.5)
         assert inter[0] == 2 and union[0] == 3
-        assert abs(iou_per_class(pred_of(s), AffordanceTarget(M=y))[0] - 2.0 / 3.0) < 1e-12
+        assert abs(inter[0] / union[0] - 2.0 / 3.0) < 1e-12
 
     def test_soft_gt_rejected(self):
         s = np.full((2, 2, 1), 0.9)
         soft = AffordanceTarget(M=np.full((2, 2, 1), 0.5), kind="densified-sparse")
         with pytest.raises(ValueError):
-            iou_per_class(pred_of(s), soft)
+            iou_counts(pred_of(s), soft)
 
     def test_threshold_stability_within_margin(self):
         # scores keep a margin around 0.5, so nearby thresholds agree
         s = np.array([[0.9, 0.8], [0.2, 0.1]]).reshape(2, 2, 1)
         y = np.array([[1.0, 0.0], [1.0, 0.0]]).reshape(2, 2, 1)
-        base = iou_per_class(pred_of(s), AffordanceTarget(M=y), 0.5)
+        base = iou_counts(pred_of(s), AffordanceTarget(M=y), 0.5)
         for thr in (0.45, 0.55):
             np.testing.assert_array_equal(
-                iou_per_class(pred_of(s), AffordanceTarget(M=y), thr), base
+                iou_counts(pred_of(s), AffordanceTarget(M=y), thr), base
             )
 
     def test_miou_class_order_invariance(self):
@@ -425,7 +446,34 @@ def test_heatmap_record_bitwise_equal_to_reference(drawn, case, soft, given_fixa
     assert got == heatmap_record_reference("it", scores, gt, fix)
 
 
+@pytest.mark.parametrize("arg", ["scores", "fixations"])
+def test_heatmap_record_refuses_fewer_channels_than_gt(arg):
+    args = {"scores": np.full((4, 5, 3), 0.5), "fixations": np.ones((4, 5, 3), dtype=bool)}
+    args[arg] = args[arg][:, :, :2]
+    with pytest.raises(ValueError, match=rf"{arg} \(4, 5, 2\) vs gt \(4, 5, 3\)"):
+        heatmap_record("it", args["scores"], np.ones((4, 5, 3)), args["fixations"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=densify_cases(max_side=80), seed=st.integers(0, 2**32 - 1),
+       given_fixations=st.booleans())
+def test_heatmap_record_same_bits_in_either_layout(case, seed, given_fixations):
+    # channel-major, as eval passes them: the prediction, densify's target and
+    # keypoint_fixations' stack; then their C-ordered copies
+    points, sigma, H, W, names = case
+    rng = np.random.default_rng(seed)
+    scores = rng.random((len(names), H, W)).transpose(1, 2, 0)
+    gt = data.densify(points, sigma, H, W, names).M
+    fix = keypoint_fixations(points, gt.shape, names) if given_fixations else None
+    c_ordered = [None if a is None else np.ascontiguousarray(a) for a in (scores, gt, fix)]
+    assert heatmap_record("it", scores, gt, fix) == heatmap_record("it", *c_ordered)
+
+
 class TestKeypointFixations:
+    def test_stack_is_channel_major(self):
+        fix = keypoint_fixations({"b": [(1.0, 2.0)]}, (4, 5, 3), ["a", "b", "c"])
+        assert fix.shape == (4, 5, 3) and fix.transpose(2, 0, 1).flags.c_contiguous
+
     @settings(max_examples=200, deadline=None)
     @given(drawn=st.data(), H=st.integers(1, 40), W=st.integers(1, 40))
     def test_each_accepted_keypoint_marks_its_nearest_pixel(self, drawn, H, W):

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 from affseg import decoder, fusion, gradcheck, synth, training
 from affseg.cli import ABLATIONS
 from affseg.container import CorruptionError, FormatError
-from affseg.data import DENSE_BINARY, DENSIFIED_SPARSE, AffordanceTarget, LoadedItem
+from affseg.data import DENSE_BINARY, DENSIFIED_SPARSE, AffordanceTarget, LoadedItem, densify
 from affseg.decoder import Prediction, _sigmoid
 from affseg.features import FeatureStack
 from affseg.training import (
@@ -98,6 +98,16 @@ class TestBceLoss:
         got = bce_loss(pred_of(z), AffordanceTarget(M=y, kind=kind))
         want = bce_loss_reference(z, y)
         assert math.isfinite(got) and got == want
+
+    @pytest.mark.parametrize("H, W", [(5, 7), (64, 64)])
+    def test_channel_major_target_gives_same_bits_and_c_ordered_gradient(self, H, W):
+        # a densified target is channel-major; a mask target is C-ordered
+        y = densify({"a": [(1.0, 2.0)], "c": [(3.5, 0.0)]}, 2.0, H, W, ["a", "b", "c"])
+        y_c = AffordanceTarget(M=np.ascontiguousarray(y.M), kind=y.kind)
+        z = np.random.default_rng(H).standard_normal((3, H, W)).transpose(1, 2, 0)
+        assert bce_loss(pred_of(z), y) == bce_loss(pred_of(z), y_c)
+        got, want = _bce_score_grad(_sigmoid(z), y.M), _bce_score_grad(_sigmoid(z), y_c.M)
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), shape=hnp.array_shapes(min_dims=3, max_dims=3, max_side=4))
