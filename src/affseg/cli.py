@@ -18,7 +18,6 @@ import numpy as np
 
 from . import analysis, data, gradcheck, metrics, synth, training
 from .features import load_features, save_features
-from .prompt import StubTextEncoder
 
 # ``train --ablate X`` leaves one module out of the model by overriding its config
 ABLATIONS = {"tpl": {"p": 0}, "mlff": {"j": 0}, "td": {"t": 0}, "ctm": {"gate": False}}
@@ -175,7 +174,7 @@ def cmd_train(args) -> int:
     chosen = data.build_oneshot_trainset(manifest, cfg.seed)
     trainset = [data.load_item(manifest, it, sigma=args.sigma) for it in chosen]
     params, log = training.train(cfg, trainset, manifest.affordances)
-    enc = StubTextEncoder.create(cfg.C_t, cfg.C, cfg.seed)
+    _, enc = training.build_text_pipeline(cfg, manifest.affordances)
     ckpt = training.Checkpoint(params=params, enc=enc, affordances=manifest.affordances, cfg=cfg)
     training.save_checkpoint(ckpt, args.out)
     if args.loss_log:

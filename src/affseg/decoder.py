@@ -62,12 +62,11 @@ class DecoderParams:
 
 @dataclass(frozen=True)
 class Prediction:
-    """Pixel logits (H x W x N, the upsampled patch logits), their sigmoid
-    scores (H x W x N, values in [0, 1]), and the source patch grid."""
+    """Pixel logits (H x W x N, the upsampled patch logits) and their sigmoid
+    scores (H x W x N, values in [0, 1])."""
 
     logits: np.ndarray
     upsampled: np.ndarray
-    grid: tuple[int, int]
 
 
 def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int,
@@ -98,22 +97,18 @@ _GATE_LO = np.finfo(np.float64).tiny
 _GATE_HI = 1.0 - 2.0**-53
 
 
-def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray, d_k: float | None = None) -> np.ndarray:
-    """Foreground gate per key: sigmoid((cls @ wc) @ K^T / sqrt(d_k)) -> (L,).
-
-    Stacked items, cls (B, C_v) and K (B, L, C), give (B, L). d_k defaults to
-    the key width C; every entry is strictly inside (0, 1).
-    """
+def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray) -> np.ndarray:
+    """Foreground gate per key, sigmoid((cls @ wc) @ K^T / sqrt(C)) with C the
+    key width -> (L,). Stacked items, cls (B, C_v) and K (B, L, C), give
+    (B, L); every entry is strictly inside (0, 1)."""
     if cls.shape[-1:] != (wc.shape[0],):
         raise ValueError(f"cls shape {cls.shape} does not match map {wc.shape}")
     if K.shape[-1] != wc.shape[1]:
         raise ValueError(f"key width {K.shape[-1]} does not match map {wc.shape}")
-    if d_k is None:
-        d_k = K.shape[-1]
     # vector-matrix products per item: a stacked (B, C_v) @ (C_v, C) product
     # is one gemm, which does not round like B separate vector products
     g = cls[..., None, :] @ wc
-    return np.clip(_sigmoid((K @ g.swapaxes(-1, -2))[..., 0] / math.sqrt(d_k)),
+    return np.clip(_sigmoid((K @ g.swapaxes(-1, -2))[..., 0] / math.sqrt(K.shape[-1])),
                    _GATE_LO, _GATE_HI)
 
 
@@ -281,7 +276,7 @@ def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[in
     logits = visual @ text_out.T
     N = logits.shape[1]
     up_logits = upsample_bilinear(logits.reshape(h_p, w_p, N), image_size)
-    pred = Prediction(logits=up_logits, upsampled=_sigmoid(up_logits), grid=grid)
+    pred = Prediction(logits=up_logits, upsampled=_sigmoid(up_logits))
     return pred, PredictCache(visual, text_out, grid)
 
 

@@ -10,7 +10,6 @@ seen and unseen mIoU.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -190,7 +189,7 @@ def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5)
     return report
 
 
-# an eval chunk holds at most this many bytes of targets and visual
+# an eval run holds at most this many bytes of targets and visual
 # embeddings, and at least one item
 EVAL_CHUNK_BYTES = 1 << 20
 
@@ -207,13 +206,11 @@ def evaluate_checkpoint(
     """Run the model of a trained checkpoint over manifest items. The prompts
     and the folded fusion come from the checkpoint, which builds them once.
 
-    Consecutive items that share a grid, image size and feature width are
-    loaded and embedded as one chunk (at most :data:`EVAL_CHUNK_BYTES` of
-    targets and embeddings), and the decoder runs once over the chunk's
-    stacked embeddings; the head and the scores stay per item. A chunk of
-    one item runs the decoder on it alone. Each result is bitwise equal to
-    the item's own forward, and errors come in item order: a chunk ends
-    before an item that fails to load.
+    Consecutive items that share a grid and image size are embedded as they
+    load into one B x L x C buffer of at most :data:`EVAL_CHUNK_BYTES` of
+    targets and embeddings, and the decoder runs once over it; the head and
+    the scores stay per item. Each result is bitwise equal to the item's own
+    forward, and errors come in item order.
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
@@ -221,94 +218,83 @@ def evaluate_checkpoint(
     decoder's finiteness check raises ArithmeticError naming the item.
     """
     items = list(items)
-    predicted = _predict_chunks(ckpt, _embedded_chunks(manifest, items, ckpt.folded, sigma))
+    predicted = _predictions(ckpt, manifest, items, sigma)
 
     def run_item(item):
-        # evaluate calls this once per item, in order, as the chunks yield them
-        entry, pred = next(predicted)
+        # evaluate calls this once per item, in order, as the runs yield them
+        (_, target, points, _, _), pred = next(predicted)
         fixations = None
-        if mode == "heatmap" and entry.points is not None:
-            fixations = keypoint_fixations(entry.points, entry.target.shape, manifest.affordances)
-        return item.item_id, pred, entry.target, fixations
+        if mode == "heatmap" and points is not None:
+            fixations = keypoint_fixations(points, target.shape, manifest.affordances)
+        return item.item_id, pred, target, fixations
 
     return evaluate(run_item, items, mode, manifest.affordances, threshold)
 
 
-class _Embedded(NamedTuple):
-    """One loaded item after its embedding; the feature stack is dropped."""
-
-    item_id: str
-    target: AffordanceTarget
-    points: dict | None
-    visual: np.ndarray      # L x C
-    cls: np.ndarray
-    grid: tuple[int, int]
-    image_size: tuple[int, int]
-
-
-def _embed_item(manifest, item, folded, sigma) -> _Embedded:
-    loaded = data.load_item(manifest, item, sigma=sigma)
-    s = loaded.stack
-    return _Embedded(item.item_id, loaded.target, loaded.points,
-                     fusion.embed_folded(s, folded), s.cls, s.grid, s.image_size)
-
-
-def _embedded_chunks(manifest, items, folded, sigma):
-    """Runs of consecutive embedded items that share grid, image size and
-    feature width, within :data:`EVAL_CHUNK_BYTES`. An item that fails to
-    load or embed ends the run before it; its error is raised once that run
-    has been taken."""
-    chunk, key, size = [], None, 0
+def _predictions(ckpt, manifest, items, sigma):
+    """(entry, Prediction) per item in order, an entry being (item id, target,
+    keypoints or None, grid, image size). Each item is embedded into the next
+    row of its run's buffers as it loads, and its feature stack dropped. A
+    run ends on a new grid or image size, on a full buffer, or before an item
+    that fails to load or embed, whose error is raised once the run is decoded."""
+    run, error = [], None
     for item in items:
         try:
-            entry = _embed_item(manifest, item, folded, sigma)
-        except Exception:
-            if chunk:
-                yield chunk
-            raise
-        k = (entry.grid, entry.image_size, entry.cls.shape)
-        nbytes = entry.target.M.nbytes + entry.visual.nbytes
-        if chunk and (k != key or size + nbytes > EVAL_CHUNK_BYTES):
-            yield chunk
-            chunk, size = [], 0
-        chunk.append(entry)
-        key, size = k, size + nbytes
-    if chunk:
-        yield chunk
-
-
-def _predict_chunks(ckpt, chunks):
-    """(entry, Prediction) per item: the decoder once per chunk, the head per
-    item on its slice. A chunk of one decodes its 2-D arrays, unstacked; a
-    chunk that overflows is decoded again one item at a time, so the first
-    item that overflows is the one named."""
-    for chunk in chunks:
-        B = len(chunk)
-        if B == 1:
-            visual, cls = chunk[0].visual, chunk[0].cls
-        else:
-            visual = np.stack([e.visual for e in chunk])
-            cls = np.stack([e.cls for e in chunk])
+            loaded = data.load_item(manifest, item, sigma=sigma)
+        except Exception as exc:
+            error = exc
+            break
+        s = loaded.stack
+        entry = (item.item_id, loaded.target, loaded.points, s.grid, s.image_size)
+        if run and entry[3:] != run[0][3:]:
+            yield from _predict_run(ckpt, run, visual, cls)
+            run = []
+        if not run:
+            L, C = len(s.last), ckpt.cfg.C
+            cap = max(1, EVAL_CHUNK_BYTES // (loaded.target.M.nbytes + 8 * L * C))
+            visual, cls = np.empty((cap, L, C)), np.empty((cap, len(s.cls)))
         try:
-            text_out = _decode(ckpt, visual, cls)
-        except ArithmeticError as exc:
-            if B == 1:
-                raise ArithmeticError(f"item {chunk[0].item_id}: {exc}") from exc
-            yield from _predict_chunks(ckpt, ([e] for e in chunk))
-            continue
-        # with no decoder layers the prompts pass through, shared by every item
-        text_out = np.broadcast_to(text_out, (B, *text_out.shape[-2:]))
-        visual = visual.reshape(B, *visual.shape[-2:])
-        for b, e in enumerate(chunk):
-            pred, _ = decoder.predict_cached(visual[b], text_out[b], e.grid, e.image_size)
-            yield e, pred
-            del pred  # freed before the next item's head allocates
+            visual[len(run)] = fusion.embed_folded(s, ckpt.folded)
+        except Exception as exc:
+            error = exc
+            break
+        cls[len(run)] = s.cls
+        run.append(entry)
+        del loaded, s  # a full run decodes before the next item loads
+        if len(run) == len(visual):
+            yield from _predict_run(ckpt, run, visual, cls)
+            run = []
+    if run:
+        yield from _predict_run(ckpt, run, visual, cls)
+    if error is not None:
+        raise error
+
+
+def _predict_run(ckpt, run, visual, cls, alone=False):
+    """(entry, Prediction) per item of *run*: the decoder once over its rows of
+    *visual* and *cls*, the head per item on its row. A run that overflows is
+    decoded again as runs of one, *alone*, so the first that overflows is named."""
+    B = len(run)
+    try:
+        text_out = _decode(ckpt, visual[:B], cls[:B])
+    except ArithmeticError as exc:
+        if alone:
+            raise ArithmeticError(f"item {run[0][0]}: {exc}") from exc
+        for b in range(B):
+            yield from _predict_run(ckpt, run[b:b + 1], visual[b:b + 1], cls[b:b + 1], True)
+        return
+    # with no decoder layers the prompts pass through, shared by every item
+    text_out = np.broadcast_to(text_out, (B, *text_out.shape[-2:]))
+    for b, entry in enumerate(run):
+        pred, _ = decoder.predict_cached(visual[b], text_out[b], *entry[3:])
+        yield entry, pred
+        del pred  # freed before the next item's head allocates
 
 
 def _decode(ckpt, visual, cls):
-    """The checkpoint's decoder, as in ``training.forward``, on one item or a
-    stack of them. No cache is kept: each layer's keys and values are freed
-    before the next layer runs."""
+    """The checkpoint's decoder, as in ``training.forward``, on a run of
+    items stacked as B x L x C and B x C_v. No cache is kept: each layer's
+    keys and values are freed before the next layer runs."""
     dp, text = ckpt.params.dp, ckpt.text
     for layer in dp.layers:
         text = decoder.decoder_layer_cached(text, visual, cls, layer, dp.gated)[0]

@@ -87,7 +87,7 @@ def test_criterion_3_metric_oracles():
     y = np.array([[1.0, 1.0], [0.0, 0.0]]).reshape(2, 2, 1)
     from affseg.decoder import Prediction
 
-    pred = Prediction(logits=np.zeros((1, 1)), upsampled=s, grid=(1, 1))
+    pred = Prediction(logits=np.zeros((1, 1)), upsampled=s)
     inter, union = iou_counts(pred, AffordanceTarget(M=y), 0.5)
     checks.append(abs(inter[0] / union[0] - 2.0 / 3.0) < 1e-12)
     report(

@@ -78,14 +78,14 @@ class TestClsMask:
         np.testing.assert_allclose(a + b, 1.0, atol=1e-12)
 
     def test_hand_case(self):
-        # oracle: projected cls (1,0), keys ((2,0),(-2,0)), d_k=4:
-        # logits (2,-2)/sqrt(4) = (1,-1) -> sigmoid = (0.7311, 0.2689)
+        # oracle: projected cls (1,0), keys ((2,0),(-2,0)), key width 2:
+        # logits (2,-2)/sqrt(2) = (sqrt 2, -sqrt 2) -> sigmoid = (0.8044, 0.1956)
         cls = np.array([1.0, 0.0])
         wc = np.eye(2)
         K = np.array([[2.0, 0.0], [-2.0, 0.0]])
-        out = cls_mask(cls, K, wc, d_k=4)
-        expected = np.array([1 / (1 + math.exp(-1)), 1 / (1 + math.exp(1))])
-        np.testing.assert_allclose(out, [0.7311, 0.2689], atol=1e-4)
+        out = cls_mask(cls, K, wc)
+        expected = np.array([1 / (1 + math.exp(-math.sqrt(2))), 1 / (1 + math.exp(math.sqrt(2)))])
+        np.testing.assert_allclose(out, [0.8044, 0.1956], atol=1e-4)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_strictly_inside_unit_interval(self):
@@ -246,13 +246,14 @@ class TestDecode:
         assert worst < 1e-4
 
 
-# (B, L, C, C_v, N): odd sizes, the eval-dense geometry, a 384-wide summary token
-STACKED_SHAPES = [(5, 7, 6, 3, 2), (6, 64, 64, 32, 4), (8, 16, 8, 384, 3)]
+# (B, L, C, C_v, N): odd sizes, the eval-dense geometry, a 384-wide summary
+# token, and one item at query geometry, which eval decodes as a run of one
+STACKED_SHAPES = [(5, 7, 6, 3, 2), (6, 64, 64, 32, 4), (8, 16, 8, 384, 3), (1, 256, 64, 384, 4)]
 
 
 class TestStacked:
     """Items stacked along a leading axis give, slice by slice, the bytes of
-    separate 2-D calls; eval decodes a chunk of items in one call on this."""
+    separate 2-D calls; eval decodes a run of items in one call on this."""
 
     @staticmethod
     def problem(B, L, C, Cv, N):

@@ -45,7 +45,7 @@ from tests.test_data import AFFS, densify_cases, write_world
 
 def pred_of(scores):
     scores = np.asarray(scores, dtype=np.float64)
-    return Prediction(logits=np.zeros((1, scores.shape[2])), upsampled=scores, grid=(1, 1))
+    return Prediction(logits=np.zeros((1, scores.shape[2])), upsampled=scores)
 
 
 class TestKld:
@@ -673,7 +673,7 @@ def chunk_sizes(monkeypatch):
     decode = metrics._decode
 
     def spy(ckpt, visual, cls):
-        sizes.append(len(visual) if visual.ndim == 3 else 1)
+        sizes.append(len(visual))
         return decode(ckpt, visual, cls)
 
     monkeypatch.setattr(metrics, "_decode", spy)
@@ -681,7 +681,7 @@ def chunk_sizes(monkeypatch):
 
 
 def one_item_chunks(fn):
-    """*fn()* with every eval chunk holding one item: the unstacked path."""
+    """*fn()* with every eval run holding one item."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metrics, "EVAL_CHUNK_BYTES", 0)
         return fn()
@@ -730,6 +730,28 @@ def test_chunked_eval_holds_one_prediction_at_a_time(trained_world, mixed_world,
     monkeypatch.setattr(decoder, "predict_cached", spy)
     evaluate_checkpoint(trained_world[1][None], manifest, dense, "dense")
     assert len(alive) == len(dense)
+
+
+def test_chunked_eval_decodes_views_of_one_buffer(trained_world, mixed_world, monkeypatch):
+    manifest, dense, _, sizes = mixed_world
+    embedded, decoded = [], []
+    embed, decode = fusion.embed_folded, metrics._decode
+
+    def embed_spy(*args):
+        visual = embed(*args)
+        embedded.append(weakref.ref(visual))
+        return visual
+
+    def decode_spy(ckpt, visual, cls):
+        assert all(ref() is None for ref in embedded), "an item's own embedding is still held"
+        assert visual.ndim == 3 and visual.base is not None and cls.base is not None
+        decoded.append(len(visual))
+        return decode(ckpt, visual, cls)
+
+    monkeypatch.setattr(fusion, "embed_folded", embed_spy)
+    monkeypatch.setattr(metrics, "_decode", decode_spy)
+    evaluate_checkpoint(trained_world[1][None], manifest, dense, "dense")
+    assert decoded == sizes and len(embedded) == len(dense)
 
 
 def write_scaled(manifest, item, scale, name):

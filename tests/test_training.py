@@ -42,7 +42,7 @@ def ablated(cfg: TrainConfig, ablate: str | None) -> TrainConfig:
 
 
 def pred_of(logits: np.ndarray) -> Prediction:
-    return Prediction(logits=logits, upsampled=_sigmoid(logits), grid=(1, 1))
+    return Prediction(logits=logits, upsampled=_sigmoid(logits))
 
 
 class TestBceLoss:
