@@ -9,7 +9,7 @@ models are involved.
 
 from .data import AffordanceTarget, DatasetManifest, densify
 from .decoder import DecoderParams, Prediction, cls_mask
-from .features import ClassTokenTable, FeatureStack, load_features, save_features, synth_text_tokens
+from .features import FeatureStack, load_features, save_features, synth_text_tokens
 from .fusion import Embedder, FusionParams
 from .metrics import MetricsReport, evaluate, hiou, kld, miou, nss, sim
 from .prompt import ContextVectors, StubTextEncoder, init_context

@@ -103,6 +103,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_outputs(*flag_paths) -> None:
+    """Refuse each (flag, path) output that is a directory or lies in a missing
+    one, before any input is read, so a failing command writes nothing; a path
+    of None (a flag not given) is skipped."""
+    for flag, path in flag_paths:
+        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+            raise ValueError(f"{flag} {path} is a directory or in one that does not exist")
+
+
 def cmd_gen_synth(args) -> int:
     world = synth.make_world(
         seed=args.seed,
@@ -148,8 +157,9 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_densify(args) -> int:
     data.check_sigma(args.sigma, "--sigma")
+    check_outputs(("--out", args.out))
     where = f"keypoints file {args.inp}"
-    doc = json.loads(Path(args.inp).read_text())
+    doc = data.read_json(args.inp, "keypoints file")
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must hold a JSON object")
     for key in ("points", "height", "width", "affordances"):
@@ -167,6 +177,7 @@ def cmd_densify(args) -> int:
 
 def cmd_train(args) -> int:
     data.check_sigma(args.sigma, "--sigma")
+    check_outputs(("--out", args.out), ("--loss-log", args.loss_log))
     cfg = training.load_config(args.config)
     if args.ablate:
         cfg = dataclasses.replace(cfg, **ABLATIONS[args.ablate])
@@ -188,6 +199,7 @@ def cmd_eval(args) -> int:
     data.check_sigma(args.sigma, "--sigma")
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"--threshold must be in (0, 1), got {args.threshold!r}")
+    check_outputs(("--report", args.report))
     ckpt = training.load_checkpoint(args.ckpt)
     manifest = data.load_manifest(args.manifest)
     if tuple(manifest.affordances) != ckpt.affordances:
@@ -239,6 +251,9 @@ def check_layer(stack, layer: int, path) -> None:
 
 
 def cmd_pca(args) -> int:
+    if args.heatmap and len(args.features) != 1:
+        raise ValueError("--heatmap needs exactly one --features input")
+    check_outputs(("--scores-csv", args.scores_csv), ("--heatmap", args.heatmap))
     stacks = [load_features(p) for p in args.features]
     for path, stack in zip(args.features, stacks):
         check_layer(stack, args.layer, path)
@@ -252,22 +267,20 @@ def cmd_pca(args) -> int:
             writer.writerow([f"pc{i + 1}" for i in range(result.scores.shape[1])])
             writer.writerows(result.scores.tolist())
     if args.heatmap:
-        if len(stacks) != 1:
-            raise ValueError("--heatmap needs exactly one --features input")
-        grid = stacks[0].grid
-        analysis.render_heatmap(result.scores[:, 0].reshape(grid), args.heatmap)
+        analysis.render_heatmap(result.scores[:, 0].reshape(stacks[0].grid), args.heatmap)
     return 0
 
 
 def cmd_simmap(args) -> int:
-    src = load_features(args.features)
-    dst = load_features(args.target)
-    check_layer(src, args.layer, args.features)
-    check_layer(dst, args.layer, args.target)
     try:
         row, col = (int(x) for x in args.patch.split(","))
     except ValueError as exc:
         raise ValueError(f"--patch wants ROW,COL, got {args.patch!r}") from exc
+    check_outputs(("--out", args.out), ("--csv", args.csv))
+    src = load_features(args.features)
+    dst = load_features(args.target)
+    check_layer(src, args.layer, args.features)
+    check_layer(dst, args.layer, args.target)
     h_p, w_p = src.grid
     if not (0 <= row < h_p and 0 <= col < w_p):
         raise ValueError(f"patch ({row}, {col}) outside grid {src.grid}")

@@ -270,12 +270,19 @@ def _is_id(v) -> bool:
     return isinstance(v, str) and v.isprintable()
 
 
+def read_json(path, what: str):
+    """The JSON document in the file at *path*; bad bytes or syntax raise ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"manifest {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "manifest")
     if not isinstance(doc, dict):
         raise ValueError(f"manifest {path} must be a JSON object")
     try:

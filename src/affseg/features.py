@@ -10,7 +10,7 @@ from a real vision transformer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from .container import CorruptionError, FormatError
 
 __all__ = [
     "FeatureStack",
-    "ClassTokenTable",
     "save_features",
     "load_features",
     "synth_text_tokens",
@@ -74,36 +73,6 @@ class FeatureStack:
         return self.layers[-1]
 
 
-@dataclass(frozen=True)
-class ClassTokenTable:
-    """Affordance vocabulary: class names and one token embedding per name."""
-
-    names: tuple[str, ...]
-    tokens: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        names = tuple(self.names)
-        if not names:
-            raise ValueError("need at least one affordance name")
-        if len(set(names)) != len(names):
-            raise ValueError("affordance names must be unique")
-        tokens = np.asarray(self.tokens, dtype=np.float64)
-        if tokens.ndim != 2 or tokens.shape[0] != len(names):
-            raise ValueError(f"tokens shape {tokens.shape} does not match {len(names)} names")
-        if not np.all(np.isfinite(tokens)):
-            raise ValueError("non-finite token embedding")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "tokens", tokens)
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.names)
-
-    @property
-    def token_dim(self) -> int:
-        return self.tokens.shape[1]
-
-
 def save_features(stack: FeatureStack, path) -> None:
     """Write *stack* to *path*.
 
@@ -141,20 +110,26 @@ def load_features(path) -> FeatureStack:
         raise CorruptionError(str(exc)) from exc
 
 
-def synth_text_tokens(names, token_dim: int, seed: int) -> ClassTokenTable:
-    """Deterministic stand-in for pretrained text token embeddings.
+def synth_text_tokens(names, token_dim: int, seed: int) -> np.ndarray:
+    """Deterministic stand-in for pretrained text token embeddings: the
+    N x token_dim float64 array with one row per name, in order.
 
-    Each class gets a seeded Gaussian draw normalized to unit length; the
-    draw is keyed by the name itself, so equal names give equal rows no
-    matter the position or surrounding vocabulary.
+    Each row is a seeded Gaussian draw normalized to unit length; the draw
+    is keyed by the name itself, so equal names give equal rows no matter
+    the position or surrounding vocabulary. An empty or repeated name list
+    raises ValueError.
     """
     names = tuple(names)
+    if not names:
+        raise ValueError("need at least one affordance name")
+    if len(set(names)) != len(names):
+        raise ValueError("affordance names must be unique")
     rows = []
     for name in names:
         rng = np.random.default_rng([seed, _stable_hash(name)])
         v = rng.standard_normal(token_dim)
         rows.append(v / math.sqrt(float(v @ v)))
-    return ClassTokenTable(names=names, tokens=np.array(rows))
+    return np.array(rows)
 
 
 def _stable_hash(text: str) -> int:

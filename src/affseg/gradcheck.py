@@ -18,6 +18,11 @@ REL_TOL = 1e-4
 REL_FLOOR = 1e-5
 
 
+def class_names(num_classes: int = 3) -> list[str]:
+    """The affordance names of a :func:`build_problem` instance."""
+    return [f"aff{i}" for i in range(num_classes)]
+
+
 def build_problem(
     seed: int = 0,
     num_classes: int = 3,
@@ -30,11 +35,10 @@ def build_problem(
     image_size: tuple[int, int] = (8, 8),
     gate: bool = True,
 ):
-    """Random dims-as-requested instance: params, encoder, table, one item
-    whose feature stack has max(j, 1) layers."""
+    """Random dims-as-requested instance: params, encoder, class tokens (of
+    :func:`class_names`), one item whose feature stack has max(j, 1) layers."""
     cfg = TrainConfig(seed=seed, p=p, j=j, t=t, C=C, C_t=8, iterations=0, gate=gate)
-    names = [f"aff{i}" for i in range(num_classes)]
-    table, enc = training.build_text_pipeline(cfg, names)
+    table, enc = training.build_text_pipeline(cfg, class_names(num_classes))
     rng = np.random.default_rng([seed, 0xFD])
     L = grid[0] * grid[1]
     layers = tuple(rng.standard_normal((L, C_v)) for _ in range(max(j, 1)))

@@ -153,9 +153,9 @@ def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5)
     """Aggregate metrics over a split, one item at a time in submission order.
 
     ``run_item`` maps one dataset item to (item_id, Prediction,
-    AffordanceTarget, fixation stack or None); each result is scored and
-    dropped before the next call. ``mode`` is "heatmap" for KLD/SIM/NSS or
-    "dense" for IoU."""
+    AffordanceTarget, fixation stack or None); each result is scored, with
+    ``item <id>: `` before a scoring ValueError, and dropped before the next
+    call. ``mode`` is "heatmap" for KLD/SIM/NSS or "dense" for IoU."""
     if mode not in ("heatmap", "dense"):
         raise ValueError(f"unknown mode {mode!r}")
     report = MetricsReport(mode=mode)
@@ -163,13 +163,16 @@ def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5)
     union = np.zeros_like(inter)
     for item in eval_set:
         item_id, pred, target, fixations = run_item(item)
-        if mode == "heatmap":
-            rec = heatmap_record(item_id, pred.upsampled, target.M, fixations)
-        else:
-            i, u = iou_counts(pred, target, threshold)
-            inter += i
-            union += u
-            rec = {"id": item_id, "iou": [float(a / b) if b > 0 else None for a, b in zip(i, u)]}
+        try:
+            if mode == "heatmap":
+                rec = heatmap_record(item_id, pred.upsampled, target.M, fixations)
+            else:
+                i, u = iou_counts(pred, target, threshold)
+                inter += i
+                union += u
+                rec = {"id": item_id, "iou": [float(a / b) if b > 0 else None for a, b in zip(i, u)]}
+        except ValueError as exc:
+            raise ValueError(f"item {item_id}: {exc}") from exc
         report.items.append(rec)
         del pred, target, fixations  # freed before the next run_item allocates
 

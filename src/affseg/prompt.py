@@ -14,8 +14,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .features import ClassTokenTable
-
 LN_EPS = 1e-12
 
 
@@ -34,36 +32,19 @@ class ContextVectors:
             raise ValueError("non-finite context vector")
         self.vectors = v
 
-    @property
-    def count(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def token_dim(self) -> int:
-        return self.vectors.shape[1]
-
 
 @dataclass(frozen=True)
 class StubTextEncoder:
     """Frozen seeded projection C_t -> C playing the part of a text encoder."""
 
     proj: np.ndarray = field(repr=False)
-    seed: int = 0
 
     @classmethod
     def create(cls, token_dim: int, embed_dim: int, seed: int) -> "StubTextEncoder":
         rng = np.random.default_rng([seed, 0x7E87])
         proj = rng.standard_normal((token_dim, embed_dim)) / np.sqrt(token_dim)
         proj.flags.writeable = False
-        return cls(proj=proj, seed=seed)
-
-    @property
-    def token_dim(self) -> int:
-        return self.proj.shape[0]
-
-    @property
-    def embed_dim(self) -> int:
-        return self.proj.shape[1]
+        return cls(proj=proj)
 
 
 def init_context(count: int, token_dim: int, seed: int) -> ContextVectors:
@@ -75,28 +56,26 @@ def init_context(count: int, token_dim: int, seed: int) -> ContextVectors:
 
 
 class TextCache(NamedTuple):
-    pooled: np.ndarray      # N x C_t
     normed: np.ndarray      # N x C  (the output rows)
     inv_std: np.ndarray     # N
     count: int              # p
     proj: np.ndarray        # C_t x C
 
 
-def encode_texts_cached(ctx: ContextVectors, table: ClassTokenTable, enc: StubTextEncoder):
-    """-> (N x C text embeddings with zero-mean, unit-variance rows, cache);
-    with no context vectors the class tokens are encoded alone. A row
-    whose variance overflows raises ArithmeticError: normalized by an
-    infinite deviation, it would be all zeros."""
-    if ctx.token_dim != table.token_dim:
-        raise ValueError(
-            f"context dim {ctx.token_dim} does not match token dim {table.token_dim}"
-        )
-    if table.token_dim != enc.token_dim:
-        raise ValueError(
-            f"token dim {table.token_dim} does not match encoder input {enc.token_dim}"
-        )
-    p = ctx.count
-    pooled = (ctx.vectors.sum(axis=0)[None, :] + table.tokens) / (p + 1)
+def encode_texts_cached(ctx: ContextVectors, tokens: np.ndarray, enc: StubTextEncoder):
+    """-> (N x C text embeddings with zero-mean, unit-variance rows, cache)
+    of the N x C_t class *tokens*; with no context vectors the class tokens
+    are encoded alone. A row whose variance overflows raises ArithmeticError:
+    normalized by an infinite deviation, it would be all zeros."""
+    if np.ndim(tokens) != 2:
+        raise ValueError(f"class tokens must be an N x C_t array, got shape {np.shape(tokens)}")
+    p, ctx_dim = ctx.vectors.shape
+    token_dim, enc_dim = np.shape(tokens)[1], enc.proj.shape[0]
+    if ctx_dim != token_dim:
+        raise ValueError(f"context dim {ctx_dim} does not match token dim {token_dim}")
+    if token_dim != enc_dim:
+        raise ValueError(f"token dim {token_dim} does not match encoder input {enc_dim}")
+    pooled = (ctx.vectors.sum(axis=0)[None, :] + tokens) / (p + 1)
     h = pooled @ enc.proj
     mu = h.mean(axis=1, keepdims=True)
     var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
@@ -104,13 +83,12 @@ def encode_texts_cached(ctx: ContextVectors, table: ClassTokenTable, enc: StubTe
         raise ArithmeticError("non-finite layer-norm variance in text encoding")
     inv_std = 1.0 / np.sqrt(var + LN_EPS)
     normed = (h - mu) * inv_std
-    return normed, TextCache(pooled, normed, inv_std[:, 0], p, enc.proj)
+    return normed, TextCache(normed, inv_std[:, 0], p, enc.proj)
 
 
 def encode_texts_backward(cache: TextCache, d_out: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the context vectors (p x C_t), empty when p is 0."""
     y = cache.normed
-    C = y.shape[1]
     row_mean = d_out.mean(axis=1, keepdims=True)
     proj_mean = (d_out * y).mean(axis=1, keepdims=True)
     dh = cache.inv_std[:, None] * (d_out - row_mean - y * proj_mean)

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import container, decoder, fusion, prompt
 from .container import CorruptionError, FormatError
-from .data import AffordanceTarget, LoadedItem, parse_affordances
+from .data import AffordanceTarget, LoadedItem, parse_affordances, read_json
 from .decoder import DecoderParams, Prediction
-from .features import ClassTokenTable, FeatureStack, synth_text_tokens
+from .features import FeatureStack, synth_text_tokens
 from .fusion import Embedder, FusionParams
 from .prompt import ContextVectors, StubTextEncoder
 
@@ -98,8 +98,7 @@ class TrainConfig:
 
 def load_config(path) -> TrainConfig:
     """Parse a JSON config file whose keys mirror TrainConfig."""
-    with open(path) as fh:
-        return _config_from_dict(json.load(fh))
+    return _config_from_dict(read_json(path, "config"))
 
 
 def _config_from_dict(doc) -> TrainConfig:
@@ -117,11 +116,11 @@ def _config_from_dict(doc) -> TrainConfig:
     return TrainConfig(**doc)
 
 
-def build_text_pipeline(cfg: TrainConfig, affordances) -> tuple[ClassTokenTable, StubTextEncoder]:
-    """Frozen token table and text encoder, derived only from names + seed."""
-    table = synth_text_tokens(affordances, cfg.C_t, cfg.seed)
-    enc = StubTextEncoder.create(cfg.C_t, cfg.C, cfg.seed)
-    return table, enc
+def build_text_pipeline(cfg: TrainConfig, affordances) -> tuple[np.ndarray, StubTextEncoder]:
+    """Frozen N x C_t class tokens, one row per affordance in order, and the
+    text encoder, derived only from names + seed."""
+    tokens = synth_text_tokens(affordances, cfg.C_t, cfg.seed)
+    return tokens, StubTextEncoder.create(cfg.C_t, cfg.C, cfg.seed)
 
 
 def init_model(cfg: TrainConfig, feature_dim: int) -> ModelParams:
@@ -235,12 +234,13 @@ class ForwardCache(NamedTuple):
 def forward(
     mp: ModelParams,
     enc: StubTextEncoder,
-    table: ClassTokenTable,
+    table: np.ndarray,
     stack: FeatureStack,
 ) -> tuple[Prediction, ForwardCache]:
-    """Full model pass on one feature stack: :func:`encode_prompts`, fusion
-    and embedding, the decoder, then the prediction head."""
-    text, text_cache = encode_prompts(mp, enc, table)
+    """Full model pass on one feature stack: the class prompts from the
+    N x C_t class tokens *table*, fusion and embedding, the decoder, then the
+    prediction head."""
+    text, text_cache = prompt.encode_texts_cached(mp.ctx, table, enc)
     fused, fuse_cache = fusion.fuse_cached(stack, mp.fp)
     visual, embed_cache = fusion.embed_cached(fused, mp.emb)
     text_out, decode_caches = decoder.decode_cached(text, visual, stack.cls, mp.dp)
@@ -248,13 +248,6 @@ def forward(
     return pred, ForwardCache(
         pred, text_cache, fuse_cache, embed_cache, decode_caches, predict_cache, None
     )
-
-
-def encode_prompts(mp: ModelParams, enc: StubTextEncoder,
-                   table: ClassTokenTable) -> tuple[np.ndarray, prompt.TextCache]:
-    """The N x C class prompt embeddings and their cache. They depend on the
-    parameters only, so a :class:`Checkpoint` encodes them once."""
-    return prompt.encode_texts_cached(mp.ctx, table, enc)
 
 
 def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
@@ -285,7 +278,7 @@ def backward(
     mp: ModelParams,
     item: LoadedItem,
     enc: StubTextEncoder,
-    table: ClassTokenTable,
+    table: np.ndarray,
 ) -> tuple[float, Gradients]:
     """Loss and exact gradients for every trainable tensor.
 
@@ -423,8 +416,8 @@ class Checkpoint:
     """Self-contained trained model: parameters, the frozen text projection,
     the vocabulary it was trained with, and the exact config.
 
-    Construction builds what depends on the parameters alone, once: the token
-    table, the encoded class prompts ``text`` and the folded fusion and
+    Construction builds what depends on the parameters alone, once: the class
+    tokens, the encoded class prompts ``text`` and the folded fusion and
     embedder ``folded`` (:func:`fusion.fold_embedder`). It then makes
     ``params.theta`` and every parameter array read-only, so a write to the
     model (:func:`sgd_step` included) raises ValueError and the built values
@@ -435,7 +428,7 @@ class Checkpoint:
     enc: StubTextEncoder
     affordances: tuple[str, ...]
     cfg: TrainConfig
-    _table: ClassTokenTable = field(init=False, compare=False, repr=False)
+    _table: np.ndarray = field(init=False, compare=False, repr=False)
     text: np.ndarray = field(init=False, compare=False, repr=False)
     folded: fusion.FoldedEmbedder = field(init=False, compare=False, repr=False)
 
@@ -444,7 +437,7 @@ class Checkpoint:
         table = synth_text_tokens(self.affordances, self.cfg.C_t, self.cfg.seed)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
-                text, _ = encode_prompts(mp, self.enc, table)
+                text, _ = prompt.encode_texts_cached(mp.ctx, table, self.enc)
                 folded = fusion.fold_embedder(mp.fp, mp.emb)
             if not all(np.isfinite(a).all() for a in (text, *folded.weights)):
                 raise ArithmeticError
@@ -452,14 +445,15 @@ class Checkpoint:
             raise ValueError(
                 "checkpoint parameters overflow to non-finite prompts or fusion") from None
         # shared by every eval call; the parameters they were built from stay as they are
-        for arr in (table.tokens, text, *folded.weights, mp.theta,
+        for arr in (table, text, *folded.weights, mp.theta,
                     *(a for _, a in param_items(mp))):
             arr.flags.writeable = False
         for name, value in (("_table", table), ("text", text), ("folded", folded)):
             object.__setattr__(self, name, value)
 
-    def text_table(self) -> ClassTokenTable:
-        """The frozen token table the model was trained with, built once."""
+    def text_table(self) -> np.ndarray:
+        """The frozen N x C_t class tokens the model was trained with, one row
+        per affordance in order; built once and read-only."""
         return self._table
 
 
@@ -534,5 +528,4 @@ def load_checkpoint(path) -> Checkpoint:
     *stored, proj = arrays.values()
     np.concatenate([a.ravel() for a in stored], out=params.theta)
     proj.flags.writeable = False
-    enc = StubTextEncoder(proj=proj, seed=cfg.seed)
-    return Checkpoint(params, enc, affordances, cfg)
+    return Checkpoint(params, StubTextEncoder(proj=proj), affordances, cfg)

@@ -40,9 +40,9 @@ def test_composition_matches_forward_and_backward_bitwise():
 
 
 def test_traced_training_equals_untraced(monkeypatch):
-    _, _, table, item = gradcheck.build_problem(seed=0)
+    *_, item = gradcheck.build_problem(seed=0)
     cfg = training.TrainConfig(iterations=4, seed=0, p=2, j=2, t=2, C=8, C_t=8, log_every=1)
-    plain, plain_log = training.train(cfg, [item], table.names)
+    plain, plain_log = training.train(cfg, [item], gradcheck.class_names())
     made, stepped = [], []
     zero_gradients, sgd_step = training.zero_gradients, training.sgd_step
 
@@ -57,7 +57,7 @@ def test_traced_training_equals_untraced(monkeypatch):
     monkeypatch.setattr(training, "zero_gradients", spy_zero_gradients)
     monkeypatch.setattr(training, "sgd_step", spy_sgd_step)
     with tracing.instrument(tracing.Tracer()):
-        traced, traced_log = training.train(cfg, [item], table.names)
+        traced, traced_log = training.train(cfg, [item], gradcheck.class_names())
     assert training.params_checksum(traced) == training.params_checksum(plain)
     assert traced_log == plain_log
     # the tracer's backward starts from zero_gradients, and its mapping
@@ -67,11 +67,11 @@ def test_traced_training_equals_untraced(monkeypatch):
 
 
 def test_training_emits_every_layer_span():
-    _, _, table, item = gradcheck.build_problem(seed=0)
+    *_, item = gradcheck.build_problem(seed=0)
     cfg = training.TrainConfig(iterations=3, seed=0, p=2, j=2, t=2, C=8, C_t=8)
     tracer = tracing.Tracer()
     with tracing.instrument(tracer):
-        training.train(cfg, [item], table.names)
+        training.train(cfg, [item], gradcheck.class_names())
     names = {span[3] for span in tracer.spans()}
     assert LAYER_SPANS <= names, sorted(LAYER_SPANS - names)
 

@@ -2,12 +2,13 @@
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
 import struct
-import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,17 +481,79 @@ class TestCheckGrad:
         assert not any(line.startswith("td ") and "decoder." in line for line in lines)
 
 
+OUTPUT_FLAGS = [("train", "--out"), ("train", "--loss-log"), ("eval", "--report"),
+                ("densify", "--out"), ("pca", "--scores-csv"), ("pca", "--heatmap"),
+                ("simmap", "--out"), ("simmap", "--csv")]
+
+
+@pytest.mark.parametrize("bad", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command, flag", OUTPUT_FLAGS)
+def test_bad_output_path_fails_before_anything_is_written(world_dir, cfg_path, tmp_path,
+                                                          monkeypatch, capsys, command, flag,
+                                                          bad):
+    manifest, feat = str(world_dir / "manifest.json"), str(world_dir / "feats/base-00-00.ooal")
+    ckpt, kp, out = tmp_path / "model.ooal", tmp_path / "kp.json", tmp_path / "out"
+    out.mkdir()
+    if command == "eval":
+        assert run("train", "--config", str(cfg_path), "--manifest", manifest,
+                   "--out", str(ckpt)) == 0
+    kp.write_text(json.dumps({"height": 6, "width": 5, "affordances": ["grasp"],
+                              "points": {"grasp": [[2, 3]]}}))
+    def at(name):
+        return str(out / name)
+
+    argv = {
+        "train": ["train", "--config", str(cfg_path), "--manifest", manifest,
+                  "--out", at("m.ooal"), "--loss-log", at("loss.csv")],
+        "eval": ["eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", "dense",
+                 "--report", at("r.json")],
+        "densify": ["densify", "--in", str(kp), "--out", at("t.ooal")],
+        "pca": ["analyze", "pca", "--features", feat, "--scores-csv", at("s.csv"),
+                "--heatmap", at("h.ppm")],
+        "simmap": ["analyze", "simmap", "--features", feat, "--target", feat, "--patch", "1,1",
+                   "--out", at("s.ppm"), "--csv", at("s.csv")],
+    }[command]
+    bad_path = out / "missing" / "x" if bad == "missing-directory" else out
+    argv[argv.index(flag) + 1] = str(bad_path)
+    trained = []
+    monkeypatch.setattr(training, "train", lambda *a: trained.append(a))
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {flag} {bad_path}"), err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert trained == []
+
+
 class TestErrorPaths:
     def test_unknown_flag_nonzero_exit(self):
         with pytest.raises(SystemExit) as exc:
             run("train", "--frobnicate")
         assert exc.value.code != 0
 
-    def test_unreadable_config(self, world_dir, tmp_path):
-        bad = tmp_path / "cfg.json"
-        bad.write_text("{not json")
-        assert run("train", "--config", str(bad), "--manifest",
-                   str(world_dir / "manifest.json"), "--out", str(tmp_path / "x")) == 1
+    @pytest.mark.parametrize("content, problem", [
+        pytest.param(b"{not json", "is not valid JSON: Expecting property name", id="syntax"),
+        pytest.param(b'{"iterations": "\xff"}', "is not UTF-8 text: 'utf-8' codec can't decode "
+                     "byte 0xff", id="bytes"),
+    ])
+    @pytest.mark.parametrize("what", ["config", "manifest",
+                                      pytest.param("keypoints file", id="keypoints")])
+    def test_unreadable_json_names_its_file(self, world_dir, cfg_path, tmp_path, capsys,
+                                            what, content, problem):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        if what == "keypoints file":
+            argv = ["densify", "--in", str(bad), "--out", str(tmp_path / "t.ooal")]
+        else:
+            inputs = {"config": str(cfg_path), "manifest": str(world_dir / "manifest.json"),
+                      what: str(bad)}
+            argv = ["train", "--config", inputs["config"], "--manifest", inputs["manifest"],
+                    "--out", str(tmp_path / "x")]
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {what} {bad} {problem}"), err
 
     def test_unknown_config_key(self, world_dir, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -528,6 +591,22 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and doc["items"][-1]["id"] in err
 
+    def test_dense_eval_of_a_keypoint_item_names_it(self, world_dir, cfg_path, tmp_path, capsys):
+        ckpt = tmp_path / "model.ooal"
+        assert run("train", "--config", str(cfg_path), "--manifest",
+                   str(world_dir / "manifest.json"), "--out", str(ckpt)) == 0
+        doc = json.loads((world_dir / "manifest.json").read_text())
+        item = doc["items"][-1]  # a novel item: always evaluated
+        item["target"] = {"kind": "keypoints", "points": {doc["affordances"][0]: [[3, 4]]}}
+        bad = world_dir / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run("eval", "--ckpt", str(ckpt), "--manifest", str(bad),
+                   "--mode", "dense", "--report", str(tmp_path / "r.json")) == 1
+        assert capsys.readouterr().err == (f"error: item {item['id']}: IoU needs dense-binary "
+                                           f"ground truth, got 'densified-sparse'\n")
+        assert not (tmp_path / "r.json").exists()
+
     def test_inconsistent_manifest_is_one_error(self, world_dir, cfg_path, tmp_path, capsys):
         doc = json.loads((world_dir / "manifest.json").read_text())
         doc["items"].append(doc["items"][0])
@@ -548,13 +627,18 @@ class TestErrorPaths:
                    "--patch", "zz", "--out", str(tmp_path / "s.ppm")) == 1
 
 
-def test_console_script_installed():
-    import subprocess
-
-    proc = subprocess.run([sys.executable, "-m", "affseg.cli", "--help"],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert "gen-synth" in proc.stdout
+def test_declared_console_script_lists_every_subcommand(capsys):
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["affseg"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    with pytest.raises(SystemExit) as exc:
+        entry(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("gen-synth", "densify", "train", "eval", "analyze", "check-grad"):
+        assert command in out
 
 
 _accepted_configs = st.fixed_dictionaries(

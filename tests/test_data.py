@@ -1,5 +1,6 @@
 """Densification, manifests, one-shot trainset, and eval splits."""
 
+import copy
 import functools
 import json
 import math
@@ -412,8 +413,10 @@ _field_values = (_json | _paths | _target_records | st.just("base-00") | st.just
 
 
 def damage(doc, keys, value):
-    """*doc* with the field at *keys* set to *value*, or removed for
-    ``_DELETE``; a field that an earlier damage took away is left alone."""
+    """*doc* with the field at *keys* set to a copy of *value*, or removed for
+    ``_DELETE``; a field that an earlier damage took away is left alone. The
+    copy keeps a later damage from writing into a shared value such as AFFS."""
+    value = value if value is _DELETE else copy.deepcopy(value)
     if not keys:
         return None if value is _DELETE else value
     try:

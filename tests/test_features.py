@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from affseg.container import CorruptionError, FormatError, MAGIC
 from affseg.features import (
-    ClassTokenTable,
     FeatureStack,
     load_features,
     save_features,
@@ -132,24 +131,24 @@ class TestStackInvariants:
 
 class TestSynthTextTokens:
     def test_single_name_unit_norm(self):
-        table = synth_text_tokens(["grasp"], 64, seed=3)
-        assert table.tokens.shape == (1, 64)
-        assert abs(np.linalg.norm(table.tokens[0]) - 1.0) < 1e-12
+        tokens = synth_text_tokens(["grasp"], 64, seed=3)
+        assert tokens.shape == (1, 64) and tokens.dtype == np.float64
+        assert abs(np.linalg.norm(tokens[0]) - 1.0) < 1e-12
 
     def test_deterministic(self):
         a = synth_text_tokens(UMD_AFFORDANCES, 32, seed=5)
         b = synth_text_tokens(UMD_AFFORDANCES, 32, seed=5)
-        np.testing.assert_array_equal(a.tokens, b.tokens)
+        np.testing.assert_array_equal(a, b)
 
     def test_equal_names_equal_rows(self):
         a = synth_text_tokens(["cut", "grasp"], 16, seed=1)
         b = synth_text_tokens(["grasp", "pound"], 16, seed=1)
-        np.testing.assert_array_equal(a.tokens[1], b.tokens[0])
+        np.testing.assert_array_equal(a[1], b[0])
 
     def test_umd_rows_distinct_and_spread(self):
         # seed 0 satisfies the pairwise |cos| < 0.5 requirement at C_t=64
-        table = synth_text_tokens(UMD_AFFORDANCES, 64, seed=0)
-        gram = table.tokens @ table.tokens.T
+        tokens = synth_text_tokens(UMD_AFFORDANCES, 64, seed=0)
+        gram = tokens @ tokens.T
         off = gram - np.eye(7)
         assert np.abs(off).max() < 0.5
 
@@ -160,8 +159,3 @@ class TestSynthTextTokens:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             synth_text_tokens([], 8, seed=0)
-
-
-def test_class_table_validation():
-    with pytest.raises(ValueError):
-        ClassTokenTable(names=("a",), tokens=np.zeros((2, 4)))

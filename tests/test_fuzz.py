@@ -47,13 +47,13 @@ def damaged(raw: bytes, mutations) -> bytes:
 def intact_files(tmp_path_factory):
     """name -> (path, loader) of one small valid file per loader call."""
     root = tmp_path_factory.mktemp("intact")
-    params, enc, table, item = gradcheck.build_problem(seed=0, C=4, C_v=4, t=1)
+    params, enc, _, item = gradcheck.build_problem(seed=0, C=4, C_v=4, t=1)
     save_features(item.stack, root / "features.ooal")
     save_target(item.target, root / "binary.ooal")
     kp = {"aff0": [(1, 2)], "aff2": [(6.5, 0.25), (3, 3)]}
-    save_target(densify(kp, 2.0, 8, 8, table.names), root / "soft.ooal")
+    save_target(densify(kp, 2.0, 8, 8, gradcheck.class_names()), root / "soft.ooal")
     cfg = training.TrainConfig(seed=0, p=2, j=2, t=1, C=4, C_t=8, iterations=0)
-    training.save_checkpoint(training.Checkpoint(params, enc, table.names, cfg),
+    training.save_checkpoint(training.Checkpoint(params, enc, gradcheck.class_names(), cfg),
                              root / "model.ooal")
     return {
         "features": (root / "features.ooal", load_features),

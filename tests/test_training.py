@@ -187,7 +187,7 @@ class TestSgdStep:
 
 
 def _built_model(how, tmp_path) -> ModelParams:
-    params, enc, table, _ = gradcheck.build_problem(seed=5)
+    params, enc, _, _ = gradcheck.build_problem(seed=5)
     if how == "build_problem":
         return params
     if how == "init_model":
@@ -195,7 +195,7 @@ def _built_model(how, tmp_path) -> ModelParams:
     if how == "direct":
         return ModelParams(ctx=params.ctx, fp=params.fp, emb=params.emb, dp=params.dp)
     cfg = TrainConfig(seed=5, p=2, j=2, t=2, C=8, C_t=8, iterations=0)
-    save_checkpoint(Checkpoint(params, enc, table.names, cfg), tmp_path / "m.ooal")
+    save_checkpoint(Checkpoint(params, enc, gradcheck.class_names(), cfg), tmp_path / "m.ooal")
     loaded = load_checkpoint(tmp_path / "m.ooal").params
     assert params_checksum(loaded) == params_checksum(params)
     return loaded
@@ -305,14 +305,11 @@ class TestBackward:
         # targets), the two class paths are indistinguishable: the gradient
         # rows reaching the text embeddings must be identical
         from affseg.decoder import decode_backward, predict_backward
-        from affseg.features import ClassTokenTable
         from affseg.training import _bce_score_grad, forward
 
         params, enc, table, item = gradcheck.build_problem(seed=2, num_classes=2)
         params.ctx.vectors[:] = 0.0
-        tokens = table.tokens.copy()
-        tokens[1] = tokens[0]
-        table = ClassTokenTable(names=("a", "b"), tokens=tokens)
+        table = table[[0, 0]]
         M = item.target.M.copy()
         M[:, :, 1] = M[:, :, 0]
         item = LoadedItem(item.item_id, item.object_id, item.stack, AffordanceTarget(M=M))
@@ -462,6 +459,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError):
             train(cfg, [], ["grasp"])
 
+    @pytest.mark.parametrize("names", [["cut", "grasp", "cut"], []])
+    def test_bad_affordance_names_fail_before_the_first_step(self, tiny_world, monkeypatch, names):
+        steps = []
+        monkeypatch.setattr(training, "backward", lambda *a: steps.append(a))
+        cfg = TrainConfig(iterations=3, seed=1, p=2, j=2, t=1, C=16, C_t=16)
+        with pytest.raises(ValueError, match="affordance name"):
+            train(cfg, make_items(tiny_world), names)
+        assert steps == []
+
     def test_descent_property(self, tiny_world):
         # single small-lr step on a fixed batch should not increase loss in
         # at least 99 of 100 seeded trials
@@ -525,7 +531,7 @@ class TestTrainLoop:
         train(cfg, items, tiny_world.affordances)
         table2, enc2 = training.build_text_pipeline(cfg, tiny_world.affordances)
         assert hashlib.sha256(enc2.proj.tobytes()).hexdigest() == enc_digest
-        np.testing.assert_array_equal(table.tokens, table2.tokens)
+        np.testing.assert_array_equal(table, table2)
         regenerated = synth.synth_vision_encode(tiny_world, items[0].object_id, 0.05, variant=0)
         assert hashlib.sha256(regenerated.last.tobytes()).hexdigest() == stack_digest
 
@@ -572,9 +578,15 @@ class TestCheckpoint:
     def test_text_table_is_built_once(self, tiny_world):
         ckpt, _, table, _ = self.bundle(tiny_world, iterations=0)
         first, second = ckpt.text_table(), ckpt.text_table()
-        assert first is second and first.names == table.names
-        assert first.tokens.tobytes() == table.tokens.tobytes()
-        assert not first.tokens.flags.writeable
+        assert first is second and first.shape == (len(ckpt.affordances), ckpt.cfg.C_t)
+        assert first.tobytes() == table.tobytes()
+        assert not first.flags.writeable
+
+    def test_duplicate_affordances_are_refused(self, tiny_world):
+        ckpt, *_ = self.bundle(tiny_world, iterations=0)
+        with pytest.raises(ValueError, match="affordance names must be unique"):
+            Checkpoint(params=ckpt.params, enc=ckpt.enc, cfg=ckpt.cfg,
+                       affordances=(*ckpt.affordances, ckpt.affordances[0]))
 
     def test_overflowing_prompts_are_refused(self, tiny_world):
         # finite parameters whose encoded prompts overflow to NaN, as a
