@@ -5,6 +5,14 @@ summary token down-weights background keys so attention stays on foreground.
 Each layer is masked cross-attention with a residual, then a two-layer FFN
 with a residual. The head is a plain matrix product between patch features
 and the decoded text embeddings, upsampled bilinearly and squashed.
+
+The attention is evaluated from the text side. N queries meet L patches
+through products of rank at most N + 1, so the keys ``visual @ wk`` and
+values ``visual @ wv`` are never formed: the queries move to the patch side
+as ``Q @ wk^T``, the gate's projected summary token as ``wk @ (cls @ wc)``,
+and the values are pooled before ``wv``. A layer and its backward cost
+O(N L C + N C^2) instead of O(L C^2), and give the key/value form's results
+up to rounding.
 """
 
 from __future__ import annotations
@@ -100,7 +108,11 @@ _GATE_HI = 1.0 - 2.0**-53
 def cls_mask(cls: np.ndarray, K: np.ndarray, wc: np.ndarray) -> np.ndarray:
     """Foreground gate per key, sigmoid((cls @ wc) @ K^T / sqrt(C)) with C the
     key width -> (L,). Stacked items, cls (B, C_v) and K (B, L, C), give
-    (B, L); every entry is strictly inside (0, 1)."""
+    (B, L); every entry is strictly inside (0, 1).
+
+    The decoder passes the projected token, the patches and the transposed
+    key map, ``cls_mask(cls @ wc, visual, wk.T)``: the same logits as on the
+    keys ``visual @ wk``, up to rounding, at O(L C + C^2) instead of O(L C^2)."""
     if cls.shape[-1:] != (wc.shape[0],):
         raise ValueError(f"cls shape {cls.shape} does not match map {wc.shape}")
     if K.shape[-1] != wc.shape[1]:
@@ -134,19 +146,21 @@ class LayerCache(NamedTuple):
     text_in: np.ndarray
     visual: np.ndarray
     cls: np.ndarray
-    Q: np.ndarray
-    K: np.ndarray
-    V: np.ndarray
+    Q: np.ndarray             # text_in @ wq
+    Qk: np.ndarray            # Q @ wk^T / sqrt(C): the queries moved to the patch side
+    g: np.ndarray | None      # cls @ wc; None when the gate is disabled
     gate: np.ndarray | None   # None when the gate is disabled
     attn: np.ndarray          # pre-gate row softmax
     gated: np.ndarray         # attn * gate
-    res1: np.ndarray          # attention output + text_in
+    context: np.ndarray       # gated @ visual
+    res1: np.ndarray          # context @ wv + text_in
     hidden_pre: np.ndarray    # res1 @ w1 + b1
     hidden: np.ndarray        # rectified
 
 
 def decoder_layer_cached(text, visual, cls, params: DecoderLayerParams, use_gate=True):
-    """One gated cross-attention + FFN layer -> (N x C text, cache).
+    """One gated cross-attention + FFN layer, from the text side -> (N x C
+    text, cache).
 
     Batch-native: visual (B, L, C) and cls (B, C_v) with text (N, C) or
     (B, N, C) give (B, N, C), each slice bitwise equal to its own 2-D call.
@@ -157,33 +171,33 @@ def decoder_layer_cached(text, visual, cls, params: DecoderLayerParams, use_gate
             f"embed width mismatch: text {text.shape}, visual {visual.shape}, params {C}"
         )
     Q = text @ params.wq
-    K = visual @ params.wk
-    V = visual @ params.wv
-    S = Q @ K.swapaxes(-1, -2) / math.sqrt(C)
-    attn = _row_softmax(S)
+    Qk = Q @ params.wk.T / math.sqrt(C)
+    attn = _row_softmax(Qk @ visual.swapaxes(-1, -2))
     if use_gate:
-        gate = cls_mask(cls, K, params.wc)
+        # a vector-matrix product per item, as in cls_mask
+        g = (cls[..., None, :] @ params.wc)[..., 0, :]
+        gate = cls_mask(g, visual, params.wk.T)
         gated = attn * gate[..., None, :]
     else:
-        gate = None
+        g = gate = None
         gated = attn
-    res1 = gated @ V + text
+    context = gated @ visual
+    res1 = context @ params.wv + text
     hidden_pre = res1 @ params.w1 + params.b1
     hidden = np.maximum(hidden_pre, 0.0)
     out = hidden @ params.w2 + params.b2 + res1
     if not np.all(np.isfinite(out)):
         raise ArithmeticError("non-finite value in decoder layer output")
-    cache = LayerCache(
-        params, text, visual, cls, Q, K, V, gate, attn, gated, res1, hidden_pre, hidden
-    )
+    cache = LayerCache(params, text, visual, cls, Q, Qk, g, gate, attn, gated, context, res1,
+                       hidden_pre, hidden)
     return out, cache
 
 
 def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
-    """-> (param grad dict, d_text, d_visual)."""
+    """-> (param grad dict, d_text, d_visual), through the same text-side
+    products as the forward."""
     p = cache.params
-    C = p.wq.shape[0]
-    sq = math.sqrt(C)
+    sq = math.sqrt(p.wq.shape[0])
 
     d_res1 = d_out.copy()
     d_hidden = d_out @ p.w2.T
@@ -194,36 +208,36 @@ def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
     d_b1 = d_hidden_pre.sum(axis=0)
     d_res1 += d_hidden_pre @ p.w1.T
 
-    d_gated = d_res1 @ cache.V.T
-    d_V = cache.gated.T @ d_res1
-    d_text = d_res1.copy()
-
-    if cache.gate is not None:
-        d_attn = d_gated * cache.gate[None, :]
-        d_gate = (d_gated * cache.attn).sum(axis=0)
-    else:
-        d_attn = d_gated
-        d_gate = None
-
+    d_wv = cache.context.T @ d_res1
+    d_context = d_res1 @ p.wv.T
+    d_gated = d_context @ cache.visual.T
+    d_attn = d_gated if cache.gate is None else d_gated * cache.gate
     dot = (d_attn * cache.attn).sum(axis=1, keepdims=True)
     d_S = cache.attn * (d_attn - dot)
-    d_Q = d_S @ cache.K / sq
-    d_K = d_S.T @ cache.Q / sq
+    d_Qk = d_S @ cache.visual / sq
+    d_Q = d_Qk @ p.wk
 
+    # d_visual = gated^T d_context + d_S^T Qk and d_wk = d_Qk^T Q, plus the
+    # gate's rank-one terms, each as one product of stacked factors
+    vis_left, vis_right = [cache.gated, d_S], [d_context, cache.Qk]
+    wk_left, wk_right = [d_Qk], [cache.Q]
     if cache.gate is not None:
-        d_mlog = d_gate * cache.gate * (1.0 - cache.gate)
-        d_K += np.outer(d_mlog, cache.cls @ p.wc) / sq
-        d_g = cache.K.T @ d_mlog / sq
-        d_wc = np.outer(cache.cls, d_g)
+        # the gate logits are visual @ kg / sqrt(C), kg = wk @ g
+        d_gate = (d_gated * cache.attn).sum(axis=0)
+        d_m = d_gate * cache.gate * (1.0 - cache.gate) / sq
+        d_kg = d_m @ cache.visual
+        vis_left.append(d_m[None])
+        vis_right.append((cache.g @ p.wk.T)[None])
+        wk_left.append(d_kg[None])
+        wk_right.append(cache.g[None])
+        d_wc = np.outer(cache.cls, d_kg @ p.wk)
     else:
         d_wc = np.zeros_like(p.wc)
+    d_visual = np.concatenate(vis_left).T @ np.concatenate(vis_right)
+    d_wk = np.concatenate(wk_left).T @ np.concatenate(wk_right)
 
     d_wq = cache.text_in.T @ d_Q
-    d_text += d_Q @ p.wq.T
-    d_wk = cache.visual.T @ d_K
-    d_visual = d_K @ p.wk.T
-    d_wv = cache.visual.T @ d_V
-    d_visual += d_V @ p.wv.T
+    d_text = d_res1 + d_Q @ p.wq.T
 
     grads = {
         "wq": d_wq, "wk": d_wk, "wv": d_wv, "wc": d_wc,
@@ -273,11 +287,15 @@ def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[in
         raise ValueError(
             f"embed width mismatch: visual {visual.shape}, text {text_out.shape}"
         )
-    logits = visual @ text_out.T
-    N = logits.shape[1]
-    up_logits = upsample_bilinear(logits.reshape(h_p, w_p, N), image_size)
-    pred = Prediction(logits=up_logits, upsampled=_sigmoid(up_logits))
+    pred = predict_from_logits(visual @ text_out.T, grid, image_size)
     return pred, PredictCache(visual, text_out, grid)
+
+
+def predict_from_logits(logits, grid: tuple[int, int], image_size: tuple[int, int]):
+    """The head from L x N patch logits: upsampled to pixel logits and
+    squashed -> Prediction."""
+    up_logits = upsample_bilinear(logits.reshape(*grid, logits.shape[1]), image_size)
+    return Prediction(logits=up_logits, upsampled=_sigmoid(up_logits))
 
 
 def predict_backward(cache: PredictCache, d_logits: np.ndarray):

@@ -218,7 +218,8 @@ def evaluate_checkpoint(
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
     to the half-peak binarization. Overflow is not warned about: the
-    decoder's finiteness check raises ArithmeticError naming the item.
+    decoder's finiteness check, and one on each item's patch logits before
+    upsampling, raise ArithmeticError naming the item.
     """
     items = list(items)
     predicted = _predictions(ckpt, manifest, items, sigma)
@@ -289,15 +290,19 @@ def _predict_run(ckpt, run, visual, cls, alone=False):
     # with no decoder layers the prompts pass through, shared by every item
     text_out = np.broadcast_to(text_out, (B, *text_out.shape[-2:]))
     for b, entry in enumerate(run):
-        pred, _ = decoder.predict_cached(visual[b], text_out[b], *entry[3:])
+        # checked at patch resolution: upsampling would turn inf * 0 into NaN
+        # scores, which IoU counts as misses
+        logits = visual[b] @ text_out[b].T
+        if not np.isfinite(logits).all():
+            raise ArithmeticError(f"item {entry[0]}: non-finite patch logits")
+        pred = decoder.predict_from_logits(logits, *entry[3:])
         yield entry, pred
         del pred  # freed before the next item's head allocates
 
 
 def _decode(ckpt, visual, cls):
     """The checkpoint's decoder, as in ``training.forward``, on a run of
-    items stacked as B x L x C and B x C_v. No cache is kept: each layer's
-    keys and values are freed before the next layer runs."""
+    items stacked as B x L x C and B x C_v. No cache is kept."""
     dp, text = ckpt.params.dp, ckpt.text
     for layer in dp.layers:
         text = decoder.decoder_layer_cached(text, visual, cls, layer, dp.gated)[0]

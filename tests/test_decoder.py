@@ -246,6 +246,87 @@ class TestDecode:
         assert worst < 1e-4
 
 
+@settings(max_examples=80, deadline=None)
+@given(N=st.integers(1, 12), L=st.integers(1, 12), C=st.integers(1, 5), Cv=st.integers(1, 4),
+       B=st.none() | st.integers(1, 3), stacked_text=st.booleans(), use_gate=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(N=12, L=1, C=3, Cv=2, B=None, stacked_text=False, use_gate=True, seed=0)
+@example(N=5, L=2, C=4, Cv=3, B=2, stacked_text=True, use_gate=False, seed=1)
+def test_layer_matches_key_value_reference(N, L, C, Cv, B, stacked_text, use_gate, seed):
+    # the layer scores and pools from the text side; the oracle forms keys
+    # and values, so the two agree up to rounding
+    rng = np.random.default_rng(seed)
+    p = layer_params(C=C, cls_dim=Cv, rng=rng, identity=False)
+    lead = () if B is None else (B,)
+    text = rng.standard_normal((lead if stacked_text else ()) + (N, C))
+    visual = rng.standard_normal(lead + (L, C))
+    cls = rng.standard_normal(lead + (Cv,))
+    out, _ = decoder_layer_cached(text, visual, cls, p, use_gate)
+    assert out.shape == lead + (N, C)
+    for b in np.ndindex(*lead):
+        text_b = text[b] if text.ndim == visual.ndim else text
+        expected = decoder_layer_reference(text_b, visual[b], cls[b], p, use_gate)
+        np.testing.assert_allclose(out[b], expected, rtol=1e-9, atol=1e-11)
+
+
+class TestCostModel:
+    """The attention runs from the text side: N queries against L patches
+    cost O(N L C + N C^2) per layer, with no L x C keys or values."""
+
+    N, L, C, Cv = 2, 48, 5, 3
+
+    def problem(self, lead=()):
+        rng = np.random.default_rng(16)
+        p = layer_params(C=self.C, cls_dim=self.Cv, rng=rng, identity=False)
+        return (p, rng.standard_normal((self.N, self.C)),
+                rng.standard_normal(lead + (self.L, self.C)), rng.standard_normal(lead + (self.Cv,)))
+
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    @pytest.mark.parametrize("use_gate", [True, False])
+    def test_cache_holds_no_keys_or_values(self, lead, use_gate):
+        p, text, visual, cls = self.problem(lead)
+        _, cache = decoder_layer_cached(text, visual, cls, p, use_gate)
+        for name, value in cache._asdict().items():
+            if name not in ("params", "visual") and isinstance(value, np.ndarray):
+                assert value.shape[-2:] != (self.L, self.C), name
+
+    def test_gate_from_the_text_side_matches_gate_on_keys(self):
+        p, _, visual, cls = self.problem()
+        np.testing.assert_allclose(cls_mask(cls @ p.wc, visual, p.wk.T),
+                                   cls_mask(cls, visual @ p.wk, p.wc), rtol=1e-12, atol=0)
+
+    def test_gradients_match_finite_differences_at_many_patches(self):
+        # L >> N: wk reaches the loss through the scores and through the
+        # gate, wc through the gate alone; the ungated model's wk gradient
+        # differs, so the gate's share is tested too
+        rng = np.random.default_rng(17)
+        p, text, visual, cls = self.problem()
+        layers = [p, layer_params(C=self.C, cls_dim=self.Cv, rng=rng, identity=False)]
+        probe = rng.standard_normal((self.N, self.C))
+        wk_grads = {}
+        for gated in (True, False):
+            dp = DecoderParams(layers=layers, gated=gated)
+
+            def loss():
+                return float((decode_cached(text, visual, cls, dp)[0] * probe).sum())
+
+            arrays = [text, visual]
+            for layer in layers:
+                arrays += [layer.wq, layer.wk, layer.wv, layer.wc,
+                           layer.w1, layer.b1, layer.w2, layer.b2]
+            fd = central_difference(loss, arrays)
+            grads, d_text, d_visual = decode_backward(decode_cached(text, visual, cls, dp)[1],
+                                                      probe)
+            analytic = [d_text, d_visual]
+            for g in grads:
+                analytic += [g["wq"], g["wk"], g["wv"], g["wc"],
+                             g["w1"], g["b1"], g["w2"], g["b2"]]
+            assert max(max_rel_err(a, n) for a, n in zip(analytic, fd)) < 1e-4
+            assert (np.abs(grads[0]["wc"]).max() > 1e-3) == gated
+            wk_grads[gated] = grads[0]["wk"]
+        assert max_rel_err(wk_grads[True], wk_grads[False]) > 1e-2
+
+
 # (B, L, C, C_v, N): odd sizes, the eval-dense geometry, a 384-wide summary
 # token, and one item at query geometry, which eval decodes as a run of one
 STACKED_SHAPES = [(5, 7, 6, 3, 2), (6, 64, 64, 32, 4), (8, 16, 8, 384, 3), (1, 256, 64, 384, 4)]

@@ -719,15 +719,15 @@ def test_chunked_eval_equals_one_item_chunks(trained_world, mixed_world, monkeyp
 def test_chunked_eval_holds_one_prediction_at_a_time(trained_world, mixed_world, monkeypatch):
     manifest, dense, _, _ = mixed_world
     alive = []
-    predict = decoder.predict_cached
+    predict = decoder.predict_from_logits
 
     def spy(*args):
         assert all(ref() is None for ref in alive), "an earlier prediction is still held"
-        pred, cache = predict(*args)
+        pred = predict(*args)
         alive.append(weakref.ref(pred))
-        return pred, cache
+        return pred
 
-    monkeypatch.setattr(decoder, "predict_cached", spy)
+    monkeypatch.setattr(decoder, "predict_from_logits", spy)
     evaluate_checkpoint(trained_world[1][None], manifest, dense, "dense")
     assert len(alive) == len(dense)
 
@@ -776,6 +776,26 @@ def test_chunked_eval_errors_come_in_item_order(trained_world, mixed_world, mode
                         ([a0, huge, bad, a2], overflow),  # unreadable after an overflow
                         ([a0, a2, bad, huge], today),  # unreadable before an overflow
                         ([bad], today)):
+        def run():
+            return evaluate_checkpoint(ckpt, manifest, items, mode)
+
+        assert raised(run) == want
+        assert one_item_chunks(lambda: raised(run)) == want
+
+
+@pytest.mark.parametrize("mode", ["dense", "heatmap"])
+def test_nonfinite_patch_logits_name_the_item(trained_world, mixed_world, mode):
+    # a t 0 model has no decoder layer to check the embeddings: features the
+    # validators accept, scaled to max |x| = 1e308, overflow first in the
+    # patch logits, and upsampling would turn them into NaN scores
+    ckpt = trained_world[1]["td"]
+    manifest, dense, _, _ = mixed_world
+    a0, a1, a2 = dense[:3]
+    stack = data.load_item(manifest, a1).stack
+    peak = max(float(np.abs(x).max()) for x in (*stack.layers, stack.cls))
+    huge = write_scaled(manifest, a1, 1e308 / peak, f"max-{mode}.ooal")
+    want = ArithmeticError, f"item {huge.item_id}: non-finite patch logits"
+    for items in ([a0, huge, a2], [huge]):
         def run():
             return evaluate_checkpoint(ckpt, manifest, items, mode)
 
