@@ -345,6 +345,9 @@ def load_item(
             f"{where}: target has {target.shape[2]} channels, "
             f"manifest lists {len(manifest.affordances)} affordances"
         )
+    (H, W), (h, w) = target.shape[:2], stack.image_size
+    if (H, W) != (h, w):
+        raise ValueError(f"{where}: target is {H}x{W} pixels, features are of a {h}x{w} image")
     return LoadedItem(item.item_id, item.object_id, stack, target, points)
 
 

@@ -63,10 +63,6 @@ class DecoderParams:
     layers: list[DecoderLayerParams] = field(default_factory=list)
     gated: bool = True
 
-    @property
-    def depth(self) -> int:
-        return len(self.layers)
-
 
 @dataclass(frozen=True)
 class Prediction:

@@ -38,10 +38,6 @@ class FusionParams:
             )
 
     @property
-    def depth(self) -> int:
-        return len(self.proj)
-
-    @property
     def alpha(self) -> np.ndarray:
         return _softmax(self.alpha_logits)
 
@@ -115,7 +111,7 @@ def _check_embed_input(width: int, emb_in: int) -> None:
 def fuse_cached(stack: FeatureStack, fp: FusionParams):
     """Weighted sum over the last j projected layers -> (L x C_v, cache); the
     raw last layer when j is 0."""
-    j = fp.depth
+    j = len(fp.proj)
     used = _used_layers(stack, [P.shape for P in fp.proj])
     if j == 0:
         return stack.last, FuseCache((), [], np.zeros(0))
@@ -166,7 +162,7 @@ def fold_embedder(fp: FusionParams, emb: Embedder) -> FoldedEmbedder:
     (no fusion) the one matrix is ``W`` itself, on the last layer.
     The result reads the parameters as they are now; a ``training.Checkpoint``
     folds once, as its parameters are read-only."""
-    if fp.depth == 0:
+    if not fp.proj:
         return FoldedEmbedder((emb.weight,), emb.bias, ())
     alpha = fp.alpha
     weights = tuple(alpha[i] * (P @ emb.weight) for i, P in enumerate(fp.proj))

@@ -240,7 +240,8 @@ def _predictions(ckpt, manifest, items, sigma):
     keypoints or None, grid, image size). Each item is embedded into the next
     row of its run's buffers as it loads, and its feature stack dropped. A
     run ends on a new grid or image size, on a full buffer, or before an item
-    that fails to load or embed, whose error is raised once the run is decoded."""
+    that fails to load or embed, whose error is raised once the run is decoded
+    (an embedding error with ``item <id>: `` before it)."""
     run, error = [], None
     for item in items:
         try:
@@ -259,8 +260,9 @@ def _predictions(ckpt, manifest, items, sigma):
             visual, cls = np.empty((cap, L, C)), np.empty((cap, len(s.cls)))
         try:
             visual[len(run)] = fusion.embed_folded(s, ckpt.folded)
-        except Exception as exc:
-            error = exc
+        except ValueError as exc:
+            error = ValueError(f"item {item.item_id}: {exc}")
+            error.__cause__ = exc
             break
         cls[len(run)] = s.cls
         run.append(entry)
@@ -280,7 +282,7 @@ def _predict_run(ckpt, run, visual, cls, alone=False):
     decoded again as runs of one, *alone*, so the first that overflows is named."""
     B = len(run)
     try:
-        text_out = _decode(ckpt, visual[:B], cls[:B])
+        text_out = decoder.decode_cached(ckpt.text, visual[:B], cls[:B], ckpt.params.dp)[0]
     except ArithmeticError as exc:
         if alone:
             raise ArithmeticError(f"item {run[0][0]}: {exc}") from exc
@@ -298,15 +300,6 @@ def _predict_run(ckpt, run, visual, cls, alone=False):
         pred = decoder.predict_from_logits(logits, *entry[3:])
         yield entry, pred
         del pred  # freed before the next item's head allocates
-
-
-def _decode(ckpt, visual, cls):
-    """The checkpoint's decoder, as in ``training.forward``, on a run of
-    items stacked as B x L x C and B x C_v. No cache is kept."""
-    dp, text = ckpt.params.dp, ckpt.text
-    for layer in dp.layers:
-        text = decoder.decoder_layer_cached(text, visual, cls, layer, dp.gated)[0]
-    return text
 
 
 def keypoint_fixations(points: dict, shape, affordances) -> np.ndarray:

@@ -17,22 +17,6 @@ import numpy as np
 LN_EPS = 1e-12
 
 
-@dataclass
-class ContextVectors:
-    """p x C_t trainable context matrix, prepended to every class token;
-    p may be 0, and the class tokens are then encoded alone."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError(f"context must be a p x C_t matrix, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("non-finite context vector")
-        self.vectors = v
-
-
 @dataclass(frozen=True)
 class StubTextEncoder:
     """Frozen seeded projection C_t -> C playing the part of a text encoder."""
@@ -47,12 +31,13 @@ class StubTextEncoder:
         return cls(proj=proj)
 
 
-def init_context(count: int, token_dim: int, seed: int) -> ContextVectors:
-    """Gaussian init, mean 0, std 0.02."""
+def init_context(count: int, token_dim: int, seed: int) -> np.ndarray:
+    """The p x C_t trainable context matrix prepended to every class token,
+    Gaussian init, mean 0, std 0.02; with p 0 the class tokens are encoded alone."""
     if count < 0:
         raise ValueError(f"context vector count must be >= 0, got {count}")
     rng = np.random.default_rng([seed, 0xC0DE])
-    return ContextVectors(vectors=0.02 * rng.standard_normal((count, token_dim)))
+    return 0.02 * rng.standard_normal((count, token_dim))
 
 
 class TextCache(NamedTuple):
@@ -62,20 +47,22 @@ class TextCache(NamedTuple):
     proj: np.ndarray        # C_t x C
 
 
-def encode_texts_cached(ctx: ContextVectors, tokens: np.ndarray, enc: StubTextEncoder):
+def encode_texts_cached(ctx: np.ndarray, tokens: np.ndarray, enc: StubTextEncoder):
     """-> (N x C text embeddings with zero-mean, unit-variance rows, cache)
-    of the N x C_t class *tokens*; with no context vectors the class tokens
-    are encoded alone. A row whose variance overflows raises ArithmeticError:
-    normalized by an infinite deviation, it would be all zeros."""
+    of the N x C_t class *tokens* after the p x C_t context *ctx*. A row whose
+    variance is not finite (an overflow, or a non-finite context) raises
+    ArithmeticError: normalized by an infinite deviation, it would be all zeros."""
+    if np.ndim(ctx) != 2:
+        raise ValueError(f"context must be a p x C_t array, got shape {np.shape(ctx)}")
     if np.ndim(tokens) != 2:
         raise ValueError(f"class tokens must be an N x C_t array, got shape {np.shape(tokens)}")
-    p, ctx_dim = ctx.vectors.shape
+    p, ctx_dim = np.shape(ctx)
     token_dim, enc_dim = np.shape(tokens)[1], enc.proj.shape[0]
     if ctx_dim != token_dim:
         raise ValueError(f"context dim {ctx_dim} does not match token dim {token_dim}")
     if token_dim != enc_dim:
         raise ValueError(f"token dim {token_dim} does not match encoder input {enc_dim}")
-    pooled = (ctx.vectors.sum(axis=0)[None, :] + tokens) / (p + 1)
+    pooled = (ctx.sum(axis=0)[None, :] + tokens) / (p + 1)
     h = pooled @ enc.proj
     mu = h.mean(axis=1, keepdims=True)
     var = ((h - mu) ** 2).mean(axis=1, keepdims=True)

@@ -24,7 +24,7 @@ from .data import AffordanceTarget, LoadedItem, parse_affordances, read_json
 from .decoder import DecoderParams, Prediction
 from .features import FeatureStack, synth_text_tokens
 from .fusion import Embedder, FusionParams
-from .prompt import ContextVectors, StubTextEncoder
+from .prompt import StubTextEncoder
 
 
 @dataclass(eq=False)
@@ -42,7 +42,7 @@ class ModelParams:
     Models compare by identity; :func:`params_checksum` compares values.
     """
 
-    ctx: ContextVectors
+    ctx: np.ndarray  # p x C_t context matrix
     fp: FusionParams
     emb: Embedder
     dp: DecoderParams
@@ -138,7 +138,7 @@ def init_model(cfg: TrainConfig, feature_dim: int) -> ModelParams:
 
 def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Stable (name, array) listing of every trainable tensor."""
-    items = [("ctx.vectors", mp.ctx.vectors)]
+    items = [("ctx.vectors", mp.ctx)]
     for i, P in enumerate(mp.fp.proj):
         items.append((f"fusion.proj.{i}", P))
     items.append(("fusion.alpha_logits", mp.fp.alpha_logits))
@@ -370,17 +370,21 @@ def train(
     """One-shot training: each step draws one item from a seeded shuffle,
     runs forward/backward, and applies SGD. Bitwise deterministic.
 
-    An item with fewer feature layers than ``cfg.j`` raises ValueError before
-    the first step, also when there are no steps: the model could not run on
-    it. Overflow is not warned about: the finiteness checks of the decoder,
-    :func:`backward` and :func:`sgd_step` raise ArithmeticError instead."""
+    An item with fewer feature layers than ``cfg.j``, or with another feature
+    width than the first item, raises ValueError before the first step, also
+    when there are no steps: the model could not run on it. Overflow is not
+    warned about: the finiteness checks of the decoder, :func:`backward` and
+    :func:`sgd_step` raise ArithmeticError instead."""
     if not trainset:
         raise ValueError("empty trainset")
+    feature_dim = trainset[0].stack.feature_dim
     for item in trainset:
         if len(item.stack.layers) < cfg.j:
             raise ValueError(f"config j {cfg.j} wants {cfg.j} feature layers but item "
                              f"{item.item_id} has {len(item.stack.layers)}")
-    feature_dim = trainset[0].stack.feature_dim
+        if item.stack.feature_dim != feature_dim:
+            raise ValueError(f"item {item.item_id} has feature dim {item.stack.feature_dim}, "
+                             f"item {trainset[0].item_id} has {feature_dim}")
     table, enc = build_text_pipeline(cfg, affordances)
     params = init_model(cfg, feature_dim)
     order_rng = np.random.default_rng([cfg.seed, 0x5472])
@@ -499,7 +503,9 @@ def load_checkpoint(path) -> Checkpoint:
         except (KeyError, TypeError) as exc:
             raise CorruptionError(f"checkpoint manifest malformed: {exc!r}") from exc
         arrays = {}
-        for name, shape in entries:
+        for i, (name, shape) in enumerate(entries):
+            if not isinstance(name, str):
+                raise CorruptionError(f"checkpoint array {i} has name {name!r}, not a string")
             if name in arrays:
                 raise CorruptionError(f"checkpoint lists array {name} twice")
             if not all(type(d) is int and d >= 0 for d in shape):

@@ -6,6 +6,8 @@ import importlib
 import io
 import json
 import math
+import re
+import shlex
 import struct
 import warnings
 from pathlib import Path
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from affseg import fusion, training
 from affseg.cli import ABLATIONS, build_parser, main
 from affseg.container import CorruptionError, FormatError
-from affseg.data import DENSIFIED_SPARSE
+from affseg.data import DENSIFIED_SPARSE, AffordanceTarget, load_target, save_target
 from affseg.features import FeatureStack, load_features, save_features
 from tests.test_data import (
     _MANIFEST_FIELDS,
@@ -285,22 +287,37 @@ class TestTrainEval:
             assert run("eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", mode,
                        "--report", str(tmp_path / f"{mode}.json")) == 0
 
-    @pytest.mark.parametrize("iterations", [0, 1])
+    @pytest.mark.parametrize("iterations, defect", [
+        pytest.param(i, d, id=f"{d}-{i}" if d else str(i))
+        for d in (None, "16-wide-features", "32x32-target") for i in (0, 1)])
     def test_more_fused_layers_than_features_fails_before_training(self, tmp_path, capsys,
-                                                                   iterations):
+                                                                   iterations, defect):
+        # each training item's files must fit the model before any step, also with none;
+        # base-00-00 is the first training item and base-01-00 the second
+        want = {
+            None: r"config j 5 wants 5 feature layers but item base-0\d-00 has 2",
+            "16-wide-features": "item base-01-00 has feature dim 16, item base-00-00 has 32",
+            "32x32-target": "item base-01-00: target is 32x32 pixels, "
+                            "features are of a 64x64 image",
+        }[defect]
         world = tmp_path / "w"
         assert run("gen-synth", "--seed", "7", "--objects", "2", "--novel", "1", "--items", "1",
                    "--layers", "2", "--out", str(world)) == 0
+        if defect == "16-wide-features":
+            s = load_features(world / "feats/base-01-00.ooal")
+            save_features(FeatureStack(tuple(x[:, :16] for x in s.layers), s.cls[:16], s.grid,
+                                       s.image_size), world / "feats/base-01-00.ooal")
+        elif defect == "32x32-target":
+            target = load_target(world / "targets/base-01.ooal")
+            save_target(AffordanceTarget(M=target.M[:32, :32]), world / "targets/base-01.ooal")
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"iterations": iterations, "j": 5, "C": 8, "C_t": 8}))
+        cfg.write_text(json.dumps({"iterations": iterations, "j": 2 if defect else 5,
+                                   "C": 8, "C_t": 8}))
         capsys.readouterr()
         assert run("train", "--config", str(cfg), "--manifest", str(world / "manifest.json"),
-                   "--out", str(tmp_path / "m.ooal")) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1
-        assert err.startswith("error: config j 5 wants 5 feature layers but item base-0")
-        assert err.endswith(" has 2\n")
-        assert not (tmp_path / "m.ooal").exists()
+                   "--out", str(tmp_path / "m.ooal"), "--loss-log", str(tmp_path / "l.csv")) == 1
+        assert re.fullmatch(f"error: {want}\n", capsys.readouterr().err)
+        assert not (tmp_path / "m.ooal").exists() and not (tmp_path / "l.csv").exists()
 
     def test_saturated_prediction_scores_finite(self, tmp_path):
         # embedder weight 0 and bias -1e6 * prompt 0 drive every score of channel 0 to exactly 0
@@ -639,6 +656,21 @@ def test_declared_console_script_lists_every_subcommand(capsys):
     out = capsys.readouterr().out
     for command in ("gen-synth", "densify", "train", "eval", "analyze", "check-grad"):
         assert command in out
+
+
+def test_readme_walkthrough_parses():
+    # every `affseg` command of the README's sh blocks, continuations joined and
+    # comments dropped, and the config its heredoc writes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.replace("\\\n", " ") for b in re.findall(r"```sh\n(.*?)```", readme, re.S)]
+    commands = [shlex.split(line, comments=True)[1:] for b in blocks for line in b.splitlines()
+                if line.startswith("affseg ")]
+    configs = [c for b in blocks for c in re.findall(r"<<'EOF'\n(.*?)\nEOF\n", b, re.S)]
+    assert len(commands) == 8 and len(configs) == 1
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)  # exits 2 on a command or flag it does not take
+    training._config_from_dict(json.loads(configs[0]))
 
 
 _accepted_configs = st.fixed_dictionaries(

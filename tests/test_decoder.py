@@ -478,6 +478,6 @@ def test_upsampling_matches_scalar_reference_and_its_adjoint(h, w, H, W, N, seed
 
 def test_init_decoder_shapes():
     dp = init_decoder(2, 8, 12, seed=0)
-    assert dp.depth == 2
+    assert len(dp.layers) == 2
     assert dp.layers[0].wc.shape == (12, 8)
     assert dp.layers[0].w1.shape == (8, 32)

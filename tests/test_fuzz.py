@@ -1,5 +1,10 @@
 """Damaged files: truncated, extended or bit-flipped feature, target and
-checkpoint files either load or fail with one of the three file errors."""
+checkpoint files, and checkpoints with one manifest field replaced or
+deleted, either load or fail with one of the three file errors."""
+
+import copy
+import json
+import struct
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +82,48 @@ def test_damaged_file_loads_or_fails_with_a_file_error(intact_files, tmp_path_fa
     path, load = intact_files[name]
     bad = tmp_path_factory.getbasetemp() / f"damaged-{name}.ooal"
     bad.write_bytes(damaged(path.read_bytes(), mutations))
+    try:
+        load(bad)
+    except FILE_ERRORS as exc:
+        assert "\n" not in str(exc)
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _field_paths(doc, path=()):
+    """The key path of every field of a JSON document, depth first."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield path + (key,)
+            yield from _field_paths(value, path + (key,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_checkpoint_manifest_field_replaced_or_deleted(intact_files, tmp_path_factory, data):
+    path, load = intact_files["checkpoint"]
+    raw = path.read_bytes()
+    (n,) = struct.unpack("<I", raw[8:12])
+    doc = json.loads(raw[12:12 + n])
+    *keys, last = data.draw(st.sampled_from(list(_field_paths(doc))), label="field")
+    value = data.draw(st.none() | st.tuples(_json), label="replacement (None deletes)")
+    edited = copy.deepcopy(doc)
+    parent = edited
+    for key in keys:
+        parent = parent[key]
+    if value is None:
+        del parent[last]
+    else:
+        parent[last] = value[0]
+    blob = json.dumps(edited).encode()
+    bad = tmp_path_factory.getbasetemp() / "edited-manifest.ooal"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
     try:
         load(bad)
     except FILE_ERRORS as exc:

@@ -628,7 +628,7 @@ def test_fusion_folded_once_per_checkpoint(trained_world, tmp_path, monkeypatch,
     monkeypatch.setattr(fusion, "fold_embedder", counted)
     assert_built_once_per_checkpoint(ckpts[ablate], manifest, manifest.items[:5], tmp_path,
                                      calls)
-    assert (calls[0][0].depth == 0) == (ablate == "mlff")
+    assert (len(calls[0][0].proj) == 0) == (ablate == "mlff")
 
 
 @pytest.fixture(scope="module")
@@ -670,13 +670,13 @@ def mixed_world(trained_world):
 def chunk_sizes(monkeypatch):
     """Record how many items each decoder pass in eval takes."""
     sizes = []
-    decode = metrics._decode
+    decode = decoder.decode_cached
 
-    def spy(ckpt, visual, cls):
+    def spy(text, visual, cls, dp):
         sizes.append(len(visual))
-        return decode(ckpt, visual, cls)
+        return decode(text, visual, cls, dp)
 
-    monkeypatch.setattr(metrics, "_decode", spy)
+    monkeypatch.setattr(decoder, "decode_cached", spy)
     return sizes
 
 
@@ -735,21 +735,21 @@ def test_chunked_eval_holds_one_prediction_at_a_time(trained_world, mixed_world,
 def test_chunked_eval_decodes_views_of_one_buffer(trained_world, mixed_world, monkeypatch):
     manifest, dense, _, sizes = mixed_world
     embedded, decoded = [], []
-    embed, decode = fusion.embed_folded, metrics._decode
+    embed, decode = fusion.embed_folded, decoder.decode_cached
 
     def embed_spy(*args):
         visual = embed(*args)
         embedded.append(weakref.ref(visual))
         return visual
 
-    def decode_spy(ckpt, visual, cls):
+    def decode_spy(text, visual, cls, dp):
         assert all(ref() is None for ref in embedded), "an item's own embedding is still held"
         assert visual.ndim == 3 and visual.base is not None and cls.base is not None
         decoded.append(len(visual))
-        return decode(ckpt, visual, cls)
+        return decode(text, visual, cls, dp)
 
     monkeypatch.setattr(fusion, "embed_folded", embed_spy)
-    monkeypatch.setattr(metrics, "_decode", decode_spy)
+    monkeypatch.setattr(decoder, "decode_cached", decode_spy)
     evaluate_checkpoint(trained_world[1][None], manifest, dense, "dense")
     assert decoded == sizes and len(embedded) == len(dense)
 
@@ -770,12 +770,19 @@ def test_chunked_eval_errors_come_in_item_order(trained_world, mixed_world, mode
     huge = write_scaled(manifest, a1, 1e200, f"huge-{mode}.ooal")
     (manifest.root / f"bad-{mode}.ooal").write_bytes(b"not a feature file")
     bad = dataclasses.replace(a2, item_id="unreadable", features=f"bad-{mode}.ooal")
+    s = data.load_item(manifest, a2).stack
+    save_features(FeatureStack(s.layers[-1:], s.cls, s.grid, s.image_size),
+                  manifest.root / f"short-{mode}.ooal")
+    short = dataclasses.replace(a2, item_id="one-layer", features=f"short-{mode}.ooal")
     today = raised(lambda: data.load_item(manifest, bad))
     overflow = ArithmeticError, f"item {huge.item_id}: non-finite value in decoder layer output"
+    too_few = ValueError, "item one-layer: fusion wants 2 layers but stack has 1"
     for items, want in (([a0, huge, a2, dense[3]], overflow),  # mid-chunk overflow
                         ([a0, huge, bad, a2], overflow),  # unreadable after an overflow
                         ([a0, a2, bad, huge], today),  # unreadable before an overflow
-                        ([bad], today)):
+                        ([bad], today),
+                        ([a0, short, a2], too_few),  # too few layers mid-chunk
+                        ([a0, huge, short, a2], overflow)):  # too few layers after an overflow
         def run():
             return evaluate_checkpoint(ckpt, manifest, items, mode)
 

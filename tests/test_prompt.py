@@ -7,7 +7,6 @@ import pytest
 
 from affseg.features import synth_text_tokens
 from affseg.prompt import (
-    ContextVectors,
     StubTextEncoder,
     encode_texts_cached,
     encode_texts_backward,
@@ -27,21 +26,21 @@ class TestInitContext:
     def test_paper_shape(self):
         # p = 8 learnable tokens is the configuration default
         ctx = init_context(8, 64, seed=0)
-        assert ctx.vectors.shape == (8, 64)
+        assert ctx.shape == (8, 64)
 
     def test_deterministic(self):
         a = init_context(4, 32, seed=9)
         b = init_context(4, 32, seed=9)
-        np.testing.assert_array_equal(a.vectors, b.vectors)
+        np.testing.assert_array_equal(a, b)
 
     def test_sample_mean_near_zero(self):
         # oracle: statistical check: mean of 8x512 N(0, 0.02^2) draws
         ctx = init_context(8, 512, seed=1)
-        assert -0.01 < ctx.vectors.mean() < 0.01
-        assert 0.015 < ctx.vectors.std() < 0.025
+        assert -0.01 < ctx.mean() < 0.01
+        assert 0.015 < ctx.std() < 0.025
 
     def test_negative_count_rejected(self):
-        assert init_context(0, 8, seed=0).vectors.shape == (0, 8)
+        assert init_context(0, 8, seed=0).shape == (0, 8)
         with pytest.raises(ValueError, match="count must be >= 0"):
             init_context(-1, 8, seed=0)
 
@@ -51,7 +50,7 @@ class TestEncodeTexts:
         # p=1 with v_1 = token_i: pooling returns the token itself
         tokens = synth_text_tokens(["grasp"], 8, seed=4)
         enc = StubTextEncoder.create(8, 6, seed=4)
-        ctx = ContextVectors(vectors=tokens.copy())
+        ctx = tokens.copy()
         out = encode_texts_cached(ctx, tokens, enc)[0]
         h = tokens[0] @ enc.proj
         expected = (h - h.mean()) / np.sqrt(((h - h.mean()) ** 2).mean() + 1e-12)
@@ -82,6 +81,21 @@ class TestEncodeTexts:
         with pytest.raises(ValueError, match="N x C_t array"):
             encode_texts_cached(ctx, np.zeros(shape), enc)
 
+    @pytest.mark.parametrize("shape", [(16,), (1, 2, 16)])
+    def test_context_not_2d_rejected(self, shape):
+        _, tokens, enc = pipeline()
+        with pytest.raises(ValueError, match="^context must be a p x C_t array"):
+            encode_texts_cached(np.zeros(shape), tokens, enc)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_context_raises_at_first_use(self, bad):
+        # nothing checks the context before it is encoded: the variance check refuses it
+        ctx, tokens, enc = pipeline()
+        ctx[1, 2] = bad
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                ArithmeticError, match="non-finite layer-norm variance"):
+            encode_texts_cached(ctx, tokens, enc)
+
     def test_gradient_matches_finite_differences(self):
         # oracle: finite-difference oracle over a scalar readout
         ctx, tokens, enc = pipeline()
@@ -91,7 +105,7 @@ class TestEncodeTexts:
         def loss():
             return float((encode_texts_cached(ctx, tokens, enc)[0] * probe).sum())
 
-        (fd,) = central_difference(loss, [ctx.vectors])
+        (fd,) = central_difference(loss, [ctx])
         out, cache = encode_texts_cached(ctx, tokens, enc)
         analytic = encode_texts_backward(cache, probe)
         assert max_rel_err(analytic, fd) < 1e-4
@@ -114,7 +128,7 @@ class TestEncodeTexts:
         # every pooled value stays finite, but the layer-norm variance
         # overflows; normalized by it, every prompt would be all zeros
         ctx, tokens, enc = pipeline(p=2, C_t=16)
-        ctx.vectors[0, 0] = -3e306
+        ctx[0, 0] = -3e306
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 ArithmeticError, match="non-finite layer-norm variance"):
             encode_texts_cached(ctx, tokens, enc)

@@ -308,7 +308,7 @@ class TestBackward:
         from affseg.training import _bce_score_grad, forward
 
         params, enc, table, item = gradcheck.build_problem(seed=2, num_classes=2)
-        params.ctx.vectors[:] = 0.0
+        params.ctx[:] = 0.0
         table = table[[0, 0]]
         M = item.target.M.copy()
         M[:, :, 1] = M[:, :, 0]
@@ -366,8 +366,8 @@ class TestBackward:
         _, grads = backward(params, item, enc, table)
         assert grads is params._grads and np.isfinite(grads.flat).all()
         gated = ablate != "ctm"
-        assert params.dp.gated == gated and params.dp.depth == (0 if ablate == "td" else 2)
-        for k in range(params.dp.depth):
+        assert params.dp.gated == gated and len(params.dp.layers) == (0 if ablate == "td" else 2)
+        for k in range(len(params.dp.layers)):
             wc = grads[f"decoder.{k}.wc"]
             assert wc.any() if gated else not wc.any()
 
@@ -553,6 +553,11 @@ def _shape_of(name, shape):
                                           for e in doc["arrays"]]}
 
 
+def _name_of(i, name):
+    return lambda doc: {**doc, "arrays": [{**e, "name": name} if k == i else e
+                                          for k, e in enumerate(doc["arrays"])]}
+
+
 class TestCheckpoint:
     def bundle(self, tiny_world, iterations=4):
         items = make_items(tiny_world)
@@ -594,7 +599,7 @@ class TestCheckpoint:
         items = make_items(tiny_world)
         cfg = TrainConfig(iterations=0, seed=10, p=2, j=2, t=1, C=16, C_t=16)
         params, _ = train(cfg, items, tiny_world.affordances)
-        params.ctx.vectors[:, 0] = 1e308
+        params.ctx[:, 0] = 1e308
         _, enc = training.build_text_pipeline(cfg, tiny_world.affordances)
         with pytest.raises(ValueError, match="overflow"):
             Checkpoint(params=params, enc=enc, affordances=tiny_world.affordances, cfg=cfg)
@@ -604,7 +609,7 @@ class TestCheckpoint:
         items = make_items(tiny_world)
         cfg = TrainConfig(iterations=0, seed=10, p=2, j=2, t=1, C=16, C_t=16)
         params, _ = train(cfg, items, tiny_world.affordances)
-        params.ctx.vectors[0, 0] = -3e306
+        params.ctx[0, 0] = -3e306
         _, enc = training.build_text_pipeline(cfg, tiny_world.affordances)
         with pytest.raises(ValueError, match="^checkpoint parameters overflow to non-finite "
                                              "prompts or fusion$"):
@@ -644,6 +649,12 @@ class TestCheckpoint:
                      "bad shape", id="float-shape"),
         pytest.param(_first_array({"name": "ctx.vectors", "shape": [True, 16]}), CorruptionError,
                      "bad shape", id="bool-shape"),
+        pytest.param(_name_of(0, ["ctx.vectors"]), CorruptionError,
+                     re.escape("checkpoint array 0 has name ['ctx.vectors'], not a string"),
+                     id="list-name"),
+        pytest.param(_name_of(3, {"a": 1}), CorruptionError,
+                     re.escape("checkpoint array 3 has name {'a': 1}, not a string"),
+                     id="object-name"),
         pytest.param(lambda d: {**d, "arrays": [{**e, "name": e["name"].replace("embedder.", "")}
                                                 for e in d["arrays"]]},
                      CorruptionError, "embedder.weight", id="no-embedder-weight"),
