@@ -40,20 +40,6 @@ class DecoderLayerParams:
     w2: np.ndarray
     b2: np.ndarray
 
-    def __post_init__(self):
-        for name in ("wq", "wk", "wv", "wc", "w1", "b1", "w2", "b2"):
-            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        C = self.wq.shape[0]
-        if self.wq.shape != (C, C) or self.wk.shape != (C, C) or self.wv.shape != (C, C):
-            raise ValueError("query/key/value maps must be square and same-shaped")
-        if self.wc.shape[1] != C:
-            raise ValueError(f"summary-token map {self.wc.shape} must end in {C}")
-        hidden = self.w1.shape[1]
-        if self.w1.shape != (C, hidden) or self.w2.shape != (hidden, C):
-            raise ValueError("FFN shapes inconsistent")
-        if self.b1.shape != (hidden,) or self.b2.shape != (C,):
-            raise ValueError("FFN bias shapes inconsistent")
-
 
 @dataclass
 class DecoderParams:

@@ -29,14 +29,6 @@ class FusionParams:
     proj: list[np.ndarray]
     alpha_logits: np.ndarray
 
-    def __post_init__(self):
-        self.proj = [np.asarray(P, dtype=np.float64) for P in self.proj]
-        self.alpha_logits = np.asarray(self.alpha_logits, dtype=np.float64)
-        if self.alpha_logits.shape != (len(self.proj),):
-            raise ValueError(
-                f"{len(self.proj)} projections but {self.alpha_logits.shape} logits"
-            )
-
     @property
     def alpha(self) -> np.ndarray:
         return _softmax(self.alpha_logits)
@@ -48,14 +40,6 @@ class Embedder:
 
     weight: np.ndarray
     bias: np.ndarray
-
-    def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[1],):
-            raise ValueError(
-                f"embedder shapes inconsistent: {self.weight.shape} vs {self.bias.shape}"
-            )
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:

@@ -54,8 +54,7 @@ def build_problem(
     item = LoadedItem("gradcheck", "obj", stack, target)
     params = training.init_model(cfg, C_v)
     # push params off their symmetric init so no gradient path is degenerate
-    for _, arr in training.param_items(params):
-        arr += 0.05 * rng.standard_normal(arr.shape)
+    params.theta[...] += 0.05 * rng.standard_normal(params.theta.size)
     return params, enc, table, item
 
 

@@ -31,11 +31,12 @@ from .prompt import StubTextEncoder
 class ModelParams:
     """All trainable state; the text encoder and feature source stay frozen.
 
-    Construction copies every array of :func:`param_items` into one float64
-    vector ``theta``, in that order, and keeps copies of the given parameter
-    objects whose arrays are views into it; the objects passed in are left as
-    they were. Change parameters in place: an array rebound to a new object
-    is no longer part of ``theta``, and :func:`sgd_step` refuses the model.
+    Construction checks every array against :func:`param_shapes` (one
+    ValueError names the first of another shape) and copies it into one
+    float64 vector ``theta``, in that order, and keeps copies of the given
+    parameter objects whose arrays are views into it; the objects passed in
+    are left as they were. Change parameters in place: an array rebound to a
+    new object is no longer part of ``theta``, and :func:`sgd_step` refuses it.
     A :class:`Checkpoint` makes ``theta`` and every array read-only.
     The model also owns the gradient vector that :func:`backward` fills,
     allocated on the first call; :func:`train` releases it when done.
@@ -48,17 +49,24 @@ class ModelParams:
     dp: DecoderParams
 
     def __post_init__(self):
-        items = param_items(self)
-        self._theta = np.empty(sum(arr.size for _, arr in items))
-        layout, self._views, memo, start = [], {}, {}, 0
-        for name, arr in items:
-            stop = start + arr.size
-            view = self._theta[start:stop].reshape(arr.shape)
+        if np.ndim(self.ctx) != 2 or np.ndim(self.emb.weight) != 2:
+            raise ValueError("the context and the embedder weight must be 2-D")
+        table = param_shapes(*np.shape(self.ctx), len(self.fp.proj),
+                             *np.shape(self.emb.weight), len(self.dp.layers))
+        arrays = _arrays(self)
+        self._theta = np.empty(sum(np.size(arr) for arr in arrays))
+        layout, views, memo, start = [], [], {}, 0
+        for (name, shape), arr in zip(table, arrays, strict=True):
+            if np.shape(arr) != shape:
+                raise ValueError(f"parameter {name} has shape {np.shape(arr)}, "
+                                 f"the model's is {shape}")
+            stop = start + np.size(arr)
+            memo[id(arr)] = view = self._theta[start:stop].reshape(shape)
             view[...] = arr
-            memo[id(arr)] = self._views[name] = view
-            layout.append((name, start, stop, arr.shape))
+            views.append(view)
+            layout.append((name, start, stop, shape))
             start = stop
-        self._layout = tuple(layout)
+        self._layout, self._views = tuple(layout), tuple(views)
         self._grads: Gradients | None = None
         # deepcopy takes each array's view from the memo and copies the rest
         self.ctx, self.fp, self.emb, self.dp = copy.deepcopy(
@@ -136,35 +144,36 @@ def init_model(cfg: TrainConfig, feature_dim: int) -> ModelParams:
 # parameter tree
 
 
-def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
-    """Stable (name, array) listing of every trainable tensor."""
-    items = [("ctx.vectors", mp.ctx)]
-    for i, P in enumerate(mp.fp.proj):
-        items.append((f"fusion.proj.{i}", P))
-    items.append(("fusion.alpha_logits", mp.fp.alpha_logits))
-    items.append(("embedder.weight", mp.emb.weight))
-    items.append(("embedder.bias", mp.emb.bias))
-    for k, layer in enumerate(mp.dp.layers):
-        for name in ("wq", "wk", "wv", "wc", "w1", "b1", "w2", "b2"):
-            items.append((f"decoder.{k}.{name}", getattr(layer, name)))
-    return items
-
-
-def param_shapes(cfg: TrainConfig, feature_dim: int) -> Iterator[tuple[str, tuple[int, ...]]]:
-    """(name, shape) of every trainable tensor of ``init_model(cfg, feature_dim)``,
-    in :func:`param_items` order, without building the model."""
-    C, C_v = cfg.C, feature_dim
-    yield "ctx.vectors", (cfg.p, cfg.C_t)
-    for i in range(cfg.j):
+def param_shapes(p: int, C_t: int, j: int, C_v: int, C: int,
+                 t: int) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """The one table of (name, shape) of every trainable tensor, in order, of a
+    model with a p x C_t context, j fused layers of width C_v, embedding width
+    C and t decoder layers; :class:`ModelParams` checks every array against it."""
+    yield "ctx.vectors", (p, C_t)
+    for i in range(j):
         yield f"fusion.proj.{i}", (C_v, C_v)
-    yield "fusion.alpha_logits", (cfg.j,)
+    yield "fusion.alpha_logits", (j,)
     yield "embedder.weight", (C_v, C)
     yield "embedder.bias", (C,)
     layer = {"wq": (C, C), "wk": (C, C), "wv": (C, C), "wc": (C_v, C),
              "w1": (C, 4 * C), "b1": (4 * C,), "w2": (4 * C, C), "b2": (C,)}
-    for k in range(cfg.t):
+    for k in range(t):
         for name, shape in layer.items():
             yield f"decoder.{k}.{name}", shape
+
+
+def _arrays(mp: ModelParams) -> list[np.ndarray]:
+    """Every trainable array of *mp* in :func:`param_shapes` order; each
+    decoder layer's in :class:`DecoderLayerParams` field order."""
+    arrays = [mp.ctx, *mp.fp.proj, mp.fp.alpha_logits, mp.emb.weight, mp.emb.bias]
+    for layer in mp.dp.layers:
+        arrays += [getattr(layer, f.name) for f in fields(layer)]
+    return arrays
+
+
+def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
+    """Stable (name, array) listing of every trainable tensor."""
+    return [(name, arr) for (name, *_), arr in zip(mp._layout, _arrays(mp), strict=True)]
 
 
 class Gradients(Mapping):
@@ -303,19 +312,13 @@ def backward(
     layer_grads, d_text, d_vis2 = decoder.decode_backward(cache.decode_caches, d_text_out)
     if d_vis2 is not None:  # None with no decoder layers
         d_visual = d_visual + d_vis2
-    for k, g in enumerate(layer_grads):
-        for name, val in g.items():
-            grads[f"decoder.{k}.{name}"] = val
-
     d_w, d_b, d_fused = fusion.embed_backward(cache.embed_cache, d_visual)
-    grads["embedder.weight"] = d_w
-    grads["embedder.bias"] = d_b
-
     d_proj, d_logits = fusion.fuse_backward(cache.fuse_cache, d_fused)
-    for i, g in enumerate(d_proj):
-        grads[f"fusion.proj.{i}"] = g
-    grads["fusion.alpha_logits"] = d_logits
-    grads["ctx.vectors"] = prompt.encode_texts_backward(cache.text_cache, d_text)
+    d_ctx = prompt.encode_texts_backward(cache.text_cache, d_text)
+    # in table order; each layer's dict is in DecoderLayerParams field order
+    parts = [d_ctx, *d_proj, d_logits, d_w, d_b, *(g for d in layer_grads for g in d.values())]
+    for (name, *_), g in zip(grads.layout, parts, strict=True):
+        grads[name] = g
 
     if not np.isfinite(grads.flat).all():
         raise ArithmeticError(
@@ -339,12 +342,12 @@ def sgd_step(mp: ModelParams, grads: Gradients, lr: float) -> ModelParams:
     """
     if not (isinstance(grads, Gradients) and grads.layout == mp._layout):
         raise ValueError("sgd_step needs a Gradients laid out like the model")
-    items = param_items(mp)
-    for name, arr in items:
-        if mp._views.get(name) is not arr:
+    arrays = _arrays(mp)
+    for (name, *_), arr, view in zip(mp._layout, arrays, mp._views):
+        if arr is not view:
             raise ValueError(f"parameter {name} is not a view of the model's theta")
-    if len(items) != len(mp._views):
-        raise ValueError("the model has fewer parameters than its theta holds")
+    if len(arrays) != len(mp._views):
+        raise ValueError(f"the model has {len(arrays)} arrays, its theta {len(mp._views)}")
     theta = mp.theta
     with np.errstate(over="ignore", invalid="ignore"):
         theta -= lr * grads.flat
@@ -525,8 +528,9 @@ def load_checkpoint(path) -> Checkpoint:
     if weight is None or weight.ndim != 2:
         raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
     # every stored name and shape must be the model's, in order, before init_model allocates
-    expected = itertools.chain(param_shapes(cfg, weight.shape[0]),
-                               [("text_encoder.proj", (cfg.C_t, cfg.C))])
+    expected = itertools.chain(
+        param_shapes(cfg.p, cfg.C_t, cfg.j, weight.shape[0], cfg.C, cfg.t),
+        [("text_encoder.proj", (cfg.C_t, cfg.C))])
     for i, (got, want) in enumerate(itertools.zip_longest(entries, expected)):
         if got != want:
             raise CorruptionError(f"checkpoint array {i} is {got}, the model's is {want}")

@@ -265,7 +265,8 @@ class TestTrainEval:
         (n,) = struct.unpack("<I", raw[8:12])
         doc = json.loads(raw[12:12 + n])
         assert "ablate" not in doc and doc["version"] == 2
-        want = [*training.param_shapes(cfg, 32), ("text_encoder.proj", (cfg.C_t, cfg.C))]
+        dims = cfg.p, cfg.C_t, cfg.j, 32, cfg.C, cfg.t
+        want = [*training.param_shapes(*dims), ("text_encoder.proj", (cfg.C_t, cfg.C))]
         assert [(e["name"], tuple(e["shape"])) for e in doc["arrays"]] == want
 
         # the same file stamped version 1 is refused, not read as another model

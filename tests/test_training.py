@@ -226,7 +226,33 @@ class TestParameterLayout:
     ])
     def test_param_shapes_match_the_built_model(self, cfg, C_v):
         built = [(name, arr.shape) for name, arr in param_items(training.init_model(cfg, C_v))]
-        assert list(training.param_shapes(cfg, C_v)) == built
+        dims = cfg.p, cfg.C_t, cfg.j, C_v, cfg.C, cfg.t
+        assert list(training.param_shapes(*dims)) == built
+
+    # the gradcheck model: p 2, C_t 8, j 2, C_v 12, C 8, t 2
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda m, bad: ModelParams(bad[0], m.fp, m.emb, m.dp),
+                     "the context and the embedder weight must be 2-D", id="ctx"),
+        pytest.param(lambda m, bad: ModelParams(
+            m.ctx, fusion.FusionParams([m.fp.proj[0], bad], m.fp.alpha_logits), m.emb, m.dp),
+            "parameter fusion.proj.1 has shape (13, 8), the model's is (12, 12)", id="proj"),
+        pytest.param(lambda m, bad: ModelParams(
+            m.ctx, fusion.FusionParams(m.fp.proj, bad[0]), m.emb, m.dp),
+            "parameter fusion.alpha_logits has shape (8,), the model's is (2,)", id="alpha"),
+        pytest.param(lambda m, bad: ModelParams(
+            m.ctx, m.fp, fusion.Embedder(bad[:, 0], m.emb.bias), m.dp),
+            "the context and the embedder weight must be 2-D", id="weight"),
+        pytest.param(lambda m, bad: ModelParams(
+            m.ctx, m.fp, fusion.Embedder(m.emb.weight, bad[:, 0]), m.dp),
+            "parameter embedder.bias has shape (13,), the model's is (8,)", id="bias"),
+        pytest.param(lambda m, bad: ModelParams(m.ctx, m.fp, m.emb, decoder.DecoderParams(
+            [m.dp.layers[0], dataclasses.replace(m.dp.layers[1], wc=bad)])),
+            "parameter decoder.1.wc has shape (13, 8), the model's is (12, 8)", id="wc"),
+    ])
+    def test_construction_refuses_an_array_of_another_shape(self, build, message):
+        model, *_ = gradcheck.build_problem(seed=3)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(model, np.zeros((13, 8)))
 
     def test_direct_construction_leaves_its_arguments_alone(self):
         src, *_ = gradcheck.build_problem(seed=5)
@@ -274,8 +300,8 @@ class TestParameterLayout:
         pytest.param("embedder.bias", "parameter embedder.bias is not a view", id="bias"),
         pytest.param("fusion.proj.1", "parameter fusion.proj.1 is not a view", id="proj"),
         pytest.param("decoder.0.wq", "parameter decoder.0.wq is not a view", id="wq"),
-        pytest.param("added layer", "parameter decoder.2.wq is not a view", id="added-layer"),
-        pytest.param("removed layer", "fewer parameters", id="removed-layer"),
+        pytest.param("added layer", "has 30 arrays, its theta 22", id="added-layer"),
+        pytest.param("removed layer", "has 14 arrays, its theta 22", id="removed-layer"),
     ])
     def test_rebound_array_makes_the_step_raise(self, name, match):
         params, *_ = gradcheck.build_problem(seed=1)
