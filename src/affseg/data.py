@@ -328,10 +328,10 @@ class LoadedItem:
 def load_item(
     manifest: DatasetManifest, item: ManifestItem, sigma: float = DEFAULT_SIGMA
 ) -> LoadedItem:
-    stack = load_features(manifest.resolve(item.features))
     where = context = f"item {item.item_id}"
     rel, target_kind, points, sigma = parse_target(item.target, where, sigma)
     try:
+        stack = load_features(manifest.resolve(item.features))
         if points is None:
             path = manifest.resolve(rel)
             context += f": mask target {path} read as target_kind {target_kind!r}"

@@ -58,6 +58,9 @@ class FeatureStack:
             raise ValueError(f"cls shape {cls.shape} does not match feature dim {shape[1]}")
         if not np.all(np.isfinite(cls)):
             raise ValueError("non-finite values in cls token")
+        if min(*self.grid, *self.image_size) < 1:
+            raise ValueError(f"grid {self.grid} and image size {self.image_size} "
+                             "need sides of at least 1")
         h_p, w_p = self.grid
         if h_p * w_p != shape[0]:
             raise ValueError(f"grid {self.grid} does not tile {shape[0]} patches")
@@ -93,21 +96,24 @@ def save_features(stack: FeatureStack, path) -> None:
 
 
 def load_features(path) -> FeatureStack:
-    """Read a stack written by :func:`save_features`."""
-    with open(path, "rb") as fh:
-        container.read_magic(fh)
-        n_layers, L, C_v, h_p, w_p, H, W = container.read_u32(fh, 7)
-        if n_layers < 1 or L < 1 or C_v < 1:
-            raise CorruptionError(f"implausible header ({n_layers} layers, {L}x{C_v})")
-        layers = tuple(
-            container.read_f64(fh, L * C_v).reshape(L, C_v) for _ in range(n_layers)
-        )
-        cls = container.read_f64(fh, C_v)
-        container.expect_eof(fh)
+    """Read a stack written by :func:`save_features`. A file that is not one
+    raises FormatError, one whose content is not a valid stack
+    CorruptionError; both name *path*."""
     try:
+        with open(path, "rb") as fh:
+            container.read_magic(fh)
+            n_layers, L, C_v, h_p, w_p, H, W = container.read_u32(fh, 7)
+            if n_layers < 1 or L < 1 or C_v < 1:
+                raise CorruptionError(f"implausible header ({n_layers} layers, {L}x{C_v})")
+            layers = tuple(
+                container.read_f64(fh, L * C_v).reshape(L, C_v) for _ in range(n_layers)
+            )
+            cls = container.read_f64(fh, C_v)
+            container.expect_eof(fh)
         return FeatureStack(layers=layers, cls=cls, grid=(h_p, w_p), image_size=(H, W))
-    except ValueError as exc:
-        raise CorruptionError(str(exc)) from exc
+    except (FormatError, CorruptionError, ValueError) as exc:
+        error = FormatError if isinstance(exc, FormatError) else CorruptionError
+        raise error(f"{path}: {exc}") from exc
 
 
 def synth_text_tokens(names, token_dim: int, seed: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import copy
 import itertools
 import json
 import math
+import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -96,7 +97,8 @@ class TrainConfig:
     gate: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        # compared, not converted: an int past the largest float is refused, not an OverflowError
+        if not 0 < self.lr <= sys.float_info.max:
             raise ValueError(f"lr must be positive and finite, got {self.lr!r}")
         for name, low in (("iterations", 0), ("seed", 0), ("p", 0), ("j", 0), ("t", 0),
                           ("C", 1), ("C_t", 1), ("log_every", 1)):

@@ -580,6 +580,40 @@ class TestErrorPaths:
                    str(world_dir / "manifest.json"), "--out", str(tmp_path / "x")) == 1
         assert "momentum" in capsys.readouterr().err
 
+    def test_feature_file_errors_name_the_file_and_the_item(self, world_dir, cfg_path,
+                                                             tmp_path, capsys):
+        manifest, ckpt = str(world_dir / "manifest.json"), str(tmp_path / "model.ooal")
+        assert run("train", "--config", str(cfg_path), "--manifest", manifest,
+                   "--out", ckpt) == 0
+        feats = sorted((world_dir / "feats").iterdir())
+        for path in feats:
+            path.write_bytes(b"garbage!" + bytes(64))
+        bad_magic = "bad magic b'garbage!', expected b'OOALFT01'"
+        for argv in (("train", "--config", str(cfg_path), "--manifest", manifest,
+                      "--out", str(tmp_path / "again.ooal")),
+                     ("eval", "--ckpt", ckpt, "--manifest", manifest, "--mode", "dense",
+                      "--report", str(tmp_path / "r.json"))):
+            capsys.readouterr()
+            assert run(*argv) == 1
+            err = capsys.readouterr().err
+            found = re.fullmatch(rf"error: item (\S+): (\S+): {re.escape(bad_magic)}\n", err)
+            assert found and found[2] == str(world_dir / "feats" / f"{found[1]}.ooal"), err
+        for argv in (("analyze", "pca", "--features", str(feats[0])),
+                     ("analyze", "simmap", "--features", str(feats[0]), "--target",
+                      str(feats[1]), "--patch", "0,0", "--out", str(tmp_path / "s.ppm"))):
+            capsys.readouterr()
+            assert run(*argv) == 1
+            assert capsys.readouterr().err == f"error: {feats[0]}: {bad_magic}\n"
+
+    def test_int_lr_past_the_largest_float_is_one_error(self, world_dir, tmp_path, capsys):
+        bad = tmp_path / "cfg.json"
+        bad.write_text('{"iterations": 1, "lr": 1' + "0" * 400 + "}")
+        assert run("train", "--config", str(bad), "--manifest",
+                   str(world_dir / "manifest.json"), "--out", str(tmp_path / "x")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: lr must be positive and finite, got 1000")
+        assert err.count("\n") == 1
+
     def test_checkpoint_vs_manifest_mismatch(self, world_dir, cfg_path, tmp_path):
         ckpt = tmp_path / "model.ooal"
         run("train", "--config", str(cfg_path), "--manifest",

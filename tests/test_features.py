@@ -1,5 +1,7 @@
 """Feature container, file format, and synthetic text tokens."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,7 +66,7 @@ class TestFileFormat:
         raw = bytearray(path.read_bytes())
         raw[:8] = b"XXXXXXXX"
         path.write_bytes(bytes(raw))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: bad magic"):
             load_features(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -121,6 +123,25 @@ class TestStackInvariants:
                 grid=(3, 2),
                 image_size=(8, 8),
             )
+
+    @pytest.mark.parametrize("grid, image", [((2, 2), (0, 0)), ((2, 2), (0, 8)),
+                                             ((2, 2), (8, 0)), ((-2, -2), (8, 8))])
+    def test_sides_below_one_rejected(self, grid, image):
+        with pytest.raises(ValueError, match="need sides of at least 1"):
+            FeatureStack(layers=(np.zeros((4, 3)),), cls=np.zeros(3), grid=grid,
+                         image_size=image)
+
+    def test_file_with_an_image_side_of_zero_is_corrupt(self, tmp_path):
+        import struct
+
+        path = tmp_path / "flat.ooal"
+        with open(path, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<7I", 1, 4, 3, 2, 2, 0, 8))
+            fh.write(np.zeros(4 * 3 + 3, dtype="<f8").tobytes())
+        with pytest.raises(CorruptionError, match=rf"^{re.escape(str(path))}: grid \(2, 2\) "
+                                                  r"and image size \(0, 8\) need sides"):
+            load_features(path)
 
     def test_nonfinite_rejected(self):
         layer = np.zeros((4, 3))

@@ -690,6 +690,8 @@ class TestCheckpoint:
         pytest.param(_config(lr=-1.0), FormatError, "lr must be positive", id="lr-negative"),
         pytest.param(_config(lr=float("nan")), FormatError, "lr must be positive and finite",
                      id="lr-nan"),
+        pytest.param(_config(lr=10**400), FormatError, "lr must be positive and finite",
+                     id="lr-int-past-float"),
         pytest.param(_config(C=0), FormatError, "C must be >= 1", id="C-zero"),
         pytest.param(_first_array({"name": "ctx.vectors", "shape": [65536, 32768]}),
                      CorruptionError, "payload shorter than expected", id="claims-2^31-values"),
@@ -786,7 +788,7 @@ def test_config_json_roundtrip(tmp_path):
         training.load_config(path)
     # json reads NaN and Infinity as floats
     for key, value in (("C", 0), ("C_t", -2), ("lr", float("nan")), ("lr", float("inf")),
-                       ("seed", -1)):
+                       ("lr", 10**400), ("seed", -1)):
         path.write_text(json.dumps({**asdict(cfg), key: value}))
         with pytest.raises(ValueError, match=f"^{key} must be"):
             training.load_config(path)
