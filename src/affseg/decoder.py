@@ -221,6 +221,7 @@ def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
     d_wq = cache.text_in.T @ d_Q
     d_text = d_res1 + d_Q @ p.wq.T
 
+    # in DecoderLayerParams field order: training.backward writes the values in this order
     grads = {
         "wq": d_wq, "wk": d_wk, "wv": d_wv, "wc": d_wc,
         "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2,
