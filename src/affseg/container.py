@@ -69,6 +69,17 @@ def read_f64(fh, count: int) -> np.ndarray:
     return out.astype(np.float64, copy=False)
 
 
+def check_array_size(count: int, what: str) -> None:
+    """ValueError naming *what* when numpy cannot hold *count* float64 values
+    in one array: more than it can index, or more memory than it can get. The
+    array is asked for, never written, and freed at once."""
+    try:
+        np.empty(count)
+    except (ValueError, MemoryError):
+        raise ValueError(f"{what}: {count} values are more than one numpy array can hold") \
+            from None
+
+
 def expect_eof(fh) -> None:
     if fh.read(1):
         raise CorruptionError("trailing bytes after payload")

@@ -17,6 +17,7 @@ up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -53,10 +54,11 @@ class DecoderParams:
 @dataclass(frozen=True)
 class Prediction:
     """Pixel logits (H x W x N, the upsampled patch logits) and their sigmoid
-    scores (H x W x N, values in [0, 1])."""
+    scores (H x W x N, values in [0, 1]), or None where only thresholds are
+    asked of them: ``scores >= t`` is ``logits >= score_boundary(t)``."""
 
     logits: np.ndarray
-    upsampled: np.ndarray
+    upsampled: np.ndarray | None
 
 
 def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int,
@@ -116,6 +118,33 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     e += 1.0
     s /= e
     return s
+
+
+# ordered keys of float64 values: the bit pattern, negated for negative values
+_MAX_KEY = int(np.float64(np.finfo(np.float64).max).view(np.int64))
+
+
+def _from_key(key: int) -> float:
+    x = float(np.int64(abs(key)).view(np.float64))
+    return -x if key < 0 else x
+
+
+@functools.cache
+def score_boundary(threshold: float) -> float:
+    """The smallest finite float64 z with ``_sigmoid(z) >= threshold``, for a
+    threshold in (0, 1]: bisection over the ordered float64 values, about 64
+    steps. The float sigmoid is monotone, so ``logits >= z`` is ``scores >=
+    threshold`` for every logit, inf and NaN included; at 0.5, z is
+    -4.510281037539698e-17, not 0. Each candidate is squashed inside an array,
+    where numpy's vectorized exp rounds it as it rounds pixel logits."""
+    lo, hi = -_MAX_KEY, _MAX_KEY  # sigmoid(-max) is 0, sigmoid(max) is 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _sigmoid(np.full(64, _from_key(mid)))[0] >= threshold:
+            hi = mid
+        else:
+            lo = mid
+    return _from_key(hi)
 
 
 def _row_softmax(S: np.ndarray) -> np.ndarray:
@@ -274,11 +303,12 @@ def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[in
     return pred, PredictCache(visual, text_out, grid)
 
 
-def predict_from_logits(logits, grid: tuple[int, int], image_size: tuple[int, int]):
-    """The head from L x N patch logits: upsampled to pixel logits and
-    squashed -> Prediction."""
+def predict_from_logits(logits, grid: tuple[int, int], image_size: tuple[int, int],
+                        scores: bool = True):
+    """The head from L x N patch logits: upsampled to pixel logits and, with
+    *scores*, squashed -> Prediction."""
     up_logits = upsample_bilinear(logits.reshape(*grid, logits.shape[1]), image_size)
-    return Prediction(logits=up_logits, upsampled=_sigmoid(up_logits))
+    return Prediction(logits=up_logits, upsampled=_sigmoid(up_logits) if scores else None)
 
 
 def predict_backward(cache: PredictCache, d_logits: np.ndarray):

@@ -94,18 +94,23 @@ def fixations_from_heatmap(channel: np.ndarray) -> np.ndarray:
 def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
     """Raw per-class intersection and union pixel counts, exact integers
     stored as float64; each channel is counted on its own slice, so the
-    prediction's memory layout never meets the target's."""
+    prediction's memory layout never meets the target's. A pixel is predicted
+    where its score reaches *threshold*, or, for a prediction without scores,
+    where its logit reaches :func:`decoder.score_boundary`: the same pixels."""
     if gt.kind != DENSE_BINARY:
         raise ValueError(f"IoU needs dense-binary ground truth, got {gt.kind!r}")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    s = pred.upsampled
+    if pred.upsampled is None:
+        s, cut = pred.logits, decoder.score_boundary(threshold)
+    else:
+        s, cut = pred.upsampled, threshold
     if s.shape != gt.M.shape:
         raise ValueError(f"prediction {s.shape} vs target {gt.M.shape}")
     inter = np.empty(s.shape[2])
     union = np.empty_like(inter)
     for c in range(s.shape[2]):
-        hard, mask = s[:, :, c] >= threshold, gt.M[:, :, c] >= 0.5
+        hard, mask = s[:, :, c] >= cut, gt.M[:, :, c] >= 0.5
         inter[c] = np.count_nonzero(hard & mask)
         union[c] = np.count_nonzero(hard | mask)
     return inter, union
@@ -194,7 +199,7 @@ def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5)
 
 # an eval run holds at most this many bytes of targets and visual
 # embeddings, and at least one item
-EVAL_CHUNK_BYTES = 1 << 20
+EVAL_CHUNK_BYTES = 4 << 20
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -213,7 +218,8 @@ def evaluate_checkpoint(
     load into one B x L x C buffer of at most :data:`EVAL_CHUNK_BYTES` of
     targets and embeddings, and the decoder runs once over it; the head and
     the scores stay per item. Each result is bitwise equal to the item's own
-    forward, and errors come in item order.
+    forward, and errors come in item order. Dense mode builds no scores: IoU
+    counts the pixel logits at the threshold's boundary logit.
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
@@ -222,7 +228,7 @@ def evaluate_checkpoint(
     upsampling, raise ArithmeticError naming the item.
     """
     items = list(items)
-    predicted = _predictions(ckpt, manifest, items, sigma)
+    predicted = _predictions(ckpt, manifest, items, sigma, mode == "heatmap")
 
     def run_item(item):
         # evaluate calls this once per item, in order, as the runs yield them
@@ -235,13 +241,14 @@ def evaluate_checkpoint(
     return evaluate(run_item, items, mode, manifest.affordances, threshold)
 
 
-def _predictions(ckpt, manifest, items, sigma):
+def _predictions(ckpt, manifest, items, sigma, scores):
     """(entry, Prediction) per item in order, an entry being (item id, target,
-    keypoints or None, grid, image size). Each item is embedded into the next
-    row of its run's buffers as it loads, and its feature stack dropped. A
-    run ends on a new grid or image size, on a full buffer, or before an item
-    that fails to load or embed, whose error is raised once the run is decoded
-    (an embedding error with ``item <id>: `` before it)."""
+    keypoints or None, grid, image size), with sigmoid scores if *scores*. Each
+    item is embedded into the next row of its run's buffers as it loads, and
+    its feature stack dropped. A run ends on a new grid or image size, on a
+    full buffer, or before an item that fails to load or embed, whose error is
+    raised once the run is decoded (an embedding error with ``item <id>: ``
+    before it)."""
     run, error = [], None
     for item in items:
         try:
@@ -252,7 +259,7 @@ def _predictions(ckpt, manifest, items, sigma):
         s = loaded.stack
         entry = (item.item_id, loaded.target, loaded.points, s.grid, s.image_size)
         if run and entry[3:] != run[0][3:]:
-            yield from _predict_run(ckpt, run, visual, cls)
+            yield from _predict_run(ckpt, run, visual, cls, scores)
             run = []
         if not run:
             L, C = len(s.last), ckpt.cfg.C
@@ -268,18 +275,19 @@ def _predictions(ckpt, manifest, items, sigma):
         run.append(entry)
         del loaded, s  # a full run decodes before the next item loads
         if len(run) == len(visual):
-            yield from _predict_run(ckpt, run, visual, cls)
+            yield from _predict_run(ckpt, run, visual, cls, scores)
             run = []
     if run:
-        yield from _predict_run(ckpt, run, visual, cls)
+        yield from _predict_run(ckpt, run, visual, cls, scores)
     if error is not None:
         raise error
 
 
-def _predict_run(ckpt, run, visual, cls, alone=False):
+def _predict_run(ckpt, run, visual, cls, scores, alone=False):
     """(entry, Prediction) per item of *run*: the decoder once over its rows of
-    *visual* and *cls*, the head per item on its row. A run that overflows is
-    decoded again as runs of one, *alone*, so the first that overflows is named."""
+    *visual* and *cls*, the head per item on its row, squashed if *scores*. A
+    run that overflows is decoded again as runs of one, *alone*, so the first
+    that overflows is named."""
     B = len(run)
     try:
         text_out = decoder.decode_cached(ckpt.text, visual[:B], cls[:B], ckpt.params.dp)[0]
@@ -287,17 +295,18 @@ def _predict_run(ckpt, run, visual, cls, alone=False):
         if alone:
             raise ArithmeticError(f"item {run[0][0]}: {exc}") from exc
         for b in range(B):
-            yield from _predict_run(ckpt, run[b:b + 1], visual[b:b + 1], cls[b:b + 1], True)
+            yield from _predict_run(ckpt, run[b:b + 1], visual[b:b + 1], cls[b:b + 1], scores,
+                                    True)
         return
     # with no decoder layers the prompts pass through, shared by every item
     text_out = np.broadcast_to(text_out, (B, *text_out.shape[-2:]))
     for b, entry in enumerate(run):
         # checked at patch resolution: upsampling would turn inf * 0 into NaN
-        # scores, which IoU counts as misses
+        # logits, which IoU counts as misses
         logits = visual[b] @ text_out[b].T
         if not np.isfinite(logits).all():
             raise ArithmeticError(f"item {entry[0]}: non-finite patch logits")
-        pred = decoder.predict_from_logits(logits, *entry[3:])
+        pred = decoder.predict_from_logits(logits, *entry[3:], scores)
         yield entry, pred
         del pred  # freed before the next item's head allocates
 

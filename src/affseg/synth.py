@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .container import check_array_size
 from .features import FeatureStack, _stable_hash
 from .resample import nearest_index
 
@@ -111,6 +112,9 @@ def make_world(
             raise ValueError(f"{name} must be >= {low}, got {value!r}")
     if len(affordances) < 1:
         raise ValueError("need at least one affordance name")
+    # an item's feature stack: num_layers maps of the grid's patches and the summary token
+    check_array_size((num_layers * grid[0] * grid[1] + 1) * feature_dim,
+                     f"num_layers {num_layers} and feature_dim {feature_dim} on grid {grid}")
     rng = np.random.default_rng([seed, 0xA11CE])
 
     sigs = _draw_signatures(rng, num_parts + 1, feature_dim)

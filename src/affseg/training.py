@@ -134,6 +134,18 @@ def build_text_pipeline(cfg: TrainConfig, affordances) -> tuple[np.ndarray, Stub
 
 
 def init_model(cfg: TrainConfig, feature_dim: int) -> ModelParams:
+    """The initial model of *cfg* on features *feature_dim* wide. One that
+    numpy cannot hold raises ValueError naming the config keys, before any
+    array is built: its parameters and its text projection, counted from
+    :func:`param_shapes` without walking the fused or decoder layers."""
+    def values(j, t):
+        return sum(math.prod(shape) for _, shape in
+                   param_shapes(cfg.p, cfg.C_t, j, feature_dim, cfg.C, t))
+
+    base = values(0, 0)
+    count = base + cfg.j * (values(1, 0) - base) + cfg.t * (values(0, 1) - base) + cfg.C_t * cfg.C
+    container.check_array_size(count, f"config p {cfg.p}, C_t {cfg.C_t}, j {cfg.j}, C {cfg.C} "
+                                      f"and t {cfg.t} at feature dim {feature_dim}")
     return ModelParams(
         ctx=prompt.init_context(cfg.p, cfg.C_t, cfg.seed),
         fp=fusion.init_fusion(cfg.j, feature_dim, cfg.seed),
@@ -377,7 +389,8 @@ def train(
 
     An item with fewer feature layers than ``cfg.j``, or with another feature
     width than the first item, raises ValueError before the first step, also
-    when there are no steps: the model could not run on it. Overflow is not
+    when there are no steps: the model could not run on it. So does a model
+    that numpy cannot hold (:func:`init_model`). Overflow is not
     warned about: the finiteness checks of the decoder, :func:`backward` and
     :func:`sgd_step` raise ArithmeticError instead."""
     if not trainset:
@@ -390,8 +403,8 @@ def train(
         if item.stack.feature_dim != feature_dim:
             raise ValueError(f"item {item.item_id} has feature dim {item.stack.feature_dim}, "
                              f"item {trainset[0].item_id} has {feature_dim}")
-    table, enc = build_text_pipeline(cfg, affordances)
     params = init_model(cfg, feature_dim)
+    table, enc = build_text_pipeline(cfg, affordances)
     order_rng = np.random.default_rng([cfg.seed, 0x5472])
 
     log: LossLog = []

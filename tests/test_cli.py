@@ -79,6 +79,10 @@ class TestGenSynth:
                      id="feature-dim-2"),
         pytest.param("--feature-dim", "0", "feature_dim must be >= 1", id="feature-dim-0"),
         pytest.param("--layers", "0", "num_layers must be >= 1", id="layers-0"),
+        # past what numpy can index: refused without allocating
+        pytest.param("--feature-dim", str(10**20), f"num_layers 4 and feature_dim {10**20} on "
+                     f"grid (8, 8): {257 * 10**20} values are more than one numpy array can "
+                     "hold", id="feature-dim-1e20"),
         pytest.param("--novel", "-1", "num_novel must be >= 0", id="novel-negative"),
         pytest.param("--noise", "inf", "noise_scale must be finite and >= 0", id="noise-inf"),
         pytest.param("--noise", "-1", "noise_scale must be finite and >= 0", id="noise-negative"),
@@ -319,6 +323,21 @@ class TestTrainEval:
                    "--out", str(tmp_path / "m.ooal"), "--loss-log", str(tmp_path / "l.csv")) == 1
         assert re.fullmatch(f"error: {want}\n", capsys.readouterr().err)
         assert not (tmp_path / "m.ooal").exists() and not (tmp_path / "l.csv").exists()
+
+    @pytest.mark.parametrize("key", ["p", "C_t", "C"])
+    def test_model_numpy_cannot_hold_is_one_error(self, world_dir, tmp_path, capsys, key):
+        # past what numpy can index: refused by name without allocating (t, which
+        # builds no array of that size, is tested in process)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 1, "p": 2, "j": 2, "t": 1, "C": 8, "C_t": 8,
+                                   key: 10**20}))
+        capsys.readouterr()
+        assert run("train", "--config", str(cfg), "--manifest", str(world_dir / "manifest.json"),
+                   "--out", str(tmp_path / "m.ooal")) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"error: config p \d+, C_t \d+, j 2, C \d+ and t \d+ at feature "
+                            r"dim 32: \d+ values are more than one numpy array can hold\n", err)
+        assert f"{key} {10**20}" in err and not (tmp_path / "m.ooal").exists()
 
     def test_saturated_prediction_scores_finite(self, tmp_path):
         # embedder weight 0 and bias -1e6 * prompt 0 drive every score of channel 0 to exactly 0

@@ -20,6 +20,7 @@ from affseg.decoder import (
     init_decoder,
     predict_cached,
     predict_backward,
+    score_boundary,
 )
 from tests.oracles import (
     bilinear_reference,
@@ -60,6 +61,35 @@ EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-300, -1e-300,
 @example(np.array(EDGE_VALUES))
 def test_sigmoid_bitwise_equal_to_masked_reference(x):
     assert _sigmoid(x).tobytes() == sigmoid_masked_reference(x).tobytes()
+
+
+def floats_around(b: float, ulps: int) -> np.ndarray:
+    """Every float64 within *ulps* steps of *b*, in order; across zero the
+    steps run through the subnormals and a single zero."""
+    key = int(np.float64(abs(b)).view(np.int64)) * (-1 if b < 0 else 1)
+    keys = np.arange(key - ulps, key + ulps + 1)
+    mags = np.abs(keys).view(np.float64)
+    return np.where(keys < 0, -mags, mags)
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3, 0.7, 0.1, 1e-300, 5e-324, 1 - 2**-53])
+def test_score_boundary_is_where_the_scores_reach_the_threshold(t):
+    b = score_boundary(t)
+    z = floats_around(b, 10**5)
+    np.testing.assert_array_equal(z >= b, _sigmoid(z) >= t)
+    assert score_boundary(t) is b  # memoized
+
+
+def test_score_boundary_at_half_is_below_zero():
+    # logits in [b, 0) round to a score of exactly 0.5, so ``logit >= 0`` would miss them
+    assert score_boundary(0.5) == -4.510281037539698e-17
+
+
+@given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       hnp.arrays(np.float64, hnp.array_shapes(max_dims=3),
+                  elements=st.floats(allow_nan=False) | st.sampled_from(EDGE_VALUES)))
+def test_logits_at_the_boundary_are_scores_at_the_threshold(t, z):
+    np.testing.assert_array_equal(z >= score_boundary(t), _sigmoid(z) >= t)
 
 
 class TestClsMask:

@@ -288,6 +288,20 @@ class TestIoU:
         np.testing.assert_array_equal(inter, ref_inter)
         np.testing.assert_array_equal(union, ref_union)
 
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+           threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_logits_without_scores_count_as_their_scores(self, shape, threshold, seed):
+        rng = np.random.default_rng(seed)
+        b = decoder.score_boundary(threshold)
+        near = rng.choice([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)], shape)
+        z = np.where(rng.random(shape) < 0.3, near, 40 * rng.standard_normal(shape))
+        y = AffordanceTarget(M=(rng.random(shape) < 0.5).astype(float))
+        got = iou_counts(Prediction(logits=z, upsampled=None), y, threshold)
+        want = iou_counts(Prediction(logits=z, upsampled=decoder._sigmoid(z)), y, threshold)
+        np.testing.assert_array_equal(got, want)
+
     def test_empty_union_class_excluded(self):
         y = np.zeros((2, 2, 2))
         y[0, 0, 0] = 1.0
@@ -724,6 +738,7 @@ def test_chunked_eval_holds_one_prediction_at_a_time(trained_world, mixed_world,
     def spy(*args):
         assert all(ref() is None for ref in alive), "an earlier prediction is still held"
         pred = predict(*args)
+        assert pred.upsampled is None, "dense eval squashes its pixel logits"
         alive.append(weakref.ref(pred))
         return pred
 

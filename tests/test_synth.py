@@ -1,5 +1,7 @@
 """Synthetic world generator: planted parts, layer structure, determinism."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -139,3 +141,14 @@ def test_novel_objects_reuse_signatures(world):
         pl.part for o in world.objects if not o.novel for pl in o.placements
     }
     assert novel_parts <= base_parts
+
+
+@pytest.mark.parametrize("sizes, named", [
+    ({"num_layers": 10**20}, f"num_layers {10**20} and feature_dim 32 on grid (8, 8)"),
+    ({"feature_dim": 10**20}, f"num_layers 4 and feature_dim {10**20} on grid (8, 8)"),
+])
+def test_stack_numpy_cannot_hold_is_refused_by_name(sizes, named):
+    # past what numpy can index, so nothing is allocated
+    with pytest.raises(ValueError, match=rf"^{re.escape(named)}: \d+ values are more than one "
+                       "numpy array can hold$"):
+        make_world(seed=0, **sizes)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affseg import decoder, fusion, gradcheck, synth, training
+from affseg import decoder, fusion, gradcheck, prompt, synth, training
 from affseg.cli import ABLATIONS
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSE_BINARY, DENSIFIED_SPARSE, AffordanceTarget, LoadedItem, densify
@@ -493,6 +493,23 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="affordance name"):
             train(cfg, make_items(tiny_world), names)
         assert steps == []
+
+    @pytest.mark.parametrize("sizes", [{"p": 10**20}, {"C_t": 10**20}, {"C": 10**20},
+                                       {"t": 10**20}, {"p": 0, "C_t": 10**20}])
+    def test_model_numpy_cannot_hold_fails_before_any_array(self, tiny_world, monkeypatch,
+                                                            sizes):
+        # sizes past what numpy can index fail without allocating; t is never walked
+        built = []
+        for mod, name in ((training, "build_text_pipeline"), (prompt, "init_context"),
+                          (fusion, "init_fusion"), (fusion, "init_embedder"),
+                          (decoder, "init_decoder")):
+            monkeypatch.setattr(mod, name, lambda *a, name=name, **k: built.append(name))
+        cfg = TrainConfig(**{"iterations": 3, "seed": 1, "p": 2, "j": 2, "t": 1, "C": 16,
+                             "C_t": 16, **sizes})
+        with pytest.raises(ValueError, match=r"^config p \d+, C_t \d+, j 2, C \d+ and t \d+ at "
+                           r"feature dim 16: \d+ values are more than one numpy array can hold$"):
+            train(cfg, make_items(tiny_world), tiny_world.affordances)
+        assert built == []
 
     def test_descent_property(self, tiny_world):
         # single small-lr step on a fixed batch should not increase loss in
