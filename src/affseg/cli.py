@@ -169,7 +169,10 @@ def cmd_densify(args) -> int:
             raise ValueError(f"{where}: {key} must be a positive integer, got {doc[key]!r}")
     kp = data.parse_points(doc["points"], where)
     affordances = data.parse_affordances(doc["affordances"], where)
-    target = data.densify(kp, args.sigma, doc["height"], doc["width"], affordances)
+    try:
+        target = data.densify(kp, args.sigma, doc["height"], doc["width"], affordances)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     data.save_target(target, args.out)
     print(f"wrote {target.shape[0]}x{target.shape[1]}x{target.shape[2]} target to {args.out}")
     return 0

@@ -124,18 +124,23 @@ def densify(
     """Sum an unnormalized Gaussian over each (x, y) keypoint of *points*, then
     scale every channel by its own max (empty channels stay all-zero). The
     H x W x N result is a view of an N x H x W buffer, channel-major like a
-    :class:`~affseg.decoder.Prediction`."""
+    :class:`~affseg.decoder.Prediction`; a buffer numpy cannot allocate raises
+    ValueError naming its size."""
     check_sigma(sigma)
     affordances = list(affordances)
     unknown = set(points) - set(affordances)
     if unknown:
         raise ValueError(f"keypoints for unknown affordances: {sorted(unknown)}")
+    try:  # before the coordinate rows, which are as long as the sides
+        M = np.empty((len(affordances), height, width))
+        g = np.empty((height, width))
+    except (ValueError, MemoryError):
+        raise ValueError(f"a {len(affordances)} x {height} x {width} target is more than "
+                         f"numpy can allocate") from None
     ys = np.arange(height)[:, None]
     xs = np.arange(width)[None, :]
     # IEEE division is sign-symmetric: d / -(2 sigma^2) == -d / (2 sigma^2)
     neg_denom = -(2.0 * sigma**2)
-    M = np.empty((len(affordances), height, width))
-    g = np.empty((height, width))
     for acc, name in zip(M, affordances):
         acc.fill(0.0)
         # canonical accumulation order makes the output bit-identical under

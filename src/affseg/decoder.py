@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -27,7 +27,7 @@ import numpy as np
 from .resample import upsample_bilinear, upsample_bilinear_adjoint
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderLayerParams:
     """One layer: query/key/value maps (C x C), summary-token map (C_v x C),
     and an FFN C -> 4C -> C with a rectifier between."""
@@ -42,12 +42,12 @@ class DecoderLayerParams:
     b2: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecoderParams:
     """The decoder layers, and whether their foreground gate is on; ungated,
     every key gets weight one and ``wc`` gets a zero gradient."""
 
-    layers: list[DecoderLayerParams] = field(default_factory=list)
+    layers: tuple[DecoderLayerParams, ...] = ()
     gated: bool = True
 
 
@@ -61,8 +61,7 @@ class Prediction:
     upsampled: np.ndarray | None
 
 
-def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int,
-                 gated: bool = True) -> DecoderParams:
+def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int) -> DecoderParams:
     """Attention maps near identity, FFN output branch near zero."""
     rng = np.random.default_rng([seed, 0xDEC0])
     C = embed_dim
@@ -80,7 +79,7 @@ def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int,
                 b2=np.zeros(C),
             )
         )
-    return DecoderParams(layers=layers, gated=gated)
+    return DecoderParams(layers=tuple(layers))
 
 
 # the gate must stay strictly inside (0, 1) even where float64 sigmoid

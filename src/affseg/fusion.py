@@ -14,7 +14,7 @@ Training keeps the separate cached passes, whose caches feed the backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -22,11 +22,11 @@ import numpy as np
 from .features import FeatureStack
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionParams:
     """Per-layer projections (each C_v x C_v) plus fusion-weight logits."""
 
-    proj: list[np.ndarray]
+    proj: tuple[np.ndarray, ...]
     alpha_logits: np.ndarray
 
     @property
@@ -34,7 +34,7 @@ class FusionParams:
         return _softmax(self.alpha_logits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Embedder:
     """Affine map C_v -> C applied row-wise to fused patch features."""
 
@@ -51,10 +51,10 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 def init_fusion(depth: int, feature_dim: int, seed: int) -> FusionParams:
     """Projections start at identity plus small noise, weights uniform."""
     rng = np.random.default_rng([seed, 0xF05E])
-    proj = [
+    proj = tuple(
         np.eye(feature_dim) + 0.01 * rng.standard_normal((feature_dim, feature_dim))
         for _ in range(depth)
-    ]
+    )
     return FusionParams(proj=proj, alpha_logits=np.zeros(depth))
 
 

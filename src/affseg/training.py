@@ -8,7 +8,6 @@ given the config seed.
 
 from __future__ import annotations
 
-import copy
 import itertools
 import json
 import math
@@ -22,62 +21,55 @@ import numpy as np
 from . import container, decoder, fusion, prompt
 from .container import CorruptionError, FormatError
 from .data import AffordanceTarget, LoadedItem, parse_affordances, read_json
-from .decoder import DecoderParams, Prediction
+from .decoder import DecoderLayerParams, DecoderParams, Prediction
 from .features import FeatureStack, synth_text_tokens
 from .fusion import Embedder, FusionParams
 from .prompt import StubTextEncoder
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """All trainable state; the text encoder and feature source stay frozen.
 
-    Construction checks every array against :func:`param_shapes` (one
-    ValueError names the first of another shape) and copies it into one
-    float64 vector ``theta``, in that order, and keeps copies of the given
-    parameter objects whose arrays are views into it; the objects passed in
-    are left as they were. Change parameters in place: an array rebound to a
-    new object is no longer part of ``theta``, and :func:`sgd_step` refuses it.
+    Built from one float64 vector ``theta`` and the dimensions *dims*, the
+    (p, C_t, j, C_v, C, t) of :func:`param_shapes`: that table cuts ``theta``,
+    in order, into the parameter objects, so every array is a view of
+    ``theta``; a ``theta`` of another size raises ValueError. The objects are
+    frozen and hold tuples, so a parameter can only change in place.
     A :class:`Checkpoint` makes ``theta`` and every array read-only.
     The model also owns the gradient vector that :func:`backward` fills,
     allocated on the first call; :func:`train` releases it when done.
     Models compare by identity; :func:`params_checksum` compares values.
     """
 
-    ctx: np.ndarray  # p x C_t context matrix
-    fp: FusionParams
-    emb: Embedder
-    dp: DecoderParams
+    theta: np.ndarray
+    dims: tuple[int, int, int, int, int, int]
+    gated: bool = True
+    ctx: np.ndarray = field(init=False)  # p x C_t context matrix
+    fp: FusionParams = field(init=False)
+    emb: Embedder = field(init=False)
+    dp: DecoderParams = field(init=False)
 
     def __post_init__(self):
-        if np.ndim(self.ctx) != 2 or np.ndim(self.emb.weight) != 2:
-            raise ValueError("the context and the embedder weight must be 2-D")
-        table = param_shapes(*np.shape(self.ctx), len(self.fp.proj),
-                             *np.shape(self.emb.weight), len(self.dp.layers))
-        arrays = _arrays(self)
-        self._theta = np.empty(sum(np.size(arr) for arr in arrays))
-        layout, views, memo, start = [], [], {}, 0
-        for (name, shape), arr in zip(table, arrays, strict=True):
-            if np.shape(arr) != shape:
-                raise ValueError(f"parameter {name} has shape {np.shape(arr)}, "
-                                 f"the model's is {shape}")
-            stop = start + np.size(arr)
-            memo[id(arr)] = view = self._theta[start:stop].reshape(shape)
-            view[...] = arr
-            views.append(view)
+        layout, stop = [], 0
+        for name, shape in param_shapes(*self.dims):
+            start, stop = stop, stop + math.prod(shape)
             layout.append((name, start, stop, shape))
-            start = stop
-        self._layout, self._views = tuple(layout), tuple(views)
-        self._grads: Gradients | None = None
-        # deepcopy takes each array's view from the memo and copies the rest
-        self.ctx, self.fp, self.emb, self.dp = copy.deepcopy(
-            (self.ctx, self.fp, self.emb, self.dp), memo
-        )
-
-    @property
-    def theta(self) -> np.ndarray:
-        """Every trainable value, laid out in :func:`param_items` order."""
-        return self._theta
+        if np.shape(self.theta) != (stop,):
+            raise ValueError(f"theta has shape {np.shape(self.theta)}, the model's is ({stop},)")
+        items = _cut(layout, self.theta)
+        views = iter(items.values())
+        j, t = self.dims[2], self.dims[5]
+        ctx = next(views)
+        fp = FusionParams(tuple(itertools.islice(views, j)), next(views))
+        emb = Embedder(next(views), next(views))
+        # each layer's arrays come in DecoderLayerParams field order
+        per_layer = len(fields(DecoderLayerParams))
+        dp = DecoderParams(tuple(DecoderLayerParams(*itertools.islice(views, per_layer))
+                                 for _ in range(t)), self.gated)
+        for name, value in (("ctx", ctx), ("fp", fp), ("emb", emb), ("dp", dp),
+                            ("_layout", tuple(layout)), ("_items", items), ("_grads", None)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -146,12 +138,15 @@ def init_model(cfg: TrainConfig, feature_dim: int) -> ModelParams:
     count = base + cfg.j * (values(1, 0) - base) + cfg.t * (values(0, 1) - base) + cfg.C_t * cfg.C
     container.check_array_size(count, f"config p {cfg.p}, C_t {cfg.C_t}, j {cfg.j}, C {cfg.C} "
                                       f"and t {cfg.t} at feature dim {feature_dim}")
-    return ModelParams(
-        ctx=prompt.init_context(cfg.p, cfg.C_t, cfg.seed),
-        fp=fusion.init_fusion(cfg.j, feature_dim, cfg.seed),
-        emb=fusion.init_embedder(feature_dim, cfg.C, cfg.seed),
-        dp=decoder.init_decoder(cfg.t, cfg.C, feature_dim, cfg.seed, cfg.gate),
-    )
+    fp = fusion.init_fusion(cfg.j, feature_dim, cfg.seed)
+    emb = fusion.init_embedder(feature_dim, cfg.C, cfg.seed)
+    dp = decoder.init_decoder(cfg.t, cfg.C, feature_dim, cfg.seed)
+    # in param_shapes order
+    theta = np.concatenate([prompt.init_context(cfg.p, cfg.C_t, cfg.seed), *fp.proj,
+                            fp.alpha_logits, emb.weight, emb.bias,
+                            *(getattr(layer, f.name) for layer in dp.layers
+                              for f in fields(layer))], axis=None)
+    return ModelParams(theta, (cfg.p, cfg.C_t, cfg.j, feature_dim, cfg.C, cfg.t), cfg.gate)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +157,7 @@ def param_shapes(p: int, C_t: int, j: int, C_v: int, C: int,
                  t: int) -> Iterator[tuple[str, tuple[int, ...]]]:
     """The one table of (name, shape) of every trainable tensor, in order, of a
     model with a p x C_t context, j fused layers of width C_v, embedding width
-    C and t decoder layers; :class:`ModelParams` checks every array against it."""
+    C and t decoder layers; :class:`ModelParams` cuts its ``theta`` by it."""
     yield "ctx.vectors", (p, C_t)
     for i in range(j):
         yield f"fusion.proj.{i}", (C_v, C_v)
@@ -176,18 +171,14 @@ def param_shapes(p: int, C_t: int, j: int, C_v: int, C: int,
             yield f"decoder.{k}.{name}", shape
 
 
-def _arrays(mp: ModelParams) -> list[np.ndarray]:
-    """Every trainable array of *mp* in :func:`param_shapes` order; each
-    decoder layer's in :class:`DecoderLayerParams` field order."""
-    arrays = [mp.ctx, *mp.fp.proj, mp.fp.alpha_logits, mp.emb.weight, mp.emb.bias]
-    for layer in mp.dp.layers:
-        arrays += [getattr(layer, f.name) for f in fields(layer)]
-    return arrays
+def _cut(layout, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """One view of *flat* per (name, start, stop, shape) entry of *layout*, by name."""
+    return {name: flat[a:b].reshape(shape) for name, a, b, shape in layout}
 
 
 def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Stable (name, array) listing of every trainable tensor."""
-    return [(name, arr) for (name, *_), arr in zip(mp._layout, _arrays(mp), strict=True)]
+    return list(mp._items.items())
 
 
 class Gradients(Mapping):
@@ -201,7 +192,7 @@ class Gradients(Mapping):
     def __init__(self, mp: ModelParams, flat: np.ndarray):
         self.layout = mp._layout
         self.flat = flat
-        self._slots = {name: flat[a:b].reshape(shape) for name, a, b, shape in self.layout}
+        self._slots = _cut(self.layout, flat)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._slots[name]
@@ -318,7 +309,7 @@ def backward(
         # once per model: a fresh 800 kB vector (README config) on every
         # step made malloc grow and trim its heap in some processes, with a
         # page fault per 4 kB touched
-        mp._grads = Gradients(mp, np.empty(mp.theta.size))
+        object.__setattr__(mp, "_grads", Gradients(mp, np.empty(mp.theta.size)))
     grads = mp._grads
     d_logits = _bce_score_grad(pred.upsampled, item.target.M)
     d_visual, d_text_out = decoder.predict_backward(cache.predict_cache, d_logits)
@@ -350,18 +341,11 @@ def sgd_step(mp: ModelParams, grads: Gradients, lr: float) -> ModelParams:
 
     ``grads`` is a :class:`Gradients` laid out like ``mp``: its own from
     :func:`backward`, or one from :func:`zero_gradients`. Anything else raises
-    ValueError before any value changes, and so does a model with an array
-    that is no longer a view of its ``theta``. A non-finite result raises
+    ValueError before any value changes. A non-finite result raises
     ArithmeticError naming the parameter; the model is then unusable.
     """
     if not (isinstance(grads, Gradients) and grads.layout == mp._layout):
         raise ValueError("sgd_step needs a Gradients laid out like the model")
-    arrays = _arrays(mp)
-    for (name, *_), arr, view in zip(mp._layout, arrays, mp._views):
-        if arr is not view:
-            raise ValueError(f"parameter {name} is not a view of the model's theta")
-    if len(arrays) != len(mp._views):
-        raise ValueError(f"the model has {len(arrays)} arrays, its theta {len(mp._views)}")
     theta = mp.theta
     with np.errstate(over="ignore", invalid="ignore"):
         theta -= lr * grads.flat
@@ -418,7 +402,7 @@ def train(
         sgd_step(params, grads, cfg.lr)
         if (i + 1) % cfg.log_every == 0 or i == cfg.iterations - 1:
             log.append((i + 1, loss))
-    params._grads = None  # the trained model keeps no gradient memory
+    object.__setattr__(params, "_grads", None)  # the trained model keeps no gradient memory
     return params, log
 
 
@@ -485,19 +469,19 @@ CHECKPOINT_VERSION = 2
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Container framing: magic, uint32 manifest length, JSON manifest,
     then all arrays as float64 in manifest order."""
-    names_arrays = param_items(ckpt.params) + [("text_encoder.proj", ckpt.enc.proj)]
+    named = param_items(ckpt.params) + [("text_encoder.proj", ckpt.enc.proj)]
     manifest = {
         "version": CHECKPOINT_VERSION,
         "config": {f.name: getattr(ckpt.cfg, f.name) for f in fields(TrainConfig)},
         "affordances": list(ckpt.affordances),
-        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in names_arrays],
+        "arrays": [{"name": n, "shape": list(a.shape)} for n, a in named],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         container.write_magic(fh)
         container.write_u32(fh, len(blob))
         fh.write(blob)
-        for _, arr in names_arrays:
+        for _, arr in named:
             container.write_f64(fh, arr)
 
 
@@ -542,15 +526,13 @@ def load_checkpoint(path) -> Checkpoint:
     weight = arrays.get("embedder.weight")
     if weight is None or weight.ndim != 2:
         raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
-    # every stored name and shape must be the model's, in order, before init_model allocates
-    expected = itertools.chain(
-        param_shapes(cfg.p, cfg.C_t, cfg.j, weight.shape[0], cfg.C, cfg.t),
-        [("text_encoder.proj", (cfg.C_t, cfg.C))])
+    # every stored name and shape must be the model's, in order, before the model is built
+    dims = cfg.p, cfg.C_t, cfg.j, weight.shape[0], cfg.C, cfg.t
+    expected = itertools.chain(param_shapes(*dims), [("text_encoder.proj", (cfg.C_t, cfg.C))])
     for i, (got, want) in enumerate(itertools.zip_longest(entries, expected)):
         if got != want:
             raise CorruptionError(f"checkpoint array {i} is {got}, the model's is {want}")
-    params = init_model(cfg, weight.shape[0])
     *stored, proj = arrays.values()
-    np.concatenate([a.ravel() for a in stored], out=params.theta)
     proj.flags.writeable = False
+    params = ModelParams(np.concatenate(stored, axis=None), dims, cfg.gate)
     return Checkpoint(params, StubTextEncoder(proj=proj), affordances, cfg)

@@ -39,6 +39,18 @@ def test_composition_matches_forward_and_backward_bitwise():
     assert tracing.check_composition(params, enc, table, [item]) == []
 
 
+def test_composition_holds_on_a_loaded_checkpoint(tmp_path):
+    # a loaded model is read-only, frozen and gated, and built from the stored values
+    params, enc, _, item = gradcheck.build_problem(seed=0)
+    cfg = training.TrainConfig(seed=0, p=2, j=2, t=2, C=8, C_t=8, iterations=0)
+    path = tmp_path / "m.ooal"
+    training.save_checkpoint(training.Checkpoint(params, enc, gradcheck.class_names(), cfg), path)
+    loaded = training.load_checkpoint(path)
+    assert training.params_checksum(loaded.params) == training.params_checksum(params)
+    assert not loaded.params.theta.flags.writeable and loaded.params.dp.gated
+    assert tracing.check_composition(loaded.params, loaded.enc, loaded.text_table(), [item]) == []
+
+
 def test_traced_training_equals_untraced(monkeypatch):
     *_, item = gradcheck.build_problem(seed=0)
     cfg = training.TrainConfig(iterations=4, seed=0, p=2, j=2, t=2, C=8, C_t=8, log_every=1)

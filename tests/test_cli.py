@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affseg import fusion, training
+from affseg import training
 from affseg.cli import ABLATIONS, build_parser, main
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSIFIED_SPARSE, AffordanceTarget, load_target, save_target
@@ -351,8 +351,9 @@ class TestTrainEval:
         assert run("train", "--config", str(cfg), "--manifest", manifest, "--out", str(ckpt)) == 0
         trained = training.load_checkpoint(ckpt)
         mp = trained.params
-        emb = fusion.Embedder(weight=np.zeros_like(mp.emb.weight), bias=-1e6 * trained.text[0])
-        params = training.ModelParams(ctx=mp.ctx, fp=mp.fp, emb=emb, dp=mp.dp)
+        params = training.ModelParams(mp.theta.copy(), mp.dims, mp.gated)
+        params.emb.weight[...] = 0.0
+        params.emb.bias[...] = -1e6 * trained.text[0]
         saturated = training.Checkpoint(params, trained.enc, trained.affordances, trained.cfg)
         training.save_checkpoint(saturated, ckpt)
 
@@ -677,6 +678,42 @@ class TestErrorPaths:
         assert capsys.readouterr().err == (f"error: item {item['id']}: IoU needs dense-binary "
                                            f"ground truth, got 'densified-sparse'\n")
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("command", ["densify", "train", "heatmap"])
+    def test_keypoint_target_numpy_cannot_allocate_is_one_line(self, world_dir, cfg_path,
+                                                                tmp_path, capsys, command):
+        # sides past what numpy can index fail without allocating
+        side = 2**32 - 1
+        manifest, ckpt = world_dir / "manifest.json", tmp_path / "model.ooal"
+        doc = json.loads(manifest.read_text())
+        size = rf"a {len(doc['affordances'])} x {side} x {side} target is more than numpy " \
+               rf"can allocate"
+        if command == "densify":
+            inp = tmp_path / "kp.json"
+            inp.write_text(json.dumps({"height": side, "width": side, "points": {},
+                                       "affordances": doc["affordances"]}))
+            argv = ["densify", "--in", str(inp), "--out", str(tmp_path / "t.ooal")]
+            want = f"error: keypoints file {re.escape(str(inp))}: {size}\n"
+        else:
+            assert run("train", "--config", str(cfg_path), "--manifest", str(manifest),
+                       "--out", str(ckpt)) == 0
+            for item in doc["items"]:
+                item["target"] = {"kind": "keypoints", "points": {doc["affordances"][0]: [[1, 2]]}}
+                path = world_dir / item["features"]
+                s = load_features(path)
+                save_features(FeatureStack(s.layers, s.cls, s.grid, (side, side)), path)
+            manifest.write_text(json.dumps(doc))
+            if command == "train":
+                argv = ["train", "--config", str(cfg_path), "--out", str(tmp_path / "again")]
+            else:
+                argv = ["eval", "--ckpt", str(ckpt), "--mode", "heatmap",
+                        "--report", str(tmp_path / "r.json")]
+            argv += ["--manifest", str(manifest)]
+            want = rf"error: item \S+: {size}\n"
+        capsys.readouterr()
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(want, err), err
 
     def test_inconsistent_manifest_is_one_error(self, world_dir, cfg_path, tmp_path, capsys):
         doc = json.loads((world_dir / "manifest.json").read_text())

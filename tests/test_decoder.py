@@ -1,5 +1,6 @@
 """Gated cross-attention decoder, prediction head, and their gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -140,7 +141,8 @@ class TestDecoderLayer:
         text = rng.standard_normal((3, C))
         visual = rng.standard_normal((5, C))
         p = layer_params(C=C, cls_dim=2, identity=True)
-        p.wq, p.wk, p.wv = (rng.standard_normal((C, C)) for _ in range(3))
+        for w in (p.wq, p.wk, p.wv):
+            w[...] = rng.standard_normal((C, C))
         out = decoder_layer_cached(text, visual, np.zeros(2), p, use_gate=False)[0]
         A = softmax_rows(text @ p.wq @ (visual @ p.wk).T / math.sqrt(C))
         np.testing.assert_allclose(out, A @ (visual @ p.wv) + text, atol=1e-12)
@@ -390,7 +392,7 @@ class TestStacked:
     @pytest.mark.parametrize("text_dims", [2, 3])
     def test_layer_and_decode_slices_equal_separate_calls(self, shape, use_gate, text_dims):
         dp, texts, visual, cls = self.problem(*shape)
-        dp.gated = use_gate
+        dp = dataclasses.replace(dp, gated=use_gate)
         text = texts[text_dims]
         layer_out, layer_cache = decoder_layer_cached(text, visual, cls, dp.layers[0], use_gate)
         out, _ = decode_cached(text, visual, cls, dp)

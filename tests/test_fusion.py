@@ -41,7 +41,7 @@ class TestFuse:
         layers = [rng.standard_normal((5, 3)) for _ in range(3)]
         stack = stack_of(layers)
         fp = init_fusion(3, 3, seed=0)
-        fp.alpha_logits = np.array([30.0, -30.0, -30.0])
+        fp.alpha_logits[...] = [30.0, -30.0, -30.0]
         expected = layers[-1] @ fp.proj[0]
         np.testing.assert_allclose(fuse_cached(stack, fp)[0], expected, atol=1e-9)
 
@@ -123,9 +123,9 @@ def fold_problem(C_v, C, L, j=3, depth=4, seed=0):
     side = int(np.sqrt(L))
     stack = stack_of([rng.standard_normal((L, C_v)) for _ in range(depth)], grid=(side, side))
     fp = init_fusion(j, C_v, seed=seed)
-    fp.alpha_logits = rng.standard_normal(j)
+    fp.alpha_logits[...] = rng.standard_normal(j)
     emb = init_embedder(C_v, C, seed=seed)
-    emb.bias = rng.standard_normal(C)
+    emb.bias[...] = rng.standard_normal(C)
     return stack, fp, emb
 
 
@@ -180,7 +180,7 @@ def test_gradients_match_finite_differences():
     layers = [rng.standard_normal((4, 3)) for _ in range(2)]
     stack = stack_of(layers)
     fp = init_fusion(2, 3, seed=5)
-    fp.alpha_logits = rng.standard_normal(2)
+    fp.alpha_logits[...] = rng.standard_normal(2)
     emb = init_embedder(3, 4, seed=5)
     probe = rng.standard_normal((4, 4))
 

@@ -193,7 +193,9 @@ def _built_model(how, tmp_path) -> ModelParams:
     if how == "init_model":
         return training.init_model(TrainConfig(seed=5, p=2, j=2, t=2, C=8, C_t=8), 12)
     if how == "direct":
-        return ModelParams(ctx=params.ctx, fp=params.fp, emb=params.emb, dp=params.dp)
+        mp = ModelParams(params.theta.copy(), params.dims, params.gated)
+        assert params_checksum(mp) == params_checksum(params)
+        return mp
     cfg = TrainConfig(seed=5, p=2, j=2, t=2, C=8, C_t=8, iterations=0)
     save_checkpoint(Checkpoint(params, enc, gradcheck.class_names(), cfg), tmp_path / "m.ooal")
     loaded = load_checkpoint(tmp_path / "m.ooal").params
@@ -217,6 +219,10 @@ class TestParameterLayout:
         np.testing.assert_array_equal(
             theta, np.concatenate([arr.ravel() for _, arr in param_items(mp)])
         )
+        arrays = [mp.ctx, *mp.fp.proj, mp.fp.alpha_logits, mp.emb.weight, mp.emb.bias,
+                  *(getattr(layer, f.name) for layer in mp.dp.layers
+                    for f in dataclasses.fields(layer))]
+        assert [id(a) for a in arrays] == [id(a) for _, a in param_items(mp)]
 
     @pytest.mark.parametrize("cfg, C_v", [
         (TrainConfig(p=2, j=2, t=1, C=16, C_t=16), 16),
@@ -229,39 +235,44 @@ class TestParameterLayout:
         dims = cfg.p, cfg.C_t, cfg.j, C_v, cfg.C, cfg.t
         assert list(training.param_shapes(*dims)) == built
 
-    # the gradcheck model: p 2, C_t 8, j 2, C_v 12, C 8, t 2
-    @pytest.mark.parametrize("build, message", [
-        pytest.param(lambda m, bad: ModelParams(bad[0], m.fp, m.emb, m.dp),
-                     "the context and the embedder weight must be 2-D", id="ctx"),
-        pytest.param(lambda m, bad: ModelParams(
-            m.ctx, fusion.FusionParams([m.fp.proj[0], bad], m.fp.alpha_logits), m.emb, m.dp),
-            "parameter fusion.proj.1 has shape (13, 8), the model's is (12, 12)", id="proj"),
-        pytest.param(lambda m, bad: ModelParams(
-            m.ctx, fusion.FusionParams(m.fp.proj, bad[0]), m.emb, m.dp),
-            "parameter fusion.alpha_logits has shape (8,), the model's is (2,)", id="alpha"),
-        pytest.param(lambda m, bad: ModelParams(
-            m.ctx, m.fp, fusion.Embedder(bad[:, 0], m.emb.bias), m.dp),
-            "the context and the embedder weight must be 2-D", id="weight"),
-        pytest.param(lambda m, bad: ModelParams(
-            m.ctx, m.fp, fusion.Embedder(m.emb.weight, bad[:, 0]), m.dp),
-            "parameter embedder.bias has shape (13,), the model's is (8,)", id="bias"),
-        pytest.param(lambda m, bad: ModelParams(m.ctx, m.fp, m.emb, decoder.DecoderParams(
-            [m.dp.layers[0], dataclasses.replace(m.dp.layers[1], wc=bad)])),
-            "parameter decoder.1.wc has shape (13, 8), the model's is (12, 8)", id="wc"),
-    ])
-    def test_construction_refuses_an_array_of_another_shape(self, build, message):
-        model, *_ = gradcheck.build_problem(seed=3)
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            build(model, np.zeros((13, 8)))
+    @pytest.mark.parametrize("shape", [(0,), (1,), (2089,), (2091,), (4180,), (1, 2090)])
+    def test_theta_of_another_size_is_refused(self, shape):
+        # the gradcheck model (p 2, C_t 8, j 2, C_v 12, C 8, t 2) has 2090 values
+        with pytest.raises(ValueError, match=re.escape(
+                f"theta has shape {shape}, the model's is (2090,)")):
+            ModelParams(np.zeros(shape), (2, 8, 2, 12, 8, 2))
 
-    def test_direct_construction_leaves_its_arguments_alone(self):
-        src, *_ = gradcheck.build_problem(seed=5)
-        arrays = [arr for _, arr in param_items(src)]
-        mp = ModelParams(ctx=src.ctx, fp=src.fp, emb=src.emb, dp=src.dp)
-        assert params_checksum(mp) == params_checksum(src)
-        assert all(a is b for (_, a), b in zip(param_items(src), arrays))
-        assert not np.shares_memory(mp.theta, src.theta)
-        sgd_step(src, zero_gradients(src), 0.1)  # src still owns its arrays
+    # a model is built from separate arrays only when a checkpoint is loaded: the
+    # gradcheck model's arrays, each group's with another shape in the file
+    @pytest.mark.parametrize("name, shape, message", [
+        pytest.param("ctx.vectors", [8], "checkpoint array 0 is ('ctx.vectors', (8,)), "
+                     "the model's is ('ctx.vectors', (2, 8))", id="ctx"),
+        pytest.param("fusion.proj.1", [13, 8], "checkpoint array 2 is ('fusion.proj.1', "
+                     "(13, 8)), the model's is ('fusion.proj.1', (12, 12))", id="proj"),
+        pytest.param("fusion.alpha_logits", [8], "checkpoint array 3 is "
+                     "('fusion.alpha_logits', (8,)), the model's is ('fusion.alpha_logits', "
+                     "(2,))", id="alpha"),
+        pytest.param("embedder.weight", [13], "checkpoint needs a 2-D array embedder.weight",
+                     id="weight"),
+        pytest.param("embedder.bias", [13], "checkpoint array 5 is ('embedder.bias', (13,)), "
+                     "the model's is ('embedder.bias', (8,))", id="bias"),
+        pytest.param("decoder.1.wc", [13, 8], "checkpoint array 17 is ('decoder.1.wc', "
+                     "(13, 8)), the model's is ('decoder.1.wc', (12, 8))", id="wc"),
+    ])
+    def test_construction_refuses_an_array_of_another_shape(self, tmp_path, name, shape,
+                                                            message):
+        params, enc, _, _ = gradcheck.build_problem(seed=3)
+        cfg = TrainConfig(seed=3, p=2, j=2, t=2, C=8, C_t=8, iterations=0)
+        path = tmp_path / "m.ooal"
+        save_checkpoint(Checkpoint(params, enc, gradcheck.class_names(), cfg), path)
+        raw = path.read_bytes()
+        (n,) = struct.unpack("<I", raw[8:12])
+        doc = _shape_of(name, shape)(json.loads(raw[12:12 + n]))
+        blob = json.dumps(doc).encode()
+        values = sum(math.prod(e["shape"]) for e in doc["arrays"])
+        path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + bytes(8 * values))
+        with pytest.raises(CorruptionError, match=f"^{re.escape(message)}$"):
+            load_checkpoint(path)
 
     def test_models_compare_by_identity(self):
         a, *_ = gradcheck.build_problem(seed=0)
@@ -296,33 +307,25 @@ class TestParameterLayout:
                 grads["embedder.bias"] = bad
         np.testing.assert_array_equal(grads.flat, after_good)
 
-    @pytest.mark.parametrize("name,match", [
-        pytest.param("embedder.bias", "parameter embedder.bias is not a view", id="bias"),
-        pytest.param("fusion.proj.1", "parameter fusion.proj.1 is not a view", id="proj"),
-        pytest.param("decoder.0.wq", "parameter decoder.0.wq is not a view", id="wq"),
-        pytest.param("added layer", "has 30 arrays, its theta 22", id="added-layer"),
-        pytest.param("removed layer", "has 14 arrays, its theta 22", id="removed-layer"),
+    @pytest.mark.parametrize("rebind", [
+        pytest.param(lambda mp: setattr(mp, "ctx", mp.ctx.copy()), id="ctx"),
+        pytest.param(lambda mp: setattr(mp.emb, "bias", mp.emb.bias.copy()), id="bias"),
+        pytest.param(lambda mp: mp.fp.proj.__setitem__(1, mp.fp.proj[1].copy()), id="proj"),
+        pytest.param(lambda mp: setattr(mp.dp.layers[0], "wq", mp.dp.layers[0].wq.copy()),
+                     id="wq"),
+        pytest.param(lambda mp: mp.dp.layers.append(mp.dp.layers[0]), id="added-layer"),
+        pytest.param(lambda mp: mp.dp.layers.pop(), id="removed-layer"),
     ])
-    def test_rebound_array_makes_the_step_raise(self, name, match):
+    def test_rebinding_raises_at_the_assignment(self, rebind):
+        # the parameter objects are frozen and hold tuples: a parameter changes
+        # only in place, so every array stays a view of theta
         params, *_ = gradcheck.build_problem(seed=1)
-        grads = zero_gradients(params)
-        layers = params.dp.layers
-        if name == "embedder.bias":
-            params.emb.bias = params.emb.bias.copy()
-        elif name == "fusion.proj.1":
-            params.fp.proj[1] = params.fp.proj[1].copy()
-        elif name == "decoder.0.wq":
-            layers[0].wq = layers[0].wq.copy()
-        elif name == "added layer":
-            layers.append(decoder.DecoderLayerParams(
-                **{k: getattr(layers[0], k).copy() for k in ("wq", "wk", "wv", "wc", "w1",
-                                                             "b1", "w2", "b2")}))
-        else:
-            layers.pop()
+        arrays = [arr for _, arr in param_items(params)]
         before = params.theta.copy()
-        with pytest.raises(ValueError, match=match):
-            sgd_step(params, grads, 0.1)
+        with pytest.raises((dataclasses.FrozenInstanceError, TypeError, AttributeError)):
+            rebind(params)
         np.testing.assert_array_equal(params.theta, before)
+        assert all(a is b for (_, a), b in zip(param_items(params), arrays, strict=True))
 
 
 class TestBackward:
@@ -388,7 +391,8 @@ class TestBackward:
         # backward never clears the model's gradient vector, so it must write
         # every slot: NaN left in one raises, naming the parameter
         params, enc, table, item = gradcheck.build_problem(seed=0, **ABLATIONS.get(ablate, {}))
-        params._grads = training.Gradients(params, np.full(params.theta.size, np.nan))
+        object.__setattr__(params, "_grads",
+                           training.Gradients(params, np.full(params.theta.size, np.nan)))
         _, grads = backward(params, item, enc, table)
         assert grads is params._grads and np.isfinite(grads.flat).all()
         gated = ablate != "ctm"
@@ -623,6 +627,19 @@ class TestCheckpoint:
         save_checkpoint(loaded, second)
         assert path.read_bytes() == second.read_bytes()
 
+    def test_load_builds_from_the_stored_values_alone(self, tiny_world, tmp_path,
+                                                       monkeypatch):
+        ckpt, *_ = self.bundle(tiny_world)
+        path = tmp_path / "model.ooal"
+        save_checkpoint(ckpt, path)
+        called = []
+        for mod, name in ((training, "init_model"), (prompt, "init_context"),
+                          (fusion, "init_fusion"), (fusion, "init_embedder"),
+                          (decoder, "init_decoder")):
+            monkeypatch.setattr(mod, name, lambda *a, name=name, **k: called.append(name))
+        assert params_checksum(load_checkpoint(path).params) == params_checksum(ckpt.params)
+        assert called == []
+
     def test_text_table_is_built_once(self, tiny_world):
         ckpt, _, table, _ = self.bundle(tiny_world, iterations=0)
         first, second = ckpt.text_table(), ckpt.text_table()
@@ -773,7 +790,7 @@ class TestCheckpoint:
         path.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + bytes(8 * values))
         assert path.stat().st_size < 200_000
         calls = []
-        monkeypatch.setattr(training, "init_model", lambda *args: calls.append(args))
+        monkeypatch.setattr(training, "ModelParams", lambda *args: calls.append(args))
         with pytest.raises(CorruptionError, match=re.escape("('fusion.proj.0', (16, 16))")):
             load_checkpoint(path)
         assert calls == []
