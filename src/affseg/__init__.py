@@ -12,7 +12,7 @@ from .decoder import DecoderParams, Prediction, cls_mask
 from .features import FeatureStack, load_features, save_features, synth_text_tokens
 from .fusion import Embedder, FusionParams
 from .metrics import MetricsReport, evaluate, hiou, kld, miou, nss, sim
-from .prompt import StubTextEncoder, init_context
+from .prompt import StubTextEncoder
 from .synth import SynthWorldSpec, make_world, synth_target, synth_vision_encode
 from .training import (
     Checkpoint,

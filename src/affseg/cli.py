@@ -103,13 +103,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def check_outputs(*flag_paths) -> None:
-    """Refuse each (flag, path) output that is a directory or lies in a missing
-    one, before any input is read, so a failing command writes nothing; a path
-    of None (a flag not given) is skipped."""
-    for flag, path in flag_paths:
-        if path is not None and (Path(path).is_dir() or not Path(path).parent.is_dir()):
+def check_outputs(*flag_paths, inputs=()) -> None:
+    """Refuse each (flag, path) output that is a directory, lies in a missing
+    one, or resolves to the file of another output or of one of the (flag,
+    path) *inputs*, before any input is read, so a failing command writes
+    nothing; a path of None (a flag not given) is skipped."""
+    outputs = [(flag, Path(path)) for flag, path in flag_paths if path is not None]
+    others = [*outputs, *((flag, Path(path)) for flag, path in inputs)]
+    for i, (flag, path) in enumerate(outputs):
+        if path.is_dir() or not path.parent.is_dir():
             raise ValueError(f"{flag} {path} is a directory or in one that does not exist")
+        for other, other_path in others[i + 1:]:
+            if path.resolve() == other_path.resolve():
+                raise ValueError(f"{flag} {path} is the file of {other} too")
 
 
 def cmd_gen_synth(args) -> int:
@@ -157,7 +163,7 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_densify(args) -> int:
     data.check_sigma(args.sigma, "--sigma")
-    check_outputs(("--out", args.out))
+    check_outputs(("--out", args.out), inputs=[("--in", args.inp)])
     where = f"keypoints file {args.inp}"
     doc = data.read_json(args.inp, "keypoints file")
     if not isinstance(doc, dict):
@@ -180,7 +186,8 @@ def cmd_densify(args) -> int:
 
 def cmd_train(args) -> int:
     data.check_sigma(args.sigma, "--sigma")
-    check_outputs(("--out", args.out), ("--loss-log", args.loss_log))
+    check_outputs(("--out", args.out), ("--loss-log", args.loss_log),
+                  inputs=[("--config", args.config), ("--manifest", args.manifest)])
     cfg = training.load_config(args.config)
     if args.ablate:
         cfg = dataclasses.replace(cfg, **ABLATIONS[args.ablate])
@@ -202,7 +209,8 @@ def cmd_eval(args) -> int:
     data.check_sigma(args.sigma, "--sigma")
     if not 0.0 < args.threshold < 1.0:
         raise ValueError(f"--threshold must be in (0, 1), got {args.threshold!r}")
-    check_outputs(("--report", args.report))
+    check_outputs(("--report", args.report),
+                  inputs=[("--ckpt", args.ckpt), ("--manifest", args.manifest)])
     ckpt = training.load_checkpoint(args.ckpt)
     manifest = data.load_manifest(args.manifest)
     if tuple(manifest.affordances) != ckpt.affordances:
@@ -224,7 +232,7 @@ def cmd_eval(args) -> int:
         s = reports["seen"].aggregates.get("miou")
         u = reports["unseen"].aggregates.get("miou")
         doc["hiou"] = metrics.hiou(s, u) if s is not None and u is not None else None
-    Path(args.report).write_text(json.dumps(doc, indent=2) + "\n")
+    Path(args.report).write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     print_report_table(doc)
     return 0
 
@@ -256,7 +264,8 @@ def check_layer(stack, layer: int, path) -> None:
 def cmd_pca(args) -> int:
     if args.heatmap and len(args.features) != 1:
         raise ValueError("--heatmap needs exactly one --features input")
-    check_outputs(("--scores-csv", args.scores_csv), ("--heatmap", args.heatmap))
+    check_outputs(("--scores-csv", args.scores_csv), ("--heatmap", args.heatmap),
+                  inputs=[("--features", path) for path in args.features])
     stacks = [load_features(p) for p in args.features]
     for path, stack in zip(args.features, stacks):
         check_layer(stack, args.layer, path)
@@ -279,7 +288,8 @@ def cmd_simmap(args) -> int:
         row, col = (int(x) for x in args.patch.split(","))
     except ValueError as exc:
         raise ValueError(f"--patch wants ROW,COL, got {args.patch!r}") from exc
-    check_outputs(("--out", args.out), ("--csv", args.csv))
+    check_outputs(("--out", args.out), ("--csv", args.csv),
+                  inputs=[("--features", args.features), ("--target", args.target)])
     src = load_features(args.features)
     dst = load_features(args.target)
     check_layer(src, args.layer, args.features)

@@ -61,27 +61,6 @@ class Prediction:
     upsampled: np.ndarray | None
 
 
-def init_decoder(depth: int, embed_dim: int, cls_dim: int, seed: int) -> DecoderParams:
-    """Attention maps near identity, FFN output branch near zero."""
-    rng = np.random.default_rng([seed, 0xDEC0])
-    C = embed_dim
-    layers = []
-    for _ in range(depth):
-        layers.append(
-            DecoderLayerParams(
-                wq=np.eye(C) + 0.01 * rng.standard_normal((C, C)),
-                wk=np.eye(C) + 0.01 * rng.standard_normal((C, C)),
-                wv=np.eye(C) + 0.01 * rng.standard_normal((C, C)),
-                wc=rng.standard_normal((cls_dim, C)) / math.sqrt(cls_dim),
-                w1=rng.standard_normal((C, 4 * C)) / math.sqrt(C),
-                b1=np.zeros(4 * C),
-                w2=0.02 * rng.standard_normal((4 * C, C)),
-                b2=np.zeros(C),
-            )
-        )
-    return DecoderParams(layers=tuple(layers))
-
-
 # the gate must stay strictly inside (0, 1) even where float64 sigmoid
 # saturates; the clamp is far below any gradient resolution
 _GATE_LO = np.finfo(np.float64).tiny

@@ -48,26 +48,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def init_fusion(depth: int, feature_dim: int, seed: int) -> FusionParams:
-    """Projections start at identity plus small noise, weights uniform."""
-    rng = np.random.default_rng([seed, 0xF05E])
-    proj = tuple(
-        np.eye(feature_dim) + 0.01 * rng.standard_normal((feature_dim, feature_dim))
-        for _ in range(depth)
-    )
-    return FusionParams(proj=proj, alpha_logits=np.zeros(depth))
-
-
-def init_embedder(feature_dim: int, embed_dim: int, seed: int) -> Embedder:
-    """Identity block plus small noise keeps early features close to raw."""
-    rng = np.random.default_rng([seed, 0xE89D])
-    W = 0.01 * rng.standard_normal((feature_dim, embed_dim))
-    W[: min(feature_dim, embed_dim), : min(feature_dim, embed_dim)] += np.eye(
-        min(feature_dim, embed_dim)
-    )
-    return Embedder(weight=W, bias=np.zeros(embed_dim))
-
-
 class FuseCache(NamedTuple):
     layers: tuple[np.ndarray, ...]   # the j used layers, order: last, last-1, ...
     projected: list[np.ndarray]      # layer_i @ proj_i

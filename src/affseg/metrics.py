@@ -116,12 +116,13 @@ def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
     return inter, union
 
 
-def miou(inter: np.ndarray, union: np.ndarray) -> float:
+def miou(inter: np.ndarray, union: np.ndarray) -> float | None:
     """Mean IoU from accumulated counts; classes with empty union over the
-    split are excluded from the mean."""
+    split are excluded from the mean, and with no other class it is undefined,
+    None."""
     valid = union > 0
     if not valid.any():
-        return float("nan")
+        return None
     return float((inter[valid] / union[valid]).mean())
 
 

@@ -31,15 +31,6 @@ class StubTextEncoder:
         return cls(proj=proj)
 
 
-def init_context(count: int, token_dim: int, seed: int) -> np.ndarray:
-    """The p x C_t trainable context matrix prepended to every class token,
-    Gaussian init, mean 0, std 0.02; with p 0 the class tokens are encoded alone."""
-    if count < 0:
-        raise ValueError(f"context vector count must be >= 0, got {count}")
-    rng = np.random.default_rng([seed, 0xC0DE])
-    return 0.02 * rng.standard_normal((count, token_dim))
-
-
 class TextCache(NamedTuple):
     normed: np.ndarray      # N x C  (the output rows)
     inv_std: np.ndarray     # N

@@ -22,33 +22,36 @@ import numpy as np
 
 @lru_cache(maxsize=None)
 def bilinear_matrix(n_src: int, n_dst: int) -> np.ndarray:
-    """(n_dst x n_src) interpolation weights along one axis."""
+    """(n_dst x n_src) interpolation weights along one axis; cached and shared,
+    so read-only."""
     if n_src < 1 or n_dst < 1:
         raise ValueError("sizes must be positive")
     U = np.zeros((n_dst, n_src))
-    if n_src == 1:
+    if n_src == 1 or n_dst == 1:
         U[:, 0] = 1.0
-        return U
-    if n_dst == 1:
-        U[0, 0] = 1.0
-        return U
-    scale = (n_src - 1) / (n_dst - 1)
-    for o in range(n_dst):
-        pos = o * scale
-        k0 = min(int(np.floor(pos)), n_src - 2)
-        frac = pos - k0
-        U[o, k0] = 1.0 - frac
-        U[o, k0 + 1] = frac
+    else:
+        scale = (n_src - 1) / (n_dst - 1)
+        for o in range(n_dst):
+            pos = o * scale
+            k0 = min(int(np.floor(pos)), n_src - 2)
+            frac = pos - k0
+            U[o, k0] = 1.0 - frac
+            U[o, k0 + 1] = frac
+    U.flags.writeable = False
     return U
 
 
 @lru_cache(maxsize=None)
 def nearest_index(n_src: int, n_dst: int) -> np.ndarray:
-    """Nearest source sample for each destination pixel (ties round up)."""
+    """Nearest source sample for each destination pixel (ties round up);
+    cached and shared, so read-only."""
     if n_src == 1 or n_dst == 1:
-        return np.zeros(n_dst, dtype=np.intp)
-    pos = np.arange(n_dst) * (n_src - 1) / (n_dst - 1)
-    return np.minimum(np.floor(pos + 0.5).astype(np.intp), n_src - 1)
+        index = np.zeros(n_dst, dtype=np.intp)
+    else:
+        pos = np.arange(n_dst) * (n_src - 1) / (n_dst - 1)
+        index = np.minimum(np.floor(pos + 0.5).astype(np.intp), n_src - 1)
+    index.flags.writeable = False
+    return index
 
 
 def upsample_bilinear(grid: np.ndarray, out_hw: tuple[int, int]) -> np.ndarray:

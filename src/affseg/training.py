@@ -126,27 +126,41 @@ def build_text_pipeline(cfg: TrainConfig, affordances) -> tuple[np.ndarray, Stub
 
 
 def init_model(cfg: TrainConfig, feature_dim: int) -> ModelParams:
-    """The initial model of *cfg* on features *feature_dim* wide. One that
-    numpy cannot hold raises ValueError naming the config keys, before any
-    array is built: its parameters and its text projection, counted from
-    :func:`param_shapes` without walking the fused or decoder layers."""
+    """The initial model of *cfg* on features *feature_dim* wide, drawn into
+    ``theta`` in table order from one generator per group. The context and the
+    FFN output branch start near zero (std 0.02), ``wc`` and ``w1`` scaled by
+    fan-in, the fusion projections and attention maps near identity, the
+    embedder an identity block plus noise (early features close to raw), the
+    biases and fusion logits (uniform weights) at 0. A model that numpy cannot
+    hold raises ValueError naming the config keys before any array is built:
+    its parameters and its text projection, counted from :func:`param_shapes`
+    without walking the fused or decoder layers."""
     def values(j, t):
         return sum(math.prod(shape) for _, shape in
                    param_shapes(cfg.p, cfg.C_t, j, feature_dim, cfg.C, t))
 
     base = values(0, 0)
-    count = base + cfg.j * (values(1, 0) - base) + cfg.t * (values(0, 1) - base) + cfg.C_t * cfg.C
-    container.check_array_size(count, f"config p {cfg.p}, C_t {cfg.C_t}, j {cfg.j}, C {cfg.C} "
-                                      f"and t {cfg.t} at feature dim {feature_dim}")
-    fp = fusion.init_fusion(cfg.j, feature_dim, cfg.seed)
-    emb = fusion.init_embedder(feature_dim, cfg.C, cfg.seed)
-    dp = decoder.init_decoder(cfg.t, cfg.C, feature_dim, cfg.seed)
-    # in param_shapes order
-    theta = np.concatenate([prompt.init_context(cfg.p, cfg.C_t, cfg.seed), *fp.proj,
-                            fp.alpha_logits, emb.weight, emb.bias,
-                            *(getattr(layer, f.name) for layer in dp.layers
-                              for f in fields(layer))], axis=None)
-    return ModelParams(theta, (cfg.p, cfg.C_t, cfg.j, feature_dim, cfg.C, cfg.t), cfg.gate)
+    size = base + cfg.j * (values(1, 0) - base) + cfg.t * (values(0, 1) - base)
+    container.check_array_size(size + cfg.C_t * cfg.C, f"config p {cfg.p}, C_t {cfg.C_t}, j "
+                               f"{cfg.j}, C {cfg.C} and t {cfg.t} at feature dim {feature_dim}")
+    mp = ModelParams(np.zeros(size), (cfg.p, cfg.C_t, cfg.j, feature_dim, cfg.C, cfg.t),
+                     cfg.gate)
+    rngs = {group: np.random.default_rng([cfg.seed, key]) for group, key in
+            (("ctx", 0xC0DE), ("fusion", 0xF05E), ("embedder", 0xE89D), ("decoder", 0xDEC0))}
+    for name, arr in param_items(mp):  # the biases and fusion logits stay 0
+        group, kind = (part for part in name.split(".") if not part.isdigit())
+        normal = rngs[group].standard_normal
+        if kind in ("vectors", "w2"):
+            arr[...] = 0.02 * normal(arr.shape)
+        elif kind in ("wc", "w1"):
+            arr[...] = normal(arr.shape) / math.sqrt(len(arr))
+        elif kind in ("proj", "wq", "wk", "wv"):
+            arr[...] = np.eye(len(arr)) + 0.01 * normal(arr.shape)
+        elif kind == "weight":
+            m = min(arr.shape)
+            arr[...] = 0.01 * normal(arr.shape)
+            arr[:m, :m] += np.eye(m)
+    return mp
 
 
 # ---------------------------------------------------------------------------
@@ -504,35 +518,32 @@ def load_checkpoint(path) -> Checkpoint:
             entries = [(e["name"], tuple(e["shape"])) for e in manifest["arrays"]]
         except (KeyError, TypeError) as exc:
             raise CorruptionError(f"checkpoint manifest malformed: {exc!r}") from exc
-        arrays = {}
-        for i, (name, shape) in enumerate(entries):
-            if not isinstance(name, str):
-                raise CorruptionError(f"checkpoint array {i} has name {name!r}, not a string")
-            if name in arrays:
-                raise CorruptionError(f"checkpoint lists array {name} twice")
+        try:
+            cfg = _config_from_dict(config)
+            affordances = parse_affordances(affordances, str(path))
+        except ValueError as exc:
+            raise FormatError(f"checkpoint {exc}") from exc
+        for name, shape in entries:
             if not all(type(d) is int and d >= 0 for d in shape):
                 raise CorruptionError(f"checkpoint array {name} has bad shape {list(shape)}")
-            arrays[name] = container.read_f64(fh, math.prod(shape)).reshape(shape)
-            if not np.isfinite(arrays[name]).all():
-                raise CorruptionError(f"checkpoint array {name} has a non-finite value")
+        weight = next((shape for name, shape in entries if name == "embedder.weight"), ())
+        if len(weight) != 2:
+            raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
+        # every stored name and shape must be the model's, in order, before any value is read
+        dims = cfg.p, cfg.C_t, cfg.j, weight[0], cfg.C, cfg.t
+        expected = itertools.chain(param_shapes(*dims), [("text_encoder.proj", (cfg.C_t, cfg.C))])
+        for i, (got, want) in enumerate(itertools.zip_longest(entries, expected)):
+            if got != want:
+                raise CorruptionError(f"checkpoint array {i} is {got}, the model's is {want}")
+        theta = container.read_f64(fh, sum(math.prod(shape) for _, shape in entries[:-1]))
+        proj = container.read_f64(fh, cfg.C_t * cfg.C).reshape(cfg.C_t, cfg.C)
         container.expect_eof(fh)
 
-    try:
-        cfg = _config_from_dict(config)
-        affordances = parse_affordances(affordances, str(path))
-    except ValueError as exc:
-        raise FormatError(f"checkpoint {exc}") from exc
-
-    weight = arrays.get("embedder.weight")
-    if weight is None or weight.ndim != 2:
-        raise CorruptionError("checkpoint needs a 2-D array embedder.weight")
-    # every stored name and shape must be the model's, in order, before the model is built
-    dims = cfg.p, cfg.C_t, cfg.j, weight.shape[0], cfg.C, cfg.t
-    expected = itertools.chain(param_shapes(*dims), [("text_encoder.proj", (cfg.C_t, cfg.C))])
-    for i, (got, want) in enumerate(itertools.zip_longest(entries, expected)):
-        if got != want:
-            raise CorruptionError(f"checkpoint array {i} is {got}, the model's is {want}")
-    *stored, proj = arrays.values()
+    params = ModelParams(theta, dims, cfg.gate)
+    if not np.isfinite(theta).all():
+        raise CorruptionError(f"checkpoint array {_first_nonfinite(params._layout, theta)} "
+                              "has a non-finite value")
+    if not np.isfinite(proj).all():
+        raise CorruptionError("checkpoint array text_encoder.proj has a non-finite value")
     proj.flags.writeable = False
-    params = ModelParams(np.concatenate(stored, axis=None), dims, cfg.gate)
     return Checkpoint(params, StubTextEncoder(proj=proj), affordances, cfg)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affseg import training
+from affseg import cli, training
 from affseg.cli import ABLATIONS, build_parser, main
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSIFIED_SPARSE, AffordanceTarget, load_target, save_target
@@ -215,6 +215,32 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "non-binary" in err
         assert all(word in err for word in ("item ", "mask.ooal", "target_kind", DENSIFIED_SPARSE))
+
+    def test_dense_eval_with_every_union_empty_writes_strict_json(self, tmp_path, capsys):
+        # the novel object's target is all background and no score reaches the
+        # threshold: every class of the unseen split has an empty union
+        world, ckpt, report = tmp_path / "world", tmp_path / "m.ooal", tmp_path / "r.json"
+        assert run("gen-synth", "--seed", "7", "--objects", "4", "--novel", "1",
+                   "--items", "2", "--out", str(world)) == 0
+        target = world / "targets" / "novel-00.ooal"
+        save_target(AffordanceTarget(M=np.zeros_like(load_target(target).M)), target)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"iterations": 50, "p": 2, "j": 2, "t": 1, "C": 16,
+                                   "C_t": 16}))
+        manifest = str(world / "manifest.json")
+        assert run("train", "--config", str(cfg), "--manifest", manifest,
+                   "--out", str(ckpt)) == 0
+        capsys.readouterr()
+        assert run("eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", "dense",
+                   "--threshold", "0.9999999999999999", "--report", str(report)) == 0
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} in the report")
+
+        doc = json.loads(report.read_text(), parse_constant=refuse)
+        assert doc["seen"]["aggregates"]["miou"] is not None
+        assert doc["unseen"]["aggregates"]["miou"] is None and doc["hiou"] is None
+        assert capsys.readouterr().out.splitlines()[-1].split()[1:] == ["n/a", "n/a"]
 
     def test_zero_iterations_reports_no_loss(self, world_dir, tmp_path, capsys):
         cfg = tmp_path / "zero.json"
@@ -562,6 +588,51 @@ def test_bad_output_path_fails_before_anything_is_written(world_dir, cfg_path, t
     assert err.count("\n") == 1 and err.startswith(f"error: {flag} {bad_path}"), err
     assert sorted(tmp_path.rglob("*")) == before
     assert trained == []
+
+
+@pytest.mark.parametrize("command, flag, other", [
+    ("train", "--out", "--loss-log"), ("train", "--loss-log", "--config"),
+    ("eval", "--report", "--ckpt"), ("densify", "--out", "--in"),
+    ("pca", "--scores-csv", "--heatmap"), ("pca", "--heatmap", "--features"),
+    ("simmap", "--csv", "--target"),
+])
+def test_output_on_the_file_of_another_flag_fails_before_anything_is_read(
+        world_dir, cfg_path, tmp_path, monkeypatch, capsys, command, flag, other):
+    manifest, feat = str(world_dir / "manifest.json"), str(world_dir / "feats/base-00-00.ooal")
+    ckpt, kp = tmp_path / "model.ooal", tmp_path / "kp.json"
+    if command == "eval":
+        assert run("train", "--config", str(cfg_path), "--manifest", manifest,
+                   "--out", str(ckpt)) == 0
+    kp.write_text(json.dumps({"height": 6, "width": 5, "affordances": ["grasp"],
+                              "points": {"grasp": [[2, 3]]}}))
+    argv = {
+        "train": ["train", "--config", str(cfg_path), "--manifest", manifest,
+                  "--out", str(tmp_path / "m.ooal"), "--loss-log", str(tmp_path / "loss.csv")],
+        "eval": ["eval", "--ckpt", str(ckpt), "--manifest", manifest, "--mode", "dense",
+                 "--report", str(tmp_path / "r.json")],
+        "densify": ["densify", "--in", str(kp), "--out", str(tmp_path / "t.ooal")],
+        "pca": ["analyze", "pca", "--features", feat, "--scores-csv", str(tmp_path / "s.csv"),
+                "--heatmap", str(tmp_path / "h.ppm")],
+        "simmap": ["analyze", "simmap", "--features", feat,
+                   "--target", str(world_dir / "feats/base-01-00.ooal"), "--patch", "1,1",
+                   "--out", str(tmp_path / "s.ppm"), "--csv", str(tmp_path / "s.csv")],
+    }[command]
+    # the same file by another spelling: the paths are compared once resolved
+    target = Path(argv[argv.index(other) + 1])
+    alias = target.parent / ".." / target.parent.name / target.name
+    argv[argv.index(flag) + 1] = str(alias)
+    read = []
+    for mod, name in ((training, "load_config"), (training, "load_checkpoint"),
+                      (cli.data, "read_json"), (cli.data, "load_manifest"),
+                      (cli, "load_features")):
+        monkeypatch.setattr(mod, name, lambda *a, name=name, **k: read.append(name))
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {flag} {alias} is the file of {other} too\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert read == []
 
 
 class TestErrorPaths:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from affseg import resample
+from affseg.training import TrainConfig, init_model
 from affseg.decoder import (
     DecoderLayerParams,
     DecoderParams,
@@ -18,7 +19,6 @@ from affseg.decoder import (
     decode_cached,
     decode_backward,
     decoder_layer_cached,
-    init_decoder,
     predict_cached,
     predict_backward,
     score_boundary,
@@ -485,6 +485,18 @@ def test_upsampling_bitwise_equal_to_einsum(h, H, N):
         assert got.strides == adj.strides and got.tobytes() == adj.tobytes()
 
 
+@pytest.mark.parametrize("n_src, n_dst", [(8, 64), (1, 5), (5, 1)])
+def test_cached_resampling_tables_are_read_only(n_src, n_dst):
+    # one shared array per size pair: a write would change every later upsampling
+    grid = np.ones((n_src, n_src, 1))
+    before = resample.upsample_bilinear(grid, (n_dst, n_dst))
+    for table in (resample.bilinear_matrix(n_src, n_dst), resample.nearest_index(n_src, n_dst)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 7
+    after = resample.upsample_bilinear(grid, (n_dst, n_dst))
+    assert after.tobytes() == before.tobytes() and (after == 1.0).all()
+
+
 @settings(max_examples=60, deadline=None)
 @given(h=st.integers(1, 16), w=st.integers(1, 16), H=st.integers(1, 64), W=st.integers(1, 64),
        N=st.integers(1, 17), seed=st.integers(0, 2**32 - 1))
@@ -509,7 +521,7 @@ def test_upsampling_matches_scalar_reference_and_its_adjoint(h, w, H, W, N, seed
 
 
 def test_init_decoder_shapes():
-    dp = init_decoder(2, 8, 12, seed=0)
+    dp = init_model(TrainConfig(seed=0, p=0, j=0, t=2, C=8, C_t=1), 12).dp
     assert len(dp.layers) == 2
     assert dp.layers[0].wc.shape == (12, 8)
     assert dp.layers[0].w1.shape == (8, 32)

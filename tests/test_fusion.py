@@ -13,10 +13,15 @@ from affseg.fusion import (
     fold_embedder,
     fuse_cached,
     fuse_backward,
-    init_embedder,
-    init_fusion,
 )
+from affseg.training import TrainConfig, init_model
 from tests.oracles import central_difference, max_rel_err
+
+
+def initial(j, C_v, C=1, seed=0) -> tuple[FusionParams, Embedder]:
+    """The initial fusion and embedder of a model on j layers of width C_v."""
+    mp = init_model(TrainConfig(seed=seed, p=0, j=j, t=0, C=C, C_t=1), C_v)
+    return mp.fp, mp.emb
 
 
 def stack_of(layers, grid=None):
@@ -40,7 +45,7 @@ class TestFuse:
         rng = np.random.default_rng(1)
         layers = [rng.standard_normal((5, 3)) for _ in range(3)]
         stack = stack_of(layers)
-        fp = init_fusion(3, 3, seed=0)
+        fp, _ = initial(3, 3)
         fp.alpha_logits[...] = [30.0, -30.0, -30.0]
         expected = layers[-1] @ fp.proj[0]
         np.testing.assert_allclose(fuse_cached(stack, fp)[0], expected, atol=1e-9)
@@ -70,7 +75,7 @@ class TestFuse:
     def test_too_few_layers(self):
         stack = stack_of([np.zeros((4, 3))])
         with pytest.raises(ValueError):
-            fuse_cached(stack, init_fusion(2, 3, seed=0))
+            fuse_cached(stack, initial(2, 3)[0])
 
     def test_alpha_is_probability_vector(self):
         rng = np.random.default_rng(2)
@@ -83,7 +88,7 @@ class TestFuse:
             assert (a > 0).all()
 
     def test_alpha_of_no_layers_is_empty(self):
-        a = init_fusion(0, 4, seed=0).alpha
+        a = initial(0, 4)[0].alpha
         assert a.shape == (0,) and a.dtype == np.float64
 
     @pytest.mark.parametrize("j", [1, 2, 5])
@@ -96,7 +101,7 @@ class TestFuse:
     def test_linear_in_features(self):
         rng = np.random.default_rng(3)
         layers = [rng.standard_normal((4, 3)) for _ in range(2)]
-        fp = init_fusion(2, 3, seed=1)
+        fp, _ = initial(2, 3, seed=1)
         base = fuse_cached(stack_of(layers), fp)[0]
         scaled = fuse_cached(stack_of([2.5 * l for l in layers]), fp)[0]
         np.testing.assert_allclose(scaled, 2.5 * base, atol=1e-12)
@@ -122,9 +127,8 @@ def fold_problem(C_v, C, L, j=3, depth=4, seed=0):
     rng = np.random.default_rng(seed)
     side = int(np.sqrt(L))
     stack = stack_of([rng.standard_normal((L, C_v)) for _ in range(depth)], grid=(side, side))
-    fp = init_fusion(j, C_v, seed=seed)
+    fp, emb = initial(j, C_v, C, seed)
     fp.alpha_logits[...] = rng.standard_normal(j)
-    emb = init_embedder(C_v, C, seed=seed)
     emb.bias[...] = rng.standard_normal(C)
     return stack, fp, emb
 
@@ -170,7 +174,7 @@ class TestFold:
         wide = stack_of([np.zeros((4, 5))] * 2, grid=(2, 2))
         assert error_message(embed_folded, wide, fold_embedder(fp, emb)) == \
             error_message(fuse_cached, wide, fp)
-        assert error_message(embed_folded, wide, fold_embedder(init_fusion(0, 3, 0), emb)) == \
+        assert error_message(embed_folded, wide, fold_embedder(initial(0, 3)[0], emb)) == \
             error_message(embed_cached, wide.last, emb)
 
 
@@ -179,9 +183,8 @@ def test_gradients_match_finite_differences():
     rng = np.random.default_rng(4)
     layers = [rng.standard_normal((4, 3)) for _ in range(2)]
     stack = stack_of(layers)
-    fp = init_fusion(2, 3, seed=5)
+    fp, emb = initial(2, 3, C=4, seed=5)
     fp.alpha_logits[...] = rng.standard_normal(2)
-    emb = init_embedder(3, 4, seed=5)
     probe = rng.standard_normal((4, 4))
 
     def loss():

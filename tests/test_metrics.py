@@ -347,6 +347,14 @@ class TestEvaluate:
         report = evaluate(self.run_item, [], "dense", ["a"])
         assert report.aggregates["miou"] is None
 
+    def test_every_union_empty_is_undefined(self):
+        # no class predicted or present anywhere in the split: mIoU is None, not NaN
+        y = np.zeros((3, 3, 2))
+        report = evaluate(self.run_item, [("it0", pred_of(y), AffordanceTarget(M=y), None)],
+                          "dense", ["a", "b"])
+        assert report.aggregates == {"per_class_iou": {"a": None, "b": None}, "miou": None}
+        assert miou(np.zeros(2), np.zeros(2)) is None
+
     def test_oracle_item(self):
         y = np.zeros((4, 4, 1))
         y[1:3, 1:3, 0] = 1.0

@@ -10,9 +10,14 @@ from affseg.prompt import (
     StubTextEncoder,
     encode_texts_cached,
     encode_texts_backward,
-    init_context,
 )
+from affseg.training import TrainConfig, init_model
 from tests.oracles import central_difference, max_rel_err
+
+
+def init_context(p, C_t, seed):
+    """The initial p x C_t context of a model: the context alone, no other layer."""
+    return init_model(TrainConfig(seed=seed, p=p, j=0, t=0, C=1, C_t=C_t), 1).ctx
 
 
 def pipeline(num_classes=4, p=3, C_t=16, C=8, seed=2):
@@ -25,7 +30,7 @@ def pipeline(num_classes=4, p=3, C_t=16, C=8, seed=2):
 class TestInitContext:
     def test_paper_shape(self):
         # p = 8 learnable tokens is the configuration default
-        ctx = init_context(8, 64, seed=0)
+        ctx = init_model(TrainConfig(), 32).ctx
         assert ctx.shape == (8, 64)
 
     def test_deterministic(self):
@@ -41,8 +46,8 @@ class TestInitContext:
 
     def test_negative_count_rejected(self):
         assert init_context(0, 8, seed=0).shape == (0, 8)
-        with pytest.raises(ValueError, match="count must be >= 0"):
-            init_context(-1, 8, seed=0)
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            TrainConfig(p=-1)
 
 
 class TestEncodeTexts:

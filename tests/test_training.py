@@ -1,6 +1,7 @@
 """Loss, gradients, SGD loop, determinism, and checkpointing."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affseg import decoder, fusion, gradcheck, prompt, synth, training
+from affseg import decoder, fusion, gradcheck, synth, training
 from affseg.cli import ABLATIONS
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSE_BINARY, DENSIFIED_SPARSE, AffordanceTarget, LoadedItem, densify
@@ -235,6 +236,38 @@ class TestParameterLayout:
         dims = cfg.p, cfg.C_t, cfg.j, C_v, cfg.C, cfg.t
         assert list(training.param_shapes(*dims)) == built
 
+    # sha256 of the initial theta as recorded when each parameter group had its
+    # own init function: drawing straight into theta by the table gives the same bytes
+    @pytest.mark.parametrize("cfg, C_v, digest", [
+        pytest.param(TrainConfig(seed=7), 32,
+                     "88657ed47dd994f9ea901732a328a382bb0fb0c7706433a61063c9c73f40b83b",
+                     id="readme"),
+        pytest.param(TrainConfig(seed=7), 384,
+                     "7c8d7ce6af362092bcdff432b93714dc203c255f676952b7853fefbdc9547acf",
+                     id="readme-C_v-384"),
+        pytest.param(TrainConfig(seed=0, p=2, j=2, t=2, C=8, C_t=8), 12,
+                     "63c17b6a73078a15edc33ef977eb4c7c56f8958da67b5130ff88c044f0c1ba5c",
+                     id="gradcheck"),
+        pytest.param(TrainConfig(seed=3, p=2, j=2, t=2, C=16, C_t=8), 6,
+                     "2a5d503aef5b2022ccfcc8b3f6702fccb19d38b635f2a9247a35a3814c91a7c9",
+                     id="C_v-below-C"),
+        pytest.param(TrainConfig(seed=7, p=0), 32,
+                     "ca225d594bd89612755d34586510981b6a119ce202441857f7a2d4b74965da74",
+                     id="p-0"),
+        pytest.param(TrainConfig(seed=7, j=0), 32,
+                     "a25d245454c0c861e77c3096d6c8080b55ad6c78b2ffadd4a63fc432f4a04595",
+                     id="j-0"),
+        pytest.param(TrainConfig(seed=7, t=0), 32,
+                     "a439e52731d662542390eec31a03c9813522a47c088c2b366c2573b432735477",
+                     id="t-0"),
+        pytest.param(TrainConfig(seed=7, C_t=1), 32,
+                     "daa5e4ad29f7eae37bc997fbc4f5eeac52c8b6c72cb0e26ed6d18ee984af9c81",
+                     id="C_t-1"),
+    ])
+    def test_initial_theta_is_pinned(self, cfg, C_v, digest):
+        theta = training.init_model(cfg, C_v).theta
+        assert hashlib.sha256(theta.tobytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("shape", [(0,), (1,), (2089,), (2091,), (4180,), (1, 2090)])
     def test_theta_of_another_size_is_refused(self, shape):
         # the gradcheck model (p 2, C_t 8, j 2, C_v 12, C 8, t 2) has 2090 values
@@ -242,8 +275,8 @@ class TestParameterLayout:
                 f"theta has shape {shape}, the model's is (2090,)")):
             ModelParams(np.zeros(shape), (2, 8, 2, 12, 8, 2))
 
-    # a model is built from separate arrays only when a checkpoint is loaded: the
-    # gradcheck model's arrays, each group's with another shape in the file
+    # a checkpoint's names and shapes are checked against the table before its
+    # values are read: the gradcheck model's arrays, each group's with another shape
     @pytest.mark.parametrize("name, shape, message", [
         pytest.param("ctx.vectors", [8], "checkpoint array 0 is ('ctx.vectors', (8,)), "
                      "the model's is ('ctx.vectors', (2, 8))", id="ctx"),
@@ -503,16 +536,16 @@ class TestTrainLoop:
     def test_model_numpy_cannot_hold_fails_before_any_array(self, tiny_world, monkeypatch,
                                                             sizes):
         # sizes past what numpy can index fail without allocating; t is never walked
+        items = make_items(tiny_world)
         built = []
-        for mod, name in ((training, "build_text_pipeline"), (prompt, "init_context"),
-                          (fusion, "init_fusion"), (fusion, "init_embedder"),
-                          (decoder, "init_decoder")):
+        for mod, name in ((training, "build_text_pipeline"), (training, "ModelParams"),
+                          (np.random, "default_rng")):
             monkeypatch.setattr(mod, name, lambda *a, name=name, **k: built.append(name))
         cfg = TrainConfig(**{"iterations": 3, "seed": 1, "p": 2, "j": 2, "t": 1, "C": 16,
                              "C_t": 16, **sizes})
         with pytest.raises(ValueError, match=r"^config p \d+, C_t \d+, j 2, C \d+ and t \d+ at "
                            r"feature dim 16: \d+ values are more than one numpy array can hold$"):
-            train(cfg, make_items(tiny_world), tiny_world.affordances)
+            train(cfg, items, tiny_world.affordances)
         assert built == []
 
     def test_descent_property(self, tiny_world):
@@ -568,8 +601,6 @@ class TestTrainLoop:
         assert log == ref_log
 
     def test_frozen_components_unchanged(self, tiny_world):
-        import hashlib
-
         items = make_items(tiny_world)
         cfg = TrainConfig(iterations=6, seed=9, p=2, j=2, t=1, C=16, C_t=16)
         table, enc = training.build_text_pipeline(cfg, tiny_world.affordances)
@@ -632,13 +663,15 @@ class TestCheckpoint:
         ckpt, *_ = self.bundle(tiny_world)
         path = tmp_path / "model.ooal"
         save_checkpoint(ckpt, path)
-        called = []
-        for mod, name in ((training, "init_model"), (prompt, "init_context"),
-                          (fusion, "init_fusion"), (fusion, "init_embedder"),
-                          (decoder, "init_decoder")):
-            monkeypatch.setattr(mod, name, lambda *a, name=name, **k: called.append(name))
+        called, seeds = [], []
+        monkeypatch.setattr(training, "init_model", lambda *a, **k: called.append(a))
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: seeds.append(seed) or default_rng(seed))
         assert params_checksum(load_checkpoint(path).params) == params_checksum(ckpt.params)
         assert called == []
+        # the class tokens are drawn again; no generator of init_model's parameter groups is
+        assert seeds and not [s for s in seeds if s[1] in (0xC0DE, 0xF05E, 0xE89D, 0xDEC0)]
 
     def test_text_table_is_built_once(self, tiny_world):
         ckpt, _, table, _ = self.bundle(tiny_world, iterations=0)
@@ -710,11 +743,11 @@ class TestCheckpoint:
         pytest.param(_first_array({"name": "ctx.vectors", "shape": [True, 16]}), CorruptionError,
                      "bad shape", id="bool-shape"),
         pytest.param(_name_of(0, ["ctx.vectors"]), CorruptionError,
-                     re.escape("checkpoint array 0 has name ['ctx.vectors'], not a string"),
-                     id="list-name"),
+                     re.escape("checkpoint array 0 is (['ctx.vectors'], (2, 16)), "
+                               "the model's is ('ctx.vectors', (2, 16))"), id="list-name"),
         pytest.param(_name_of(3, {"a": 1}), CorruptionError,
-                     re.escape("checkpoint array 3 has name {'a': 1}, not a string"),
-                     id="object-name"),
+                     re.escape("checkpoint array 3 is ({'a': 1}, (2,)), "
+                               "the model's is ('fusion.alpha_logits', (2,))"), id="object-name"),
         pytest.param(lambda d: {**d, "arrays": [{**e, "name": e["name"].replace("embedder.", "")}
                                                 for e in d["arrays"]]},
                      CorruptionError, "embedder.weight", id="no-embedder-weight"),
@@ -727,19 +760,21 @@ class TestCheckpoint:
         pytest.param(_config(lr=10**400), FormatError, "lr must be positive and finite",
                      id="lr-int-past-float"),
         pytest.param(_config(C=0), FormatError, "C must be >= 1", id="C-zero"),
-        pytest.param(_first_array({"name": "ctx.vectors", "shape": [65536, 32768]}),
-                     CorruptionError, "payload shorter than expected", id="claims-2^31-values"),
-        pytest.param(_first_array({"name": "ctx.vectors", "shape": [2**31, 2**31]}),
-                     CorruptionError, "payload shorter than expected", id="claims-2^62-values"),
-        pytest.param(_first_array({"name": "ctx.vectors", "shape": [2**32, 2**32]}),
-                     CorruptionError, "payload shorter than expected", id="claims-2^64-values"),
+    ] + [
+        # a config that asks for the claimed context, which the file does not hold
+        pytest.param(lambda d, p=p: _config(p=p)(_shape_of("ctx.vectors", [p, 16])(d)),
+                     CorruptionError, "payload shorter than expected", id=f"claims-2^{n}-values")
+        for n, p in ((31, 2**27), (62, 2**58), (64, 2**60))
+    ] + [
         pytest.param(lambda d: {**d, "version": 1}, FormatError,
                      "^unsupported checkpoint version 1$", id="version-1"),
         pytest.param(_config(gate=1), FormatError, "config gate must be bool", id="gate-int"),
         pytest.param(_config(p=True), FormatError, "config p must be int", id="p-bool"),
         pytest.param(lambda d: [d], FormatError, "version", id="not-an-object"),
         pytest.param(lambda d: {**d, "arrays": d["arrays"][:1] + d["arrays"][:-1]},
-                     CorruptionError, "ctx.vectors twice", id="duplicate-name"),
+                     CorruptionError, re.escape("array 1 is ('ctx.vectors', (2, 16)), "
+                                                "the model's is ('fusion.proj.0', (16, 16))"),
+                     id="duplicate-name"),
         pytest.param(lambda d: {**d, "arrays": d["arrays"][:-1]
                                 + [{**d["arrays"][-1], "name": "text_encoder.bias"}]},
                      CorruptionError, re.escape("array 14 is ('text_encoder.bias', (16, 16)), "
@@ -804,6 +839,26 @@ class TestCheckpoint:
         raw[-8:] = struct.pack("<d", float("nan"))
         path.write_bytes(bytes(raw))
         with pytest.raises(CorruptionError, match="text_encoder.proj"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["ctx.vectors", "fusion.alpha_logits", "embedder.bias",
+                                      "decoder.0.b2"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_parameter_is_refused_by_name(self, tiny_world, tmp_path, name, value):
+        ckpt, *_ = self.bundle(tiny_world, iterations=0)
+        path = tmp_path / "model.ooal"
+        save_checkpoint(ckpt, path)
+        raw = bytearray(path.read_bytes())
+        (n,) = struct.unpack("<I", raw[8:12])
+        offset = 12 + n
+        for entry in json.loads(raw[12:12 + n])["arrays"]:
+            if entry["name"] == name:
+                break
+            offset += 8 * math.prod(entry["shape"])
+        raw[offset:offset + 8] = struct.pack("<d", value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CorruptionError,
+                           match=f"^checkpoint array {re.escape(name)} has a non-finite value$"):
             load_checkpoint(path)
 
 
