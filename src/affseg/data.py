@@ -44,8 +44,12 @@ DENSIFIED_SPARSE = "densified-sparse"
 TARGET_KINDS = (DENSE_BINARY, DENSIFIED_SPARSE)
 
 DEFAULT_SIGMA = 10.0
-# keypoint Gaussian width in pixels; far beyond it sigma**2 overflows or underflows
-SIGMA_RANGE = (1e-3, 1e6)
+# keypoint Gaussian width in pixels. A keypoint lies under 1 px from its nearest
+# pixel on each axis (x < W may lie almost 1 px past the last), where at the
+# floor its Gaussian keeps more than exp(-1 / sigma**2) = exp(-400), about
+# 2e-174; below sigma 0.037 it can underflow to 0 at every pixel. Far above the
+# ceiling sigma**2 overflows
+SIGMA_RANGE = (0.05, 1e6)
 
 
 @dataclass(frozen=True)
@@ -142,19 +146,25 @@ def densify(
     # IEEE division is sign-symmetric: d / -(2 sigma^2) == -d / (2 sigma^2)
     neg_denom = -(2.0 * sigma**2)
     for acc, name in zip(M, affordances):
-        acc.fill(0.0)
         # canonical accumulation order makes the output bit-identical under
         # any permutation of the keypoint list
-        for x0, y0 in sorted(points.get(name, [])):
+        pts = sorted(points.get(name, []))
+        if not pts:
+            acc.fill(0.0)
+            continue
+        for k, (x0, y0) in enumerate(pts):
             if not (0 <= x0 < width and 0 <= y0 < height):
                 raise ValueError(f"keypoint ({x0}, {y0}) outside {width}x{height}")
-            np.add((xs - x0) ** 2, (ys - y0) ** 2, out=g)
-            np.divide(g, neg_denom, out=g)
-            np.exp(g, out=g)
-            acc += g
-        peak = acc.max()
-        if peak > 0:
-            acc /= peak
+            # the first Gaussian goes straight into the channel: 0.0 + e == e
+            # for every e that exp returns, as it never returns -0.0
+            out = g if k else acc
+            np.copyto(out, (xs - x0) ** 2)
+            out += (ys - y0) ** 2
+            np.divide(out, neg_denom, out=out)
+            np.exp(out, out=out)
+            if k:
+                acc += g
+        acc /= acc.max()  # positive: SIGMA_RANGE keeps each Gaussian's peak above 0
     return AffordanceTarget(M=M.transpose(1, 2, 0), kind=DENSIFIED_SPARSE)
 
 

@@ -171,7 +171,7 @@ def evaluate(run_item, eval_set, mode: str, class_names, threshold: float = 0.5)
         item_id, pred, target, fixations = run_item(item)
         try:
             if mode == "heatmap":
-                rec = heatmap_record(item_id, pred.upsampled, target.M, fixations)
+                rec = heatmap_record(item_id, pred.logits, target.M, fixations)
             else:
                 i, u = iou_counts(pred, target, threshold)
                 inter += i
@@ -217,10 +217,11 @@ def evaluate_checkpoint(
 
     Consecutive items that share a grid and image size are embedded as they
     load into one B x L x C buffer of at most :data:`EVAL_CHUNK_BYTES` of
-    targets and embeddings, and the decoder runs once over it; the head and
-    the scores stay per item. Each result is bitwise equal to the item's own
-    forward, and errors come in item order. Dense mode builds no scores: IoU
-    counts the pixel logits at the threshold's boundary logit.
+    targets and embeddings, and the decoder runs once over it; the head stays
+    per item. Each result is bitwise equal to the item's own forward, and
+    errors come in item order. Neither mode builds a full score map: IoU
+    counts the pixel logits at the threshold's boundary logit, and
+    :func:`heatmap_record` squashes only the channels it scores.
 
     In heatmap mode, items whose annotation still carries keypoints use the
     raw keypoint pixels as NSS fixations; densified/mask targets fall back
@@ -229,7 +230,7 @@ def evaluate_checkpoint(
     upsampling, raise ArithmeticError naming the item.
     """
     items = list(items)
-    predicted = _predictions(ckpt, manifest, items, sigma, mode == "heatmap")
+    predicted = _predictions(ckpt, manifest, items, sigma)
 
     def run_item(item):
         # evaluate calls this once per item, in order, as the runs yield them
@@ -242,9 +243,9 @@ def evaluate_checkpoint(
     return evaluate(run_item, items, mode, manifest.affordances, threshold)
 
 
-def _predictions(ckpt, manifest, items, sigma, scores):
+def _predictions(ckpt, manifest, items, sigma):
     """(entry, Prediction) per item in order, an entry being (item id, target,
-    keypoints or None, grid, image size), with sigmoid scores if *scores*. Each
+    keypoints or None, grid, image size), with pixel logits only. Each
     item is embedded into the next row of its run's buffers as it loads, and
     its feature stack dropped. A run ends on a new grid or image size, on a
     full buffer, or before an item that fails to load or embed, whose error is
@@ -260,7 +261,7 @@ def _predictions(ckpt, manifest, items, sigma, scores):
         s = loaded.stack
         entry = (item.item_id, loaded.target, loaded.points, s.grid, s.image_size)
         if run and entry[3:] != run[0][3:]:
-            yield from _predict_run(ckpt, run, visual, cls, scores)
+            yield from _predict_run(ckpt, run, visual, cls)
             run = []
         if not run:
             L, C = len(s.last), ckpt.cfg.C
@@ -276,17 +277,17 @@ def _predictions(ckpt, manifest, items, sigma, scores):
         run.append(entry)
         del loaded, s  # a full run decodes before the next item loads
         if len(run) == len(visual):
-            yield from _predict_run(ckpt, run, visual, cls, scores)
+            yield from _predict_run(ckpt, run, visual, cls)
             run = []
     if run:
-        yield from _predict_run(ckpt, run, visual, cls, scores)
+        yield from _predict_run(ckpt, run, visual, cls)
     if error is not None:
         raise error
 
 
-def _predict_run(ckpt, run, visual, cls, scores, alone=False):
+def _predict_run(ckpt, run, visual, cls, alone=False):
     """(entry, Prediction) per item of *run*: the decoder once over its rows of
-    *visual* and *cls*, the head per item on its row, squashed if *scores*. A
+    *visual* and *cls*, the head per item on its row, left unsquashed. A
     run that overflows is decoded again as runs of one, *alone*, so the first
     that overflows is named."""
     B = len(run)
@@ -296,8 +297,7 @@ def _predict_run(ckpt, run, visual, cls, scores, alone=False):
         if alone:
             raise ArithmeticError(f"item {run[0][0]}: {exc}") from exc
         for b in range(B):
-            yield from _predict_run(ckpt, run[b:b + 1], visual[b:b + 1], cls[b:b + 1], scores,
-                                    True)
+            yield from _predict_run(ckpt, run[b:b + 1], visual[b:b + 1], cls[b:b + 1], True)
         return
     # with no decoder layers the prompts pass through, shared by every item
     text_out = np.broadcast_to(text_out, (B, *text_out.shape[-2:]))
@@ -307,7 +307,7 @@ def _predict_run(ckpt, run, visual, cls, scores, alone=False):
         logits = visual[b] @ text_out[b].T
         if not np.isfinite(logits).all():
             raise ArithmeticError(f"item {entry[0]}: non-finite patch logits")
-        pred = decoder.predict_from_logits(logits, *entry[3:], scores)
+        pred = decoder.predict_from_logits(logits, *entry[3:], False)
         yield entry, pred
         del pred  # freed before the next item's head allocates
 
@@ -327,17 +327,19 @@ def keypoint_fixations(points: dict, shape, affordances) -> np.ndarray:
     return fix.transpose(1, 2, 0)
 
 
-def heatmap_record(item_id, scores: np.ndarray, gt: np.ndarray, fixations=None) -> dict:
-    """KLD/SIM/NSS for one image, averaged over non-empty gt channels. An
-    all-zero prediction channel (saturated scores) is scored as the zero
-    distribution, as :func:`kld`, :func:`sim` and :func:`nss` score it.
+def heatmap_record(item_id, logits: np.ndarray, gt: np.ndarray, fixations=None) -> dict:
+    """KLD/SIM/NSS for one image from its H x W x N pixel logits, averaged
+    over non-empty gt channels; only those channels are squashed, each on its
+    own slice, which is bitwise the slice of the squashed map. An all-zero
+    score channel (saturated logits) is scored as the zero distribution, as
+    :func:`kld`, :func:`sim` and :func:`nss` score it.
 
     ``fixations`` may give a boolean H x W x N stack of true fixation
     pixels (from keypoints); otherwise fixations are binarized from the gt
-    heatmap at half the channel peak. Scores and fixations must have the
+    heatmap at half the channel peak. Logits and fixations must have the
     gt's shape.
     """
-    for name, m in (("scores", scores), ("fixations", fixations)):
+    for name, m in (("logits", logits), ("fixations", fixations)):
         if m is not None and m.shape != gt.shape:
             raise ValueError(f"{name} {m.shape} vs gt {gt.shape}")
     klds, sims, nsss = [], [], []
@@ -345,7 +347,7 @@ def heatmap_record(item_id, scores: np.ndarray, gt: np.ndarray, fixations=None) 
         g = gt[:, :, ch]
         if g.max() <= 0:
             continue
-        p = scores[:, :, ch]
+        p = decoder._sigmoid(logits[:, :, ch])
         p_norm, g_norm = _normalize_sum(p, zero_ok=True), _normalize_sum(g)
         klds.append(_kld_normalized(p_norm, g_norm))
         sims.append(_sim_normalized(p_norm, g_norm))

@@ -231,7 +231,8 @@ def iou_counts_reference(scores, gt, threshold):
 def evaluate_reference(ckpt, manifest, items, mode, threshold=0.5):
     """``evaluate_checkpoint(...).to_json()`` the long way round, for a
     non-empty item list: a full ``training.forward`` per item, so the prompts
-    are encoded for every item, and boolean-sum IoU counts."""
+    are encoded for every item, its full score map scored by
+    :func:`heatmap_record_reference`, and boolean-sum IoU counts."""
     from affseg import data, metrics, training
 
     table, _ = training.build_text_pipeline(ckpt.cfg, ckpt.affordances)
@@ -244,8 +245,8 @@ def evaluate_reference(ckpt, manifest, items, mode, threshold=0.5):
             if item.target.get("kind") == "keypoints":
                 fix = metrics.keypoint_fixations(item.target["points"], loaded.target.shape,
                                                  manifest.affordances)
-            records.append(metrics.heatmap_record(item.item_id, pred.upsampled,
-                                                  loaded.target.M, fix))
+            records.append(heatmap_record_reference(item.item_id, pred.upsampled,
+                                                    loaded.target.M, fix))
         else:
             i, u = iou_counts_reference(pred.upsampled, loaded.target.M, threshold)
             inter, union = inter + i, union + u

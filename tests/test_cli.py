@@ -426,11 +426,11 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("argv, flag", [
         pytest.param([command, "--sigma", value], "--sigma", id=f"{command}-sigma-{value}")
-        for command in ("train", "densify") for value in ("nan", "inf", "0", "-1", "1e7")
+        for command in ("train", "densify") for value in ("nan", "inf", "0", "-1", "1e7", "1e-3")
     ] + [
         pytest.param(["eval", "--mode", mode, "--sigma", value], "--sigma",
                      id=f"eval-{mode}-sigma-{value}")
-        for mode in ("dense", "heatmap") for value in ("nan", "0", "1e7")
+        for mode in ("dense", "heatmap") for value in ("nan", "0", "1e7", "1e-3")
     ] + [
         pytest.param(["eval", "--mode", mode, "--threshold", value], "--threshold",
                      id=f"eval-{mode}-threshold-{value}")

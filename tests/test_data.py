@@ -8,7 +8,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from affseg import synth
@@ -100,6 +100,14 @@ class TestDensify:
     def test_bad_sigma(self):
         with pytest.raises(ValueError):
             densify({}, 0.0, 4, 4, AFFS)
+        with pytest.raises(ValueError, match=r"sigma must be a number in \[0.05, "):
+            densify({"grasp": [(0.5, 0.5)]}, 1e-3, 4, 4, AFFS)
+
+    def test_far_keypoint_keeps_its_peak_at_the_sigma_floor(self):
+        # almost 1 px past the last pixel centre on each axis, the farthest an
+        # accepted keypoint lies from every pixel
+        out = densify({"grasp": [(4 - 2**-20, 4 - 2**-20)]}, SIGMA_RANGE[0], 4, 4, AFFS)
+        assert out.M[3, 3, 0] == out.M.max() == 1.0
 
 
 def _coordinate(n):
@@ -126,6 +134,11 @@ def densify_cases(draw, max_side=12):
 
 @settings(max_examples=200, deadline=None)
 @given(case=densify_cases())
+@example(case=({"aff0": [(12.5, 200.25), (100.0, 100.75), (180.3, 7.9)], "aff1": [(60.6, 150.2)],
+                "aff2": [], "aff3": [(223.75, 223.75)]},
+               DEFAULT_SIGMA, 224, 224, ["aff0", "aff1", "aff2", "aff3"]))
+@example(case=({"aff1": [(223.75, 223.75)], "aff2": [(0, 0), (111.5, 37.25), (223, 0.5)]},
+               DEFAULT_SIGMA, 224, 224, ["aff0", "aff1", "aff2"]))
 def test_densify_bitwise_equal_to_reference(case):
     points, sigma, H, W, names = case
     out = densify(points, sigma, H, W, names)

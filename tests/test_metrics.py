@@ -48,6 +48,12 @@ def pred_of(scores):
     return Prediction(logits=np.zeros((1, scores.shape[2])), upsampled=scores)
 
 
+def logit_pred(logits):
+    """A prediction of pixel logits and their sigmoid scores; logits of -800
+    and 800 squash to exactly 0 and 1."""
+    return Prediction(logits=logits, upsampled=decoder._sigmoid(logits))
+
+
 class TestKld:
     def test_identical_maps(self):
         m = np.random.default_rng(0).random((5, 5)) + 0.1
@@ -191,9 +197,10 @@ class TestSaliencyOracles:
     @given(seed=st.integers(0, 10_000), shape=st.tuples(st.integers(2, 9), st.integers(2, 9)))
     def test_single_pixel_ground_truth(self, seed, shape):
         rng = np.random.default_rng(seed)
-        P = rng.uniform(0.1, 1.0, shape)
+        Z = rng.uniform(-2.1, 0.0, shape)  # scores in (0.1, 0.5)
         k = tuple(int(rng.integers(n)) for n in shape)
-        P[k] = 2.0  # the peak keeps KLD and NSS away from zero
+        Z[k] = 800.0  # the peak score 1 keeps KLD and NSS away from zero
+        P = decoder._sigmoid(Z)
         g = np.zeros(shape)
         g[k] = 1.0
         values = P.ravel().tolist()
@@ -203,7 +210,7 @@ class TestSaliencyOracles:
         want = {"kld": math.log(1.0 / (p_k + EPS) + EPS), "sim": p_k,
                 "nss": (P[k] - mean) / std}
         got = {"kld": kld(P, g), "sim": sim(P, g), "nss": nss(P, g > 0)}
-        rec = heatmap_record("it", P[:, :, None], g[:, :, None])
+        rec = heatmap_record("it", Z[:, :, None], g[:, :, None])
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=1e-12), key
             assert rec[key] == pytest.approx(value, rel=1e-12), key
@@ -219,7 +226,7 @@ class TestSaliencyOracles:
                 "nss": 0.0}
         P = np.zeros(shape)
         got = {"kld": kld(P, g), "sim": sim(P, g), "nss": nss(P, g >= 0.5)}
-        rec = heatmap_record("it", P[:, :, None], g[:, :, None])
+        rec = heatmap_record("it", np.full(shape + (1,), -800.0), g[:, :, None])
         for key, value in want.items():
             assert got[key] == pytest.approx(value, rel=1e-12), key
             assert rec[key] == pytest.approx(value, rel=1e-12), key
@@ -358,7 +365,7 @@ class TestEvaluate:
     def test_oracle_item(self):
         y = np.zeros((4, 4, 1))
         y[1:3, 1:3, 0] = 1.0
-        entry = ("it0", pred_of(y), AffordanceTarget(M=y), None)
+        entry = ("it0", logit_pred(1600.0 * y - 800.0), AffordanceTarget(M=y), None)
         report = evaluate(self.run_item, [entry], "heatmap", ["a"])
         rec = report.items[0]
         assert rec["kld"] < 1e-6
@@ -370,8 +377,8 @@ class TestEvaluate:
         entries = []
         for i in range(4):
             y = (rng.random((5, 5, 2)) < 0.4).astype(float)
-            s = rng.random((5, 5, 2))
-            entries.append((f"it{i}", pred_of(s), AffordanceTarget(M=y), None))
+            z = rng.standard_normal((5, 5, 2))
+            entries.append((f"it{i}", logit_pred(z), AffordanceTarget(M=y), None))
         report = evaluate(self.run_item, entries, "dense", ["a", "b"])
         inter = np.zeros(2)
         union = np.zeros(2)
@@ -433,7 +440,7 @@ class TestEvaluate:
         def run_item(i):
             assert all(ref() is None for ref in alive), "an earlier prediction is still held"
             y = np.ones((4, 4, 2))
-            pred = pred_of(rng.random((4, 4, 2)))
+            pred = logit_pred(rng.standard_normal((4, 4, 2)))
             alive.append(weakref.ref(pred))
             return f"it{i}", pred, AffordanceTarget(M=y), None
 
@@ -457,23 +464,23 @@ def test_report_json_shape():
 def test_heatmap_record_bitwise_equal_to_reference(drawn, case, soft, given_fixations):
     points, sigma, H, W, names = case
     shape = (H, W, len(names))
-    scores = drawn.draw(hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0)
-                                   | st.sampled_from([0.0, 0.5, 1.0])))
+    logits = drawn.draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e3, 1e3)
+                                   | st.sampled_from([-800.0, 0.0, 800.0])))
     if soft:
         gt = data.densify(points, sigma, H, W, names).M
     else:
         gt = drawn.draw(hnp.arrays(np.float64, shape, elements=st.sampled_from([0.0, 1.0])))
     fix = keypoint_fixations(points, shape, names) if given_fixations else None
-    got = heatmap_record("it", scores, gt, fix)
-    assert got == heatmap_record_reference("it", scores, gt, fix)
+    got = heatmap_record("it", logits, gt, fix)
+    assert got == heatmap_record_reference("it", decoder._sigmoid(logits), gt, fix)
 
 
-@pytest.mark.parametrize("arg", ["scores", "fixations"])
+@pytest.mark.parametrize("arg", ["logits", "fixations"])
 def test_heatmap_record_refuses_fewer_channels_than_gt(arg):
-    args = {"scores": np.full((4, 5, 3), 0.5), "fixations": np.ones((4, 5, 3), dtype=bool)}
+    args = {"logits": np.zeros((4, 5, 3)), "fixations": np.ones((4, 5, 3), dtype=bool)}
     args[arg] = args[arg][:, :, :2]
     with pytest.raises(ValueError, match=rf"{arg} \(4, 5, 2\) vs gt \(4, 5, 3\)"):
-        heatmap_record("it", args["scores"], np.ones((4, 5, 3)), args["fixations"])
+        heatmap_record("it", args["logits"], np.ones((4, 5, 3)), args["fixations"])
 
 
 @settings(max_examples=60, deadline=None)
@@ -484,11 +491,11 @@ def test_heatmap_record_same_bits_in_either_layout(case, seed, given_fixations):
     # keypoint_fixations' stack; then their C-ordered copies
     points, sigma, H, W, names = case
     rng = np.random.default_rng(seed)
-    scores = rng.random((len(names), H, W)).transpose(1, 2, 0)
+    logits = rng.standard_normal((len(names), H, W)).transpose(1, 2, 0)
     gt = data.densify(points, sigma, H, W, names).M
     fix = keypoint_fixations(points, gt.shape, names) if given_fixations else None
-    c_ordered = [None if a is None else np.ascontiguousarray(a) for a in (scores, gt, fix)]
-    assert heatmap_record("it", scores, gt, fix) == heatmap_record("it", *c_ordered)
+    c_ordered = [None if a is None else np.ascontiguousarray(a) for a in (logits, gt, fix)]
+    assert heatmap_record("it", logits, gt, fix) == heatmap_record("it", *c_ordered)
 
 
 class TestKeypointFixations:
@@ -738,21 +745,42 @@ def test_chunked_eval_equals_one_item_chunks(trained_world, mixed_world, monkeyp
             assert seen == chunks
 
 
-def test_chunked_eval_holds_one_prediction_at_a_time(trained_world, mixed_world, monkeypatch):
-    manifest, dense, _, _ = mixed_world
-    alive = []
-    predict = decoder.predict_from_logits
+@pytest.mark.parametrize("mode", ["dense", "heatmap"])
+def test_chunked_eval_holds_one_prediction_at_a_time(trained_world, mixed_world, monkeypatch,
+                                                     mode):
+    manifest, dense, heatmap, _ = mixed_world
+    items = dense if mode == "dense" else []
+    for k, it in enumerate(heatmap if mode == "heatmap" else []):
+        if it.target["kind"] == "keypoints":  # keeps the points of one channel, in turn
+            a = AFFS[k // 2 % len(AFFS)]
+            points = {a: it.target["points"][a]}
+            it = dataclasses.replace(it, target={**it.target, "points": points})
+        items.append(it)
+    targets = [data.load_item(manifest, it).target.M for it in items]
+    scored = sum(int(M[:, :, c].max() > 0) for M in targets for c in range(M.shape[2]))
+    assert scored < sum(M.shape[2] for M in targets)
+    sizes = {M.shape[:2] for M in targets}
+    alive, squashed = [], []
+    predict, sigmoid = decoder.predict_from_logits, decoder._sigmoid
 
     def spy(*args):
         assert all(ref() is None for ref in alive), "an earlier prediction is still held"
         pred = predict(*args)
-        assert pred.upsampled is None, "dense eval squashes its pixel logits"
+        assert pred.upsampled is None, "eval squashes its full pixel-logit map"
         alive.append(weakref.ref(pred))
         return pred
 
+    def sigmoid_spy(x):
+        if x.shape in sizes:
+            squashed.append(x.shape)
+        return sigmoid(x)
+
     monkeypatch.setattr(decoder, "predict_from_logits", spy)
-    evaluate_checkpoint(trained_world[1][None], manifest, dense, "dense")
-    assert len(alive) == len(dense)
+    monkeypatch.setattr(decoder, "_sigmoid", sigmoid_spy)
+    evaluate_checkpoint(trained_world[1][None], manifest, items, mode)
+    assert len(alive) == len(items)
+    # heatmap eval squashes each channel it scores, and only those
+    assert len(squashed) == (scored if mode == "heatmap" else 0)
 
 
 def test_chunked_eval_decodes_views_of_one_buffer(trained_world, mixed_world, monkeypatch):
