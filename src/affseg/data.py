@@ -28,6 +28,7 @@ its file holds: "dense-binary" (the default, 0/1 entries) or
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -57,9 +58,11 @@ class AffordanceTarget:
     """Per-pixel, per-affordance ground truth, values in [0, 1].
 
     ``kind`` records provenance: exact binary masks or keypoints densified
-    with a Gaussian kernel. ``M`` keeps the layout it is given: C order for a
-    target read from a file, channel-major (a view of an N x H x W buffer)
-    for one built by :func:`densify`.
+    with a Gaussian kernel. ``M`` is a read-only view of the array it is
+    given, not a copy, so one target can be shared by the items that name
+    it. It keeps that array's layout: C order for a target read from a file,
+    channel-major (a view of an N x H x W buffer) for one built by
+    :func:`densify`.
     """
 
     M: np.ndarray = field(repr=False)
@@ -69,6 +72,8 @@ class AffordanceTarget:
         M = np.asarray(self.M, dtype=np.float64)
         if M.ndim != 3:
             raise ValueError(f"target must be H x W x N, got {M.shape}")
+        if M.size == 0:
+            raise ValueError(f"target of shape {M.shape} is empty")
         # min and max propagate NaN, and +-inf is outside the range
         if not (M.min() >= 0.0 and M.max() <= 1.0):
             raise ValueError("target values must be finite and in [0, 1]")
@@ -77,11 +82,27 @@ class AffordanceTarget:
                              f"(soft values load as target_kind {DENSIFIED_SPARSE!r})")
         if self.kind not in TARGET_KINDS:
             raise ValueError(f"unknown target kind {self.kind!r}")
+        M = M.view()
+        M.flags.writeable = False
         object.__setattr__(self, "M", M)
 
     @property
     def shape(self):
         return self.M.shape
+
+    @functools.cached_property
+    def mask(self) -> np.ndarray:
+        """``M >= 0.5`` as a read-only, C-contiguous N x H x W bool array,
+        built on first use."""
+        mask = np.empty((self.M.shape[2], *self.M.shape[:2]), dtype=bool)
+        np.greater_equal(self.M.transpose(2, 0, 1), 0.5, out=mask)
+        mask.flags.writeable = False
+        return mask
+
+    @functools.cached_property
+    def mask_count(self) -> np.ndarray:
+        """The number of pixels of each channel of :attr:`mask`."""
+        return np.count_nonzero(self.mask.reshape(len(self.mask), -1), axis=1)
 
 
 def _is_number(v) -> bool:
@@ -185,6 +206,8 @@ def load_target(path, kind: str = DENSE_BINARY) -> AffordanceTarget:
         n_layers, L, N, h_p, w_p, H, W = container.read_u32(fh, 7)
         if n_layers != 1 or (h_p, w_p) != (H, W) or L != H * W:
             raise CorruptionError("not a dense target file")
+        if min(N, H, W) < 1:
+            raise CorruptionError(f"implausible header ({H}x{W} pixels, {N} channels)")
         M = container.read_f64(fh, L * N).reshape(H, W, N)
         container.read_f64(fh, N)
         container.expect_eof(fh)
@@ -341,18 +364,28 @@ class LoadedItem:
 
 
 def load_item(
-    manifest: DatasetManifest, item: ManifestItem, sigma: float = DEFAULT_SIGMA
+    manifest: DatasetManifest,
+    item: ManifestItem,
+    sigma: float = DEFAULT_SIGMA,
+    target: AffordanceTarget | None = None,
 ) -> LoadedItem:
+    """The features and target of *item*. A *target* given is the one an
+    equal ``target`` record loaded to, at the same *sigma*, for an earlier
+    item; it is used as is, not read or densified again, where it has the
+    size of this item's image (a keypoint record densifies at the image
+    size). Either way the target is checked against the manifest's channels
+    and the image size."""
     where = context = f"item {item.item_id}"
     rel, target_kind, points, sigma = parse_target(item.target, where, sigma)
     try:
         stack = load_features(manifest.resolve(item.features))
-        if points is None:
-            path = manifest.resolve(rel)
-            context += f": mask target {path} read as target_kind {target_kind!r}"
-            target = load_target(path, target_kind)
-        else:
-            target = densify(points, sigma, *stack.image_size, manifest.affordances)
+        if target is None or target.shape[:2] != stack.image_size:
+            if points is None:
+                path = manifest.resolve(rel)
+                context += f": mask target {path} read as target_kind {target_kind!r}"
+                target = load_target(path, target_kind)
+            else:
+                target = densify(points, sigma, *stack.image_size, manifest.affordances)
     except (FormatError, CorruptionError, ValueError) as exc:
         raise type(exc)(f"{context}: {exc}") from exc
     if target.shape[2] != len(manifest.affordances):

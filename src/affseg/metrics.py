@@ -93,10 +93,12 @@ def fixations_from_heatmap(channel: np.ndarray) -> np.ndarray:
 
 def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
     """Raw per-class intersection and union pixel counts, exact integers
-    stored as float64; each channel is counted on its own slice, so the
-    prediction's memory layout never meets the target's. A pixel is predicted
-    where its score reaches *threshold*, or, for a prediction without scores,
-    where its logit reaches :func:`decoder.score_boundary`: the same pixels."""
+    stored as float64. A pixel is predicted where its score reaches
+    *threshold*, or, for a prediction without scores, where its logit reaches
+    :func:`decoder.score_boundary`: the same pixels. The prediction is
+    thresholded once, channel-major, and counted against the target's
+    :attr:`~affseg.data.AffordanceTarget.mask`, which a target builds once
+    however many predictions it is scored against."""
     if gt.kind != DENSE_BINARY:
         raise ValueError(f"IoU needs dense-binary ground truth, got {gt.kind!r}")
     if not 0.0 < threshold < 1.0:
@@ -107,12 +109,12 @@ def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
         s, cut = pred.upsampled, threshold
     if s.shape != gt.M.shape:
         raise ValueError(f"prediction {s.shape} vs target {gt.M.shape}")
-    inter = np.empty(s.shape[2])
-    union = np.empty_like(inter)
-    for c in range(s.shape[2]):
-        hard, mask = s[:, :, c] >= cut, gt.M[:, :, c] >= 0.5
-        inter[c] = np.count_nonzero(hard & mask)
-        union[c] = np.count_nonzero(hard | mask)
+    # contiguous for the channel-major logits of the prediction head
+    hard = s.transpose(2, 0, 1) >= cut
+    inter = np.array([np.count_nonzero(b) for b in hard & gt.mask], dtype=np.float64)
+    union = np.array([np.count_nonzero(h) for h in hard], dtype=np.float64)
+    union += gt.mask_count
+    union -= inter
     return inter, union
 
 
@@ -250,14 +252,17 @@ def _predictions(ckpt, manifest, items, sigma):
     its feature stack dropped. A run ends on a new grid or image size, on a
     full buffer, or before an item that fails to load or embed, whose error is
     raised once the run is decoded (an embedding error with ``item <id>: ``
-    before it)."""
-    run, error = [], None
+    before it). An item whose ``target`` record equals the previous item's
+    is given that item's target to share; no older target is kept."""
+    run, error, last = [], None, (None, None)  # the last target record and its target
     for item in items:
         try:
-            loaded = data.load_item(manifest, item, sigma=sigma)
+            shared = last[1] if last[0] == item.target else None
+            loaded = data.load_item(manifest, item, sigma=sigma, target=shared)
         except Exception as exc:
             error = exc
             break
+        last = item.target, loaded.target
         s = loaded.stack
         entry = (item.item_id, loaded.target, loaded.points, s.grid, s.image_size)
         if run and entry[3:] != run[0][3:]:

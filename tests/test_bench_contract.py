@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from affseg import data, gradcheck, metrics, training
-from tests.test_data import AFFS, write_world
+from tests.test_data import AFFS, record_runs, write_world
 
 _spec = importlib.util.spec_from_file_location(
     "bench_tracing", Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -119,6 +119,9 @@ def test_traced_eval_reports_equal_untraced(tmp_path, monkeypatch, mode, keypoin
     # the per-layer table of eval-dense reads these spans
     for name in ("data.load_item", "resample.upsample.fwd"):
         assert names.count(name) == len(manifest.items), name
+    if mode == "dense":
+        # each object's items name its mask file one after another and share one read
+        assert names.count("data.load_target") == record_runs(manifest.items) == 5
     if keypoints:
         # the per-layer table of query-heatmap-224 reads these spans
         for name in ("data.densify", "metrics.keypoint_fixations", "metrics.heatmap_record"):

@@ -177,6 +177,11 @@ class TestTargetFile:
                      id="claims-2^31-values"),
         pytest.param((1, 2**32 - 2**17 + 1, 2**30, 2**16 - 1, 2**16 - 1, 2**16 - 1, 2**16 - 1),
                      "payload shorter", id="claims-2^62-values"),
+        pytest.param((1, 30, 0, 6, 5, 6, 5), r"implausible header \(6x5 pixels, 0 channels\)",
+                     id="no-channels"),
+        pytest.param((1, 0, 3, 0, 0, 0, 0), r"implausible header \(0x0 pixels, 3 channels\)",
+                     id="no-pixels"),
+        pytest.param((1, 0, 3, 6, 0, 6, 0), "implausible header", id="no-columns"),
     ])
     def test_corrupt_file_fails_as_corruption(self, tmp_path, header, match):
         import struct
@@ -188,6 +193,44 @@ class TestTargetFile:
         path.write_bytes(raw[:8] + struct.pack("<7I", *header) + raw[36:-8])
         with pytest.raises(CorruptionError, match=match):
             load_target(path)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 0), (0, 2, 1), (2, 0, 3), (0, 0, 0)])
+    def test_empty_target_rejected_by_shape(self, shape):
+        with pytest.raises(ValueError) as info:
+            AffordanceTarget(M=np.zeros(shape))
+        assert str(info.value) == f"target of shape {shape} is empty"
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda path: AffordanceTarget(M=np.eye(3)[:, :, None]), id="constructed"),
+        pytest.param(load_target, id="loaded"),
+        pytest.param(lambda path: densify({"cut": [(1.0, 2.0)]}, 2.0, 4, 5, AFFS), id="densified"),
+    ])
+    def test_target_is_read_only(self, tmp_path, make):
+        save_target(AffordanceTarget(M=np.ones((4, 5, 2))), tmp_path / "t.ooal")
+        target = make(tmp_path / "t.ooal")
+        before = target.M.copy()
+        for array in (target.M, target.mask):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        np.testing.assert_array_equal(target.M, before)
+
+    def test_target_views_the_array_it_is_given(self):
+        M = np.zeros((3, 4, 2))
+        target = AffordanceTarget(M=M)
+        assert np.shares_memory(target.M, M) and M.flags.writeable
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 4)),
+           channel_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_mask_is_the_channel_major_half_cut(self, shape, channel_major, seed):
+        M = np.random.default_rng(seed).random(shape)
+        if channel_major:
+            M = np.ascontiguousarray(M.transpose(2, 0, 1)).transpose(1, 2, 0)
+        target = AffordanceTarget(M=M, kind=DENSIFIED_SPARSE)
+        assert target.mask.flags.c_contiguous and target.mask.dtype == bool
+        np.testing.assert_array_equal(target.mask, (M >= 0.5).transpose(2, 0, 1))
+        np.testing.assert_array_equal(target.mask_count, (M >= 0.5).sum(axis=(0, 1)))
+        assert target.mask is target.mask  # built once
 
     def test_values_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -246,6 +289,11 @@ def write_world(tmp_path, num_base=3, num_novel=2, items=2, seed=21):
     )
     save_manifest(manifest, tmp_path / "manifest.json")
     return manifest
+
+
+def record_runs(items) -> int:
+    """The number of runs of equal consecutive target records in *items*."""
+    return sum(k == 0 or it.target != items[k - 1].target for k, it in enumerate(items))
 
 
 class TestManifest:
@@ -349,6 +397,28 @@ class TestManifest:
         loaded = load_item(manifest, item)
         assert loaded.target.kind == DENSIFIED_SPARSE
         np.testing.assert_array_equal(loaded.target.M, densify(kp, 2.0, 16, 16, AFFS).M)
+
+    def test_given_target_is_used_and_still_checked(self, tmp_path, monkeypatch):
+        import affseg.data
+
+        manifest = write_world(tmp_path)
+        first, second = manifest.items[:2]
+        shared = load_item(manifest, first).target
+        monkeypatch.setattr(affseg.data, "load_target", None)  # a read would fail
+        assert load_item(manifest, second, target=shared).target is shared
+        three = AffordanceTarget(M=np.zeros((16, 16, 3)))
+        with pytest.raises(ValueError, match="^item base-00-1: target has 3 channels, "
+                                             "manifest lists 2 affordances$"):
+            load_item(manifest, second, target=three)
+
+    def test_given_target_of_another_size_is_densified_again(self, tmp_path):
+        manifest = write_world(tmp_path)
+        record = {"kind": "keypoints", "sigma": 2.0, "points": {"cut": [[1, 2]]}}
+        item = ManifestItem("kp", "base-00", manifest.items[0].features, record)
+        other = densify(record["points"], 2.0, 8, 8, AFFS)
+        loaded = load_item(manifest, item, target=other)
+        np.testing.assert_array_equal(loaded.target.M, densify(record["points"], 2.0, 16, 16,
+                                                               AFFS).M)
 
     def test_unknown_object_reference(self):
         with pytest.raises(ValueError, match="unknown object"):

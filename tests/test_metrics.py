@@ -40,7 +40,7 @@ from tests.oracles import (
     nss_reference,
     sim_reference,
 )
-from tests.test_data import AFFS, densify_cases, write_world
+from tests.test_data import AFFS, densify_cases, record_runs, write_world
 
 
 def pred_of(scores):
@@ -308,6 +308,29 @@ class TestIoU:
         got = iou_counts(Prediction(logits=z, upsampled=None), y, threshold)
         want = iou_counts(Prediction(logits=z, upsampled=decoder._sigmoid(z)), y, threshold)
         np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
+           threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           logits=st.lists(st.booleans(), min_size=3, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    def test_one_target_against_many_predictions(self, shape, threshold, logits, seed):
+        rng = np.random.default_rng(seed)
+        y = (rng.random(shape) < 0.5).astype(float)
+        target = AffordanceTarget(M=y)
+        b = decoder.score_boundary(threshold)
+        for as_logits in logits:
+            if as_logits:  # channel-major, as the prediction head returns them
+                z = 40 * rng.standard_normal((shape[2], *shape[:2])).transpose(1, 2, 0)
+                z[rng.random(shape) < 0.3] = b
+                got = iou_counts(Prediction(logits=z, upsampled=None), target, threshold)
+                want = iou_counts_reference(z, y, b)
+            else:
+                s = np.where(rng.random(shape) < 0.2, threshold, rng.random(shape))
+                got = iou_counts(pred_of(s), target, threshold)
+                want = iou_counts_reference(s, y, threshold)
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(target.M, y)
 
     def test_empty_union_class_excluded(self):
         y = np.zeros((2, 2, 2))
@@ -743,6 +766,64 @@ def test_chunked_eval_equals_one_item_chunks(trained_world, mixed_world, monkeyp
                 got = evaluate_checkpoint(ckpt, manifest, items, mode).to_json()
             assert json.dumps(got) == json.dumps(want), (mode, budget)
             assert seen == chunks
+
+
+def spy_calls(monkeypatch, module, name):
+    """The argument tuples of every call of *module*.*name* made through its
+    module attribute."""
+    calls = []
+    fn = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("chunk_bytes", [None, 0])
+def test_equal_consecutive_target_records_read_once(trained_world, monkeypatch, chunk_bytes):
+    manifest, ckpts = trained_world
+    masks = [it for it in manifest.items if it.target["kind"] == "mask"]
+    if chunk_bytes is not None:
+        monkeypatch.setattr(metrics, "EVAL_CHUNK_BYTES", chunk_bytes)
+    # two items per object file in a row, and one object's items apart: A, B, A
+    for items, reads in ((masks, 5), ([masks[0], masks[2], masks[1]], 3)):
+        with monkeypatch.context() as patch:
+            calls = spy_calls(patch, data, "load_target")
+            got = evaluate_checkpoint(ckpts[None], manifest, items, "dense").to_json()
+        assert len(calls) == record_runs(items) == reads
+        assert got == evaluate_reference(ckpts[None], manifest, items, "dense")
+
+
+def test_one_file_under_two_target_kinds_reads_twice(trained_world, monkeypatch):
+    manifest, ckpts = trained_world
+    first, second = manifest.items[:2]
+    items = [dataclasses.replace(first, target={**first.target, "target_kind": kind})
+             for kind in ("dense-binary", "densified-sparse")]
+    items.insert(1, dataclasses.replace(second, target=items[0].target))
+    with monkeypatch.context() as patch:
+        calls = spy_calls(patch, data, "load_target")
+        # the mlff ablation has no fusion to fold, so its heatmaps match bitwise
+        got = evaluate_checkpoint(ckpts["mlff"], manifest, items, "heatmap").to_json()
+    assert [kind for _, kind in calls] == ["dense-binary", "densified-sparse"]
+    assert got == evaluate_reference(ckpts["mlff"], manifest, items, "heatmap")
+
+
+def test_equal_keypoint_records_densify_once_per_image_size(trained_world, mixed_world,
+                                                            monkeypatch):
+    _, ckpts = trained_world
+    manifest, dense, _, _ = mixed_world
+    record = {"kind": "keypoints", "sigma": 2.0,
+              "points": {AFFS[0]: [[3.0, 4.5]], AFFS[1]: [[9.4, 0.2], [13.5, 9.5]]}}
+    # 16 x 16, 16 x 16, then 10 x 14 and 10 x 14 images under one record
+    items = [dataclasses.replace(it, target=record) for it in dense[1:5]]
+    with monkeypatch.context() as patch:
+        calls = spy_calls(patch, data, "densify")
+        got = evaluate_checkpoint(ckpts["mlff"], manifest, items, "heatmap").to_json()
+    assert [args[2:4] for args in calls] == [(16, 16), (10, 14)]
+    assert got == evaluate_reference(ckpts["mlff"], manifest, items, "heatmap")
 
 
 @pytest.mark.parametrize("mode", ["dense", "heatmap"])
