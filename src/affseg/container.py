@@ -6,10 +6,10 @@ Layout of every file:
     bytes 8..     one or more little-endian uint32 header words
     payload       raw little-endian float64 values
 
-Feature/target files put a fixed 7-word header after the magic
-(see :mod:`affseg.features`); checkpoints put a uint32 length followed by a
-UTF-8 JSON manifest (see :mod:`affseg.training`). All writers go through the
-helpers here so the framing stays bit-deterministic.
+Grid files (features and targets, written and read only by :func:`write_grid`
+and :func:`read_grid`) put a 7-word header after the magic; checkpoints put a
+uint32 length followed by a UTF-8 JSON manifest (see :mod:`affseg.training`).
+All writers go through the helpers here so the framing stays bit-deterministic.
 """
 
 from __future__ import annotations
@@ -30,21 +30,17 @@ class CorruptionError(Exception):
     """Framing is recognized but the content is inconsistent with its header."""
 
 
-def write_magic(fh) -> None:
-    fh.write(MAGIC)
-
-
 def read_magic(fh) -> None:
     head = fh.read(len(MAGIC))
     if head != MAGIC:
         raise FormatError(f"bad magic {head!r}, expected {MAGIC!r}")
 
 
-def write_u32(fh, *values: int) -> None:
+def pack_u32(*values: int) -> bytes:
     for v in values:
         if not 0 <= v < 2**32:
             raise ValueError(f"header word {v} out of uint32 range")
-        fh.write(struct.pack("<I", v))
+    return struct.pack(f"<{len(values)}I", *values)
 
 
 def read_u32(fh, count: int) -> tuple[int, ...]:
@@ -83,3 +79,30 @@ def check_array_size(count: int, what: str) -> None:
 def expect_eof(fh) -> None:
     if fh.read(1):
         raise CorruptionError("trailing bytes after payload")
+
+
+def write_grid(path, layers, summary, grid, image_size) -> None:
+    """Write the L x C *layers* and the length-C *summary* as a grid file; a
+    header word out of uint32 range fails before *path* is opened."""
+    L, C = layers[0].shape
+    header = MAGIC + pack_u32(len(layers), L, C, *grid, *image_size)
+    with open(path, "wb") as fh:
+        fh.write(header)
+        for a in (*layers, summary):
+            write_f64(fh, a)
+
+
+def read_grid(path, check_header=None):
+    """A grid file as (n_layers x L x C layers, length-C summary, grid, image
+    size), both arrays views of one payload read. Before that read, the header
+    words go to *check_header*, and a header with no layer, row or column fails."""
+    with open(path, "rb") as fh:
+        read_magic(fh)
+        n, L, C, h_p, w_p, H, W = header = read_u32(fh, 7)
+        if check_header is not None:
+            check_header(*header)
+        if n < 1 or L < 1 or C < 1:
+            raise CorruptionError(f"implausible header ({n} layers, {L}x{C})")
+        payload = read_f64(fh, (n * L + 1) * C)
+        expect_eof(fh)
+    return payload[:n * L * C].reshape(n, L, C), payload[n * L * C:], (h_p, w_p), (H, W)

@@ -190,29 +190,23 @@ def densify(
 
 
 def save_target(target: AffordanceTarget, path) -> None:
-    """Store a dense target in the shared container: one H*W x N layer,
-    grid = (H, W), and an all-zero length-N summary slot."""
+    """Store a dense target as a grid file: one H*W x N layer, grid = (H, W),
+    and an all-zero length-N summary."""
     H, W, N = target.M.shape
-    with open(path, "wb") as fh:
-        container.write_magic(fh)
-        container.write_u32(fh, 1, H * W, N, H, W, H, W)
-        container.write_f64(fh, target.M.reshape(H * W, N))
-        container.write_f64(fh, np.zeros(N))
+    container.write_grid(path, (target.M.reshape(H * W, N),), np.zeros(N), (H, W), (H, W))
+
+
+def _check_target_header(n_layers, L, N, h_p, w_p, H, W) -> None:
+    if n_layers != 1 or (h_p, w_p) != (H, W) or L != H * W:
+        raise CorruptionError("not a dense target file")
+    if min(N, H, W) < 1:
+        raise CorruptionError(f"implausible header ({H}x{W} pixels, {N} channels)")
 
 
 def load_target(path, kind: str = DENSE_BINARY) -> AffordanceTarget:
-    with open(path, "rb") as fh:
-        container.read_magic(fh)
-        n_layers, L, N, h_p, w_p, H, W = container.read_u32(fh, 7)
-        if n_layers != 1 or (h_p, w_p) != (H, W) or L != H * W:
-            raise CorruptionError("not a dense target file")
-        if min(N, H, W) < 1:
-            raise CorruptionError(f"implausible header ({H}x{W} pixels, {N} channels)")
-        M = container.read_f64(fh, L * N).reshape(H, W, N)
-        container.read_f64(fh, N)
-        container.expect_eof(fh)
+    layers, _, _, image_size = container.read_grid(path, _check_target_header)
     try:
-        return AffordanceTarget(M=M, kind=kind)
+        return AffordanceTarget(M=layers[0].reshape(*image_size, -1), kind=kind)
     except ValueError as exc:
         raise CorruptionError(str(exc)) from exc
 

@@ -17,7 +17,6 @@ up to rounding.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,7 +54,8 @@ class DecoderParams:
 class Prediction:
     """Pixel logits (H x W x N, the upsampled patch logits) and their sigmoid
     scores (H x W x N, values in [0, 1]), or None where only thresholds are
-    asked of them: ``scores >= t`` is ``logits >= score_boundary(t)``."""
+    asked of them: a logit below :func:`score_band`'s lo misses t and one at
+    or above its hi reaches it; those in between are squashed to tell."""
 
     logits: np.ndarray
     upsampled: np.ndarray | None
@@ -98,31 +98,25 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return s
 
 
-# ordered keys of float64 values: the bit pattern, negated for negative values
-_MAX_KEY = int(np.float64(np.finfo(np.float64).max).view(np.int64))
+# score_band's margins: _sigmoid is within a relative 2**-48 of the true
+# sigmoid, plus a few subnormal steps (2**-1074) where exp underflows, and a
+# band end within a few ulps of its logit (|z| < 746) moves the true sigmoid by
+# a relative 2**-40 at most; outside margins this much wider, the float and the
+# true sigmoid fall on the same side of t.
+_BAND_REL = 2.0**-30
+_BAND_ABS = 2.0**-1060
 
 
-def _from_key(key: int) -> float:
-    x = float(np.int64(abs(key)).view(np.float64))
-    return -x if key < 0 else x
-
-
-@functools.cache
-def score_boundary(threshold: float) -> float:
-    """The smallest finite float64 z with ``_sigmoid(z) >= threshold``, for a
-    threshold in (0, 1]: bisection over the ordered float64 values, about 64
-    steps. The float sigmoid is monotone, so ``logits >= z`` is ``scores >=
-    threshold`` for every logit, inf and NaN included; at 0.5, z is
-    -4.510281037539698e-17, not 0. Each candidate is squashed inside an array,
-    where numpy's vectorized exp rounds it as it rounds pixel logits."""
-    lo, hi = -_MAX_KEY, _MAX_KEY  # sigmoid(-max) is 0, sigmoid(max) is 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _sigmoid(np.full(64, _from_key(mid)))[0] >= threshold:
-            hi = mid
-        else:
-            lo = mid
-    return _from_key(hi)
+def score_band(threshold: float) -> tuple[float, float]:
+    """Logits (lo, hi) around a threshold t in (0, 1): a logit below lo
+    squashes below t, one at or above hi to t or above. They are the logits
+    of t -+ ``t * 2**-30 + 2**-1060``, -inf or inf past 0 or 1; at 0.5,
+    +-1.86e-9. Inside the band the float sigmoid is not monotone at the scale
+    of an ulp, so only squashing a logit there tells which side it falls on."""
+    margin = threshold * _BAND_REL + _BAND_ABS
+    lo, hi = threshold - margin, threshold + margin
+    return (math.log(lo) - math.log1p(-lo) if lo > 0.0 else -math.inf,
+            math.log(hi) - math.log1p(-hi) if hi < 1.0 else math.inf)
 
 
 def _row_softmax(S: np.ndarray) -> np.ndarray:

@@ -77,22 +77,9 @@ class FeatureStack:
 
 
 def save_features(stack: FeatureStack, path) -> None:
-    """Write *stack* to *path*.
-
-    Header after the magic: (n_layers, L, C_v, h_p, w_p, H, W) as uint32,
-    then the layers (first to last, row-major) and the cls vector as raw
-    little-endian float64. Round-trips are bit-exact.
-    """
-    n_layers = len(stack.layers)
-    L, C_v = stack.layers[0].shape
-    h_p, w_p = stack.grid
-    H, W = stack.image_size
-    with open(path, "wb") as fh:
-        container.write_magic(fh)
-        container.write_u32(fh, n_layers, L, C_v, h_p, w_p, H, W)
-        for layer in stack.layers:
-            container.write_f64(fh, layer)
-        container.write_f64(fh, stack.cls)
+    """Write *stack* to *path* as a grid file, header (n_layers, L, C_v, h_p,
+    w_p, H, W), the layers and the cls vector; round-trips are bit-exact."""
+    container.write_grid(path, stack.layers, stack.cls, stack.grid, stack.image_size)
 
 
 def load_features(path) -> FeatureStack:
@@ -100,17 +87,8 @@ def load_features(path) -> FeatureStack:
     raises FormatError, one whose content is not a valid stack
     CorruptionError; both name *path*."""
     try:
-        with open(path, "rb") as fh:
-            container.read_magic(fh)
-            n_layers, L, C_v, h_p, w_p, H, W = container.read_u32(fh, 7)
-            if n_layers < 1 or L < 1 or C_v < 1:
-                raise CorruptionError(f"implausible header ({n_layers} layers, {L}x{C_v})")
-            layers = tuple(
-                container.read_f64(fh, L * C_v).reshape(L, C_v) for _ in range(n_layers)
-            )
-            cls = container.read_f64(fh, C_v)
-            container.expect_eof(fh)
-        return FeatureStack(layers=layers, cls=cls, grid=(h_p, w_p), image_size=(H, W))
+        layers, cls, grid, image_size = container.read_grid(path)
+        return FeatureStack(tuple(layers), cls, grid, image_size)
     except (FormatError, CorruptionError, ValueError) as exc:
         error = FormatError if isinstance(exc, FormatError) else CorruptionError
         raise error(f"{path}: {exc}") from exc

@@ -94,23 +94,29 @@ def fixations_from_heatmap(channel: np.ndarray) -> np.ndarray:
 def iou_counts(pred: Prediction, gt: AffordanceTarget, threshold: float = 0.5):
     """Raw per-class intersection and union pixel counts, exact integers
     stored as float64. A pixel is predicted where its score reaches
-    *threshold*, or, for a prediction without scores, where its logit reaches
-    :func:`decoder.score_boundary`: the same pixels. The prediction is
-    thresholded once, channel-major, and counted against the target's
+    *threshold*. A prediction without scores counts the logits at or above
+    :func:`decoder.score_band`'s hi and squashes only those inside the band,
+    which marks the same pixels. The prediction is thresholded once,
+    channel-major, and counted against the target's
     :attr:`~affseg.data.AffordanceTarget.mask`, which a target builds once
     however many predictions it is scored against."""
     if gt.kind != DENSE_BINARY:
         raise ValueError(f"IoU needs dense-binary ground truth, got {gt.kind!r}")
     if not 0.0 < threshold < 1.0:
         raise ValueError("threshold must be in (0, 1)")
-    if pred.upsampled is None:
-        s, cut = pred.logits, decoder.score_boundary(threshold)
-    else:
-        s, cut = pred.upsampled, threshold
+    s = pred.logits if pred.upsampled is None else pred.upsampled
     if s.shape != gt.M.shape:
         raise ValueError(f"prediction {s.shape} vs target {gt.M.shape}")
     # contiguous for the channel-major logits of the prediction head
-    hard = s.transpose(2, 0, 1) >= cut
+    s = s.transpose(2, 0, 1)
+    if pred.upsampled is None:
+        lo, hi = decoder.score_band(threshold)
+        hard, maybe = s >= hi, s >= lo
+        if np.count_nonzero(maybe) != np.count_nonzero(hard):
+            band = maybe & ~hard
+            hard[band] = decoder._sigmoid(s[band]) >= threshold
+    else:
+        hard = s >= threshold
     inter = np.array([np.count_nonzero(b) for b in hard & gt.mask], dtype=np.float64)
     union = np.array([np.count_nonzero(h) for h in hard], dtype=np.float64)
     union += gt.mask_count

@@ -491,10 +491,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "arrays": [{"name": n, "shape": list(a.shape)} for n, a in named],
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header = container.MAGIC + container.pack_u32(len(blob))
     with open(path, "wb") as fh:
-        container.write_magic(fh)
-        container.write_u32(fh, len(blob))
-        fh.write(blob)
+        fh.write(header + blob)
         for _, arr in named:
             container.write_f64(fh, arr)
 

@@ -21,7 +21,7 @@ from affseg.decoder import (
     decoder_layer_cached,
     predict_cached,
     predict_backward,
-    score_boundary,
+    score_band,
 )
 from tests.oracles import (
     bilinear_reference,
@@ -73,24 +73,70 @@ def floats_around(b: float, ulps: int) -> np.ndarray:
     return np.where(keys < 0, -mags, mags)
 
 
-@pytest.mark.parametrize("t", [0.5, 0.3, 0.7, 0.1, 1e-300, 5e-324, 1 - 2**-53])
-def test_score_boundary_is_where_the_scores_reach_the_threshold(t):
-    b = score_boundary(t)
-    z = floats_around(b, 10**5)
-    np.testing.assert_array_equal(z >= b, _sigmoid(z) >= t)
-    assert score_boundary(t) is b  # memoized
+# the float sigmoid steps down and up again just above this threshold's logit
+STEP_T = 0.3326333798388983
+STEP_Z = float.fromhex("-0x1.648140f986e3cp-1")
 
 
-def test_score_boundary_at_half_is_below_zero():
-    # logits in [b, 0) round to a score of exactly 0.5, so ``logit >= 0`` would miss them
-    assert score_boundary(0.5) == -4.510281037539698e-17
+def assert_band_splits_scores(t, z):
+    lo, hi = score_band(t)
+    s = _sigmoid(z)
+    assert not np.any(s[z < lo] >= t), "a logit below lo reaches the threshold"
+    assert np.all(s[z >= hi] >= t), "a logit at or above hi misses the threshold"
+
+
+@pytest.mark.parametrize("t", [0.5, 0.3, 0.7, 0.1, 1e-300, 5e-324, 1 - 2**-53, STEP_T])
+def test_score_band_splits_the_scores_at_its_edges(t):
+    lo, hi = score_band(t)
+    assert lo < hi
+    for edge in (lo, hi):
+        if math.isfinite(edge):
+            assert_band_splits_scores(t, floats_around(edge, 10**5))
+
+
+def test_score_band_at_half_holds_the_logits_that_round_to_half():
+    lo, hi = score_band(0.5)
+    assert lo == -hi and 1.8e-9 < hi < 1.9e-9
+    # logits in [-4.510281037539698e-17, 0) squash to exactly 0.5
+    assert lo < -4.510281037539698e-17 < 0.0 < hi
+
+
+@pytest.mark.parametrize("t, side", [(5e-324, 0), (1e-320, 0), (1 - 2**-53, 1),
+                                     (1 - 2**-31, 1)])
+def test_score_band_is_unbounded_where_the_margin_passes_0_or_1(t, side):
+    band = score_band(t)
+    assert band[side] == (-math.inf, math.inf)[side]
+    assert math.isfinite(band[1 - side])
+    assert_band_splits_scores(t, np.array([-np.inf, -800.0, -745.0, -30.0, 0.0, 30.0, np.inf]))
+
+
+def test_no_single_logit_marks_the_threshold():
+    # b squashes to t, b + 1 ulp below it and b + 2 ulps to t again; the band
+    # holds all three, so a pixel at b + 1 ulp is squashed, not counted on its logit
+    z = floats_around(STEP_Z, 2)[2:]
+    np.testing.assert_array_equal(_sigmoid(z) >= STEP_T, [True, False, True])
+    lo, hi = score_band(STEP_T)
+    assert lo < z.min() and z.max() < hi
 
 
 @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        hnp.arrays(np.float64, hnp.array_shapes(max_dims=3),
                   elements=st.floats(allow_nan=False) | st.sampled_from(EDGE_VALUES)))
-def test_logits_at_the_boundary_are_scores_at_the_threshold(t, z):
-    np.testing.assert_array_equal(z >= score_boundary(t), _sigmoid(z) >= t)
+@example(STEP_T, floats_around(STEP_Z, 16))
+def test_logits_outside_the_band_are_on_the_side_of_their_scores(t, z):
+    assert_band_splits_scores(t, z)
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 70), st.integers(1, 3)),
+                  elements=st.floats(allow_nan=False) | st.sampled_from(EDGE_VALUES)),
+       st.integers(0, 2**32 - 1), st.booleans())
+def test_squashing_a_gathered_band_gives_the_full_maps_bits(z, seed, channel_major):
+    # iou_counts squashes only the logits in the band, gathered from the map
+    if channel_major:
+        z = np.ascontiguousarray(z.T).T
+    band = np.random.default_rng(seed).random(z.shape) < 0.3
+    assert _sigmoid(z[band]).tobytes() == _sigmoid(z)[band].tobytes()
 
 
 class TestClsMask:

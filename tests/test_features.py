@@ -1,13 +1,18 @@
-"""Feature container, file format, and synthetic text tokens."""
+"""Feature container, the grid file format of feature and target files, and
+synthetic text tokens."""
 
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from affseg import container
 from affseg.container import CorruptionError, FormatError, MAGIC
+from affseg.data import DENSIFIED_SPARSE, AffordanceTarget, load_target, save_target
 from affseg.features import (
     FeatureStack,
     load_features,
@@ -101,6 +106,91 @@ class TestFileFormat:
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
         with pytest.raises(CorruptionError):
             load_features(path)
+
+
+GRID_FILES = {
+    "features": (random_stack, save_features, load_features),
+    "target": (lambda rng: AffordanceTarget((rng.random((6, 5, 3)) < 0.4).astype(float)),
+               save_target, load_target),
+}
+
+
+@pytest.fixture(params=sorted(GRID_FILES))
+def grid_file(request, tmp_path):
+    """A feature or a target file, and its loader."""
+    make, save, load = GRID_FILES[request.param]
+    path = tmp_path / "grid.ooal"
+    save(make(np.random.default_rng(0)), path)
+    return path, load
+
+
+class TestGridFiles:
+    @pytest.mark.parametrize("damage, error, match", [
+        pytest.param(lambda raw: b"XXXXXXXX" + raw[8:], FormatError, "bad magic", id="bad-magic"),
+        pytest.param(lambda raw: raw[:20], CorruptionError, "truncated header",
+                     id="truncated-header"),
+        pytest.param(lambda raw: raw[:8] + bytes(28) + raw[36:], CorruptionError,
+                     r"implausible header \(0 layers, 0x0\)|not a dense target file",
+                     id="zero-words"),
+        pytest.param(lambda raw: raw[:-8], CorruptionError, "payload shorter than expected",
+                     id="short-payload"),
+        pytest.param(lambda raw: raw + bytes(8), CorruptionError, "trailing bytes after payload",
+                     id="trailing-bytes"),
+    ])
+    def test_damaged_file_refused_with_one_line(self, grid_file, damage, error, match):
+        path, load = grid_file
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(error, match=match) as info:
+            load(path)
+        assert "\n" not in str(info.value)
+
+    def test_one_payload_read_per_load(self, grid_file, monkeypatch):
+        path, load = grid_file
+        counts, read_f64 = [], container.read_f64
+        monkeypatch.setattr(container, "read_f64",
+                            lambda fh, count: counts.append(count) or read_f64(fh, count))
+        load(path)
+        assert counts == [(path.stat().st_size - 36) // 8]
+
+    @pytest.mark.parametrize("save, content", [
+        pytest.param(save_features, FeatureStack((np.zeros((1, 1)),), np.zeros(1), (1, 1),
+                                                 (2**32, 1)), id="features"),
+        # a zero-strided view: save_target reads its shape and reshapes it
+        # without a copy, so no 2**32-pixel target is allocated
+        pytest.param(save_target, SimpleNamespace(M=np.broadcast_to(0.0, (2**16, 2**16, 1))),
+                     id="target"),
+    ])
+    def test_refused_save_leaves_no_file(self, tmp_path, save, content):
+        path = tmp_path / "grid.ooal"
+        with pytest.raises(ValueError, match="header word 4294967296 out of uint32 range"):
+            save(content, path)
+        assert not path.exists()
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=st.sampled_from(sorted(GRID_FILES)), h=st.integers(1, 4), w=st.integers(1, 4),
+           width=st.integers(1, 5), data=st.data())
+    def test_round_trip_is_bitwise(self, tmp_path_factory, kind, h, w, width, data):
+        path = tmp_path_factory.mktemp("grid") / "g.ooal"
+        if kind == "features":
+            values = st.floats(allow_nan=False, allow_infinity=False)
+            layers = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 3)), h * w, width),
+                                          elements=values))
+            cls = data.draw(hnp.arrays(np.float64, width, elements=values))
+            image = data.draw(st.tuples(st.integers(1, 2**32 - 1), st.integers(1, 2**32 - 1)))
+            save_features(FeatureStack(tuple(layers), cls, (h, w), image), path)
+            got = load_features(path)
+            assert (got.grid, got.image_size) == ((h, w), image)
+            assert np.array(got.layers).tobytes() == layers.tobytes()
+            assert got.cls.tobytes() == cls.tobytes()
+            save_features(got, path.with_suffix(".2"))
+        else:
+            values = st.floats(0.0, 1.0) | st.just(-0.0)
+            M = data.draw(hnp.arrays(np.float64, (h, w, width), elements=values))
+            save_target(AffordanceTarget(M, DENSIFIED_SPARSE), path)
+            got = load_target(path, DENSIFIED_SPARSE)
+            assert got.M.shape == M.shape and got.M.tobytes() == M.tobytes()
+            save_target(got, path.with_suffix(".2"))
+        assert path.read_bytes() == path.with_suffix(".2").read_bytes()
 
 
 class TestStackInvariants:

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -41,6 +41,7 @@ from tests.oracles import (
     sim_reference,
 )
 from tests.test_data import AFFS, densify_cases, record_runs, write_world
+from tests.test_decoder import STEP_T, floats_around
 
 
 def pred_of(scores):
@@ -52,6 +53,15 @@ def logit_pred(logits):
     """A prediction of pixel logits and their sigmoid scores; logits of -800
     and 800 squash to exactly 0 and 1."""
     return Prediction(logits=logits, upsampled=decoder._sigmoid(logits))
+
+
+def band_logits(t):
+    """Logits at and inside the edges of ``score_band(t)``: two floats either
+    side of each finite edge, and 16 either side of the logit of t, where the
+    float sigmoid crosses t."""
+    lo, hi = decoder.score_band(t)
+    edges = [floats_around(e, 2) for e in (lo, hi) if math.isfinite(e)]
+    return np.concatenate([*edges, floats_around(math.log(t) - math.log1p(-t), 16)])
 
 
 class TestKld:
@@ -299,10 +309,10 @@ class TestIoU:
     @given(shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 5)),
            threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
            seed=st.integers(0, 2**32 - 1))
+    @example(shape=(9, 9, 5), threshold=STEP_T, seed=0)
     def test_logits_without_scores_count_as_their_scores(self, shape, threshold, seed):
         rng = np.random.default_rng(seed)
-        b = decoder.score_boundary(threshold)
-        near = rng.choice([b, np.nextafter(b, -np.inf), np.nextafter(b, np.inf)], shape)
+        near = rng.choice(band_logits(threshold), shape)
         z = np.where(rng.random(shape) < 0.3, near, 40 * rng.standard_normal(shape))
         y = AffordanceTarget(M=(rng.random(shape) < 0.5).astype(float))
         got = iou_counts(Prediction(logits=z, upsampled=None), y, threshold)
@@ -318,13 +328,14 @@ class TestIoU:
         rng = np.random.default_rng(seed)
         y = (rng.random(shape) < 0.5).astype(float)
         target = AffordanceTarget(M=y)
-        b = decoder.score_boundary(threshold)
+        near = band_logits(threshold)
         for as_logits in logits:
             if as_logits:  # channel-major, as the prediction head returns them
                 z = 40 * rng.standard_normal((shape[2], *shape[:2])).transpose(1, 2, 0)
-                z[rng.random(shape) < 0.3] = b
+                at = rng.random(shape) < 0.3
+                z[at] = rng.choice(near, np.count_nonzero(at))
                 got = iou_counts(Prediction(logits=z, upsampled=None), target, threshold)
-                want = iou_counts_reference(z, y, b)
+                want = iou_counts_reference(decoder._sigmoid(z), y, threshold)
             else:
                 s = np.where(rng.random(shape) < 0.2, threshold, rng.random(shape))
                 got = iou_counts(pred_of(s), target, threshold)
