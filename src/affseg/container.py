@@ -60,9 +60,18 @@ def read_f64(fh, count: int) -> np.ndarray:
     more than the file holds fails before anything is read or allocated."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
     out = np.empty(count, dtype="<f8") if 8 * count <= left else None
-    if out is None or fh.readinto(out) != 8 * count:
+    if out is None or _fill(fh, memoryview(out).cast("B")) != 8 * count:
         raise CorruptionError(f"payload shorter than expected ({left} bytes left, wanted {8 * count})")
     return out.astype(np.float64, copy=False)
+
+
+def _fill(fh, buf) -> int:
+    """Read into *buf* until it is full or the file ends; the number of bytes
+    read. An unbuffered file may return less than asked per read."""
+    got = 0
+    while got < len(buf) and (more := fh.readinto(buf[got:])):
+        got += more
+    return got
 
 
 def check_array_size(count: int, what: str) -> None:
@@ -94,9 +103,10 @@ def write_grid(path, layers, summary, grid, image_size) -> None:
 
 def read_grid(path, check_header=None):
     """A grid file as (n_layers x L x C layers, length-C summary, grid, image
-    size), both arrays views of one payload read. Before that read, the header
-    words go to *check_header*, and a header with no layer, row or column fails."""
-    with open(path, "rb") as fh:
+    size), both arrays views of one payload read. The file is read unbuffered.
+    Before that read, the header words go to *check_header*, and a header with
+    no layer, row or column fails."""
+    with open(path, "rb", buffering=0) as fh:
         read_magic(fh)
         n, L, C, h_p, w_p, H, W = header = read_u32(fh, 7)
         if check_header is not None:

@@ -74,10 +74,12 @@ class AffordanceTarget:
             raise ValueError(f"target must be H x W x N, got {M.shape}")
         if M.size == 0:
             raise ValueError(f"target of shape {M.shape} is empty")
-        # min and max propagate NaN, and +-inf is outside the range
-        if not (M.min() >= 0.0 and M.max() <= 1.0):
+        # all 0 or 1 is already finite and in [0, 1], so a binary target skips
+        # the range test; min and max propagate NaN, and +-inf is outside it
+        binary = self.kind == DENSE_BINARY and np.all((M == 0.0) | (M == 1.0))
+        if not binary and not (M.min() >= 0.0 and M.max() <= 1.0):
             raise ValueError("target values must be finite and in [0, 1]")
-        if self.kind == DENSE_BINARY and not np.all((M == 0.0) | (M == 1.0)):
+        if self.kind == DENSE_BINARY and not binary:
             raise ValueError("dense-binary target has non-binary entries "
                              f"(soft values load as target_kind {DENSIFIED_SPARSE!r})")
         if self.kind not in TARGET_KINDS:

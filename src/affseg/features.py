@@ -9,6 +9,7 @@ from a real vision transformer.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,49 +30,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FeatureStack:
-    """Per-image features: ``layers[i]`` is the L x C_v patch matrix of one
-    encoder layer (deepest layer last), ``cls`` the length-C_v summary token.
+    """Per-image features: ``layers`` is the n x L x C_v float64 array of the
+    patch matrices of n encoder layers (deepest layer last), ``cls`` the
+    length-C_v summary token.
 
-    ``grid`` is the (rows, cols) patch layout with rows*cols == L and
-    ``image_size`` the (H, W) pixel size the patches were taken from.
+    A loaded stack keeps the file's payload view as it is; a tuple of equal
+    L x C_v layers is stacked once. All layers are checked for finiteness in
+    one pass. ``grid`` is the (rows, cols) patch layout with rows*cols == L
+    and ``image_size`` the (H, W) pixel size the patches were taken from.
     """
 
-    layers: tuple[np.ndarray, ...]
+    layers: np.ndarray
     cls: np.ndarray
     grid: tuple[int, int]
     image_size: tuple[int, int]
 
     def __post_init__(self):
-        if not self.layers:
+        try:
+            layers = np.asarray(self.layers, dtype=np.float64)
+        except ValueError:
+            shapes = [np.shape(l) for l in self.layers]
+            if len(set(shapes)) > 1:
+                raise ValueError(f"layer shapes differ: {shapes}") from None
+            raise
+        if len(layers) == 0:
             raise ValueError("feature stack needs at least one layer")
-        layers = tuple(np.asarray(l, dtype=np.float64) for l in self.layers)
+        if layers.ndim != 3:
+            raise ValueError(f"layers must be 2-d, got shape {layers.shape[1:]}")
+        if not np.isfinite(layers).all():
+            raise ValueError("non-finite values in feature layer")
         cls = np.asarray(self.cls, dtype=np.float64)
-        shape = layers[0].shape
-        if len(shape) != 2:
-            raise ValueError(f"layers must be 2-d, got shape {shape}")
-        for l in layers:
-            if l.shape != shape:
-                raise ValueError(f"layer shapes differ: {l.shape} vs {shape}")
-            if not np.all(np.isfinite(l)):
-                raise ValueError("non-finite values in feature layer")
-        if cls.shape != (shape[1],):
-            raise ValueError(f"cls shape {cls.shape} does not match feature dim {shape[1]}")
-        if not np.all(np.isfinite(cls)):
+        _, L, C = layers.shape
+        if cls.shape != (C,):
+            raise ValueError(f"cls shape {cls.shape} does not match feature dim {C}")
+        if not np.isfinite(cls).all():
             raise ValueError("non-finite values in cls token")
         if min(*self.grid, *self.image_size) < 1:
             raise ValueError(f"grid {self.grid} and image size {self.image_size} "
                              "need sides of at least 1")
         h_p, w_p = self.grid
-        if h_p * w_p != shape[0]:
-            raise ValueError(f"grid {self.grid} does not tile {shape[0]} patches")
+        if h_p * w_p != L:
+            raise ValueError(f"grid {self.grid} does not tile {L} patches")
         object.__setattr__(self, "layers", layers)
         object.__setattr__(self, "cls", cls)
 
     @property
     def feature_dim(self) -> int:
-        return self.layers[0].shape[1]
+        return self.layers.shape[2]
 
-    @property
+    @functools.cached_property
     def last(self) -> np.ndarray:
         return self.layers[-1]
 
@@ -88,7 +95,7 @@ def load_features(path) -> FeatureStack:
     CorruptionError; both name *path*."""
     try:
         layers, cls, grid, image_size = container.read_grid(path)
-        return FeatureStack(tuple(layers), cls, grid, image_size)
+        return FeatureStack(layers, cls, grid, image_size)
     except (FormatError, CorruptionError, ValueError) as exc:
         error = FormatError if isinstance(exc, FormatError) else CorruptionError
         raise error(f"{path}: {exc}") from exc

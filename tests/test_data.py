@@ -247,6 +247,26 @@ class TestTargetFile:
         with pytest.raises(ValueError):
             AffordanceTarget(M=np.full((2, 2, 1), 0.25), kind="dense-binary")
 
+    @pytest.mark.parametrize("value, kind, match", [
+        (1.5, "dense-binary", r"target values must be finite and in \[0, 1\]"),
+        (np.nan, "dense-binary", r"target values must be finite and in \[0, 1\]"),
+        (0.25, "dense-binary", "dense-binary target has non-binary entries"),
+        (1.5, DENSIFIED_SPARSE, r"target values must be finite and in \[0, 1\]"),
+        (1.5, "soft", r"target values must be finite and in \[0, 1\]"),
+        (1.0, "soft", "unknown target kind 'soft'"),
+        (0.25, "soft", "unknown target kind 'soft'"),
+    ])
+    def test_first_failed_check_names_the_refusal(self, value, kind, match):
+        M = np.zeros((2, 2, 1))
+        M[0, 1, 0] = value
+        with pytest.raises(ValueError, match=f"^{match}"):
+            AffordanceTarget(M=M, kind=kind)
+
+    @pytest.mark.parametrize("kind", ["dense-binary", DENSIFIED_SPARSE])
+    def test_binary_values_pass_either_kind(self, kind):
+        M = np.array([0.0, -0.0, 1.0, 1.0]).reshape(2, 2, 1)
+        assert AffordanceTarget(M=M, kind=kind).M.tobytes() == M.tobytes()
+
 
 # manifest edits that only DatasetManifest's cross-checks catch, with their message
 MANIFEST_CONSISTENCY = [

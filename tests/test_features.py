@@ -152,6 +152,22 @@ class TestGridFiles:
         load(path)
         assert counts == [(path.stat().st_size - 36) // 8]
 
+    def test_short_reads_are_continued(self, grid_file):
+        """An unbuffered read may return less than asked; the payload is read
+        to its end all the same."""
+        path, _ = grid_file
+
+        class Trickle:
+            def __init__(self, fh):
+                self.fileno, self.tell = fh.fileno, fh.tell
+                self.readinto = lambda buf: fh.readinto(buf[:16])
+
+        count = (path.stat().st_size - 36) // 8
+        with open(path, "rb", buffering=0) as fh:
+            fh.seek(36)
+            got = container.read_f64(Trickle(fh), count)
+        assert got.tobytes() == path.read_bytes()[36:]
+
     @pytest.mark.parametrize("save, content", [
         pytest.param(save_features, FeatureStack((np.zeros((1, 1)),), np.zeros(1), (1, 1),
                                                  (2**32, 1)), id="features"),
@@ -238,6 +254,71 @@ class TestStackInvariants:
         layer[1, 1] = np.nan
         with pytest.raises(ValueError):
             FeatureStack(layers=(layer,), cls=np.zeros(3), grid=(2, 2), image_size=(8, 8))
+
+
+class TestStackLayout:
+    def test_loaded_layers_are_one_view_of_the_payload(self, tmp_path):
+        stack = random_stack(np.random.default_rng(1), n_layers=4, grid=(2, 3), dim=5)
+        save_features(stack, tmp_path / "s.ooal")
+        loaded = load_features(tmp_path / "s.ooal")
+        assert isinstance(loaded.layers, np.ndarray) and loaded.layers.dtype == np.float64
+        assert loaded.layers.shape == (4, 6, 5)
+        # one buffer: the summary token starts where the last layer ends
+        payload = loaded.cls.base
+        assert payload is not None and loaded.layers.base is payload
+        assert np.shares_memory(loaded.layers, payload) and np.shares_memory(loaded.cls, payload)
+        start = loaded.layers.__array_interface__["data"][0]
+        assert loaded.cls.__array_interface__["data"][0] == start + loaded.layers.nbytes
+
+    def test_a_tuple_is_stacked_to_the_bytes_of_its_file(self, tmp_path):
+        rng = np.random.default_rng(2)
+        layers = tuple(rng.standard_normal((6, 5)) for _ in range(3))
+        built = FeatureStack(layers, rng.standard_normal(5), (2, 3), (8, 12))
+        save_features(built, tmp_path / "s.ooal")
+        loaded = load_features(tmp_path / "s.ooal")
+        assert built.layers.shape == loaded.layers.shape == (3, 6, 5)
+        assert built.layers.tobytes() == loaded.layers.tobytes() == np.stack(layers).tobytes()
+        assert built.cls.tobytes() == loaded.cls.tobytes()
+
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_layer_refused(self, where, bad):
+        layers = np.zeros((5, 4, 3))
+        layers[where, 3, 2] = bad
+        with pytest.raises(ValueError, match="^non-finite values in feature layer$"):
+            FeatureStack(tuple(layers), np.zeros(3), (2, 2), (8, 8))
+        with pytest.raises(ValueError, match="^non-finite values in feature layer$"):
+            FeatureStack(layers, np.zeros(3), (2, 2), (8, 8))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_cls_refused(self, bad):
+        cls = np.zeros(3)
+        cls[1] = bad
+        with pytest.raises(ValueError, match="^non-finite values in cls token$"):
+            FeatureStack(np.zeros((2, 4, 3)), cls, (2, 2), (8, 8))
+
+    @pytest.mark.parametrize("layers", [
+        (np.zeros((4, 3)), np.zeros((4, 2))),
+        (np.zeros((4, 3)), np.zeros((3, 3)), np.zeros((4, 3))),
+        (np.zeros((4, 3)), np.zeros(3)),
+    ])
+    def test_ragged_tuple_refused(self, layers):
+        with pytest.raises(ValueError, match="^layer shapes differ"):
+            FeatureStack(layers, np.zeros(3), (2, 2), (8, 8))
+
+    @pytest.mark.parametrize("layers, match", [
+        ((), "^feature stack needs at least one layer$"),
+        ((np.zeros(3),), r"^layers must be 2-d, got shape \(3,\)$"),
+        (np.zeros((1, 4, 3, 1)), r"^layers must be 2-d, got shape \(4, 3, 1\)$"),
+    ])
+    def test_empty_or_misshapen_layers_refused(self, layers, match):
+        with pytest.raises(ValueError, match=match):
+            FeatureStack(layers, np.zeros(3), (2, 2), (8, 8))
+
+    def test_last_is_built_once(self):
+        stack = random_stack(np.random.default_rng(3))
+        assert stack.last is stack.last
+        assert stack.last.tobytes() == stack.layers[-1].tobytes()
 
 
 class TestSynthTextTokens:
