@@ -20,6 +20,9 @@ import struct
 import numpy as np
 
 MAGIC = b"OOALFT01"
+# a grid file's 7 header words, and the magic and those words together
+_GRID_WORDS = struct.Struct("<7I")
+GRID_HEAD = len(MAGIC) + _GRID_WORDS.size
 
 
 class FormatError(Exception):
@@ -51,17 +54,25 @@ def read_u32(fh, count: int) -> tuple[int, ...]:
 
 
 def write_f64(fh, arr: np.ndarray) -> None:
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    fh.write(a.tobytes())
+    """Write *arr* as little-endian float64 from its own buffer, which is
+    copied only when it is not already a C-contiguous ``<f8`` array."""
+    fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
-def read_f64(fh, count: int) -> np.ndarray:
-    """The next *count* float64 values of the file *fh*. A header claiming
-    more than the file holds fails before anything is read or allocated."""
+def read_f64(fh, count: int, more: int = 0) -> np.ndarray:
+    """The next *count* float64 values of the file *fh*, after which it holds
+    *more* values and ends. One ``fstat`` checks that size before anything is
+    read or allocated: a header claiming more than the file holds fails, and
+    so do bytes after the payload."""
     left = os.fstat(fh.fileno()).st_size - fh.tell()
-    out = np.empty(count, dtype="<f8") if 8 * count <= left else None
-    if out is None or _fill(fh, memoryview(out).cast("B")) != 8 * count:
-        raise CorruptionError(f"payload shorter than expected ({left} bytes left, wanted {8 * count})")
+    want = 8 * (count + more)
+    if want > left:
+        raise CorruptionError(f"payload shorter than expected ({left} bytes left, wanted {want})")
+    if want < left:
+        raise CorruptionError("trailing bytes after payload")
+    out = np.empty(count, dtype="<f8")
+    if _fill(fh, memoryview(out).cast("B")) != 8 * count:
+        raise CorruptionError(f"payload shorter than expected ({left} bytes left, wanted {want})")
     return out.astype(np.float64, copy=False)
 
 
@@ -85,11 +96,6 @@ def check_array_size(count: int, what: str) -> None:
             from None
 
 
-def expect_eof(fh) -> None:
-    if fh.read(1):
-        raise CorruptionError("trailing bytes after payload")
-
-
 def write_grid(path, layers, summary, grid, image_size) -> None:
     """Write the L x C *layers* and the length-C *summary* as a grid file; a
     header word out of uint32 range fails before *path* is opened."""
@@ -103,16 +109,23 @@ def write_grid(path, layers, summary, grid, image_size) -> None:
 
 def read_grid(path, check_header=None):
     """A grid file as (n_layers x L x C layers, length-C summary, grid, image
-    size), both arrays views of one payload read. The file is read unbuffered.
-    Before that read, the header words go to *check_header*, and a header with
-    no layer, row or column fails."""
+    size), both arrays views of one payload read. The file is read unbuffered:
+    the magic and the header words in one read, then the payload in one
+    :func:`read_f64` call, each continued on a short read. Before the payload
+    is read, the header words go to *check_header*, and a header with no
+    layer, row or column fails."""
     with open(path, "rb", buffering=0) as fh:
-        read_magic(fh)
-        n, L, C, h_p, w_p, H, W = header = read_u32(fh, 7)
+        head = bytearray(GRID_HEAD)
+        got = _fill(fh, memoryview(head))
+        magic = bytes(head[:min(got, len(MAGIC))])
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
+        if got != GRID_HEAD:
+            raise CorruptionError("truncated header")
+        n, L, C, h_p, w_p, H, W = header = _GRID_WORDS.unpack_from(head, len(MAGIC))
         if check_header is not None:
             check_header(*header)
         if n < 1 or L < 1 or C < 1:
             raise CorruptionError(f"implausible header ({n} layers, {L}x{C})")
         payload = read_f64(fh, (n * L + 1) * C)
-        expect_eof(fh)
     return payload[:n * L * C].reshape(n, L, C), payload[n * L * C:], (h_p, w_p), (H, W)

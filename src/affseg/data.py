@@ -95,9 +95,10 @@ class AffordanceTarget:
     @functools.cached_property
     def mask(self) -> np.ndarray:
         """``M >= 0.5`` as a read-only, C-contiguous N x H x W bool array,
-        built on first use."""
-        mask = np.empty((self.M.shape[2], *self.M.shape[:2]), dtype=bool)
-        np.greater_equal(self.M.transpose(2, 0, 1), 0.5, out=mask)
+        built on first use. The compare runs in M's memory order; a C-order
+        M's mask is then copied channel-major a byte per pixel, and a
+        channel-major M's needs no copy."""
+        mask = np.ascontiguousarray((self.M >= 0.5).transpose(2, 0, 1))
         mask.flags.writeable = False
         return mask
 
@@ -227,9 +228,12 @@ class DatasetManifest:
     objects: tuple[tuple[str, bool], ...]   # (object id, novel flag)
     items: tuple[ManifestItem, ...]
     root: Path = Path(".")
+    # relative path -> its join onto root, filled by resolve
+    _paths: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "root", Path(self.root).resolve())
+        object.__setattr__(self, "_paths", {})
         ids = [oid for oid, _ in self.objects]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate object ids")
@@ -257,8 +261,14 @@ class DatasetManifest:
         return [it for it in self.items if it.object_id == object_id]
 
     def resolve(self, rel: str) -> Path:
-        """*rel* joined onto the manifest directory, resolved once at construction."""
-        return self.root / rel
+        """*rel* joined onto the manifest directory. The join is made on the
+        first call for *rel* and kept, so every later call, such as each
+        load of the item that names it, returns the same object. Eval threads
+        that race on a new *rel* may each join it; the table keeps one."""
+        path = self._paths.get(rel)
+        if path is None:
+            path = self._paths[rel] = self.root / rel
+        return path
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:

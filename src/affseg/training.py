@@ -534,9 +534,9 @@ def load_checkpoint(path) -> Checkpoint:
         for i, (got, want) in enumerate(itertools.zip_longest(entries, expected)):
             if got != want:
                 raise CorruptionError(f"checkpoint array {i} is {got}, the model's is {want}")
-        theta = container.read_f64(fh, sum(math.prod(shape) for _, shape in entries[:-1]))
+        theta = container.read_f64(fh, sum(math.prod(shape) for _, shape in entries[:-1]),
+                                   more=cfg.C_t * cfg.C)
         proj = container.read_f64(fh, cfg.C_t * cfg.C).reshape(cfg.C_t, cfg.C)
-        container.expect_eof(fh)
 
     params = ModelParams(theta, dims, cfg.gate)
     if not np.isfinite(theta).all():

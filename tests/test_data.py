@@ -1,6 +1,7 @@
 """Densification, manifests, one-shot trainset, and eval splits."""
 
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -15,6 +16,7 @@ from affseg import synth
 from affseg.container import CorruptionError, FormatError
 from affseg.data import (
     DEFAULT_SIGMA,
+    DENSE_BINARY,
     DENSIFIED_SPARSE,
     SIGMA_RANGE,
     AffordanceTarget,
@@ -221,12 +223,15 @@ class TestTargetFile:
 
     @settings(max_examples=50, deadline=None)
     @given(shape=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 4)),
-           channel_major=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_mask_is_the_channel_major_half_cut(self, shape, channel_major, seed):
+           channel_major=st.booleans(), binary=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_mask_is_the_channel_major_half_cut(self, shape, channel_major, binary, seed):
+        # 0/1 values, as a dense-binary target holds, in either layout
         M = np.random.default_rng(seed).random(shape)
+        if binary:
+            M = np.round(M)
         if channel_major:
             M = np.ascontiguousarray(M.transpose(2, 0, 1)).transpose(1, 2, 0)
-        target = AffordanceTarget(M=M, kind=DENSIFIED_SPARSE)
+        target = AffordanceTarget(M=M, kind=DENSE_BINARY if binary else DENSIFIED_SPARSE)
         assert target.mask.flags.c_contiguous and target.mask.dtype == bool
         np.testing.assert_array_equal(target.mask, (M >= 0.5).transpose(2, 0, 1))
         np.testing.assert_array_equal(target.mask_count, (M >= 0.5).sum(axis=(0, 1)))
@@ -278,6 +283,17 @@ MANIFEST_CONSISTENCY = [
                  "item base-00-0 references unknown object ghost", id="unknown-object"),
     pytest.param(lambda d: {**d, "objects": d["objects"] + [{"id": "lonely", "novel": False}]},
                  "object lonely has no items", id="object-without-items"),
+] + [
+    # a record whose path is not a string is refused where its file is looked for
+    pytest.param(lambda d, f=f: {**d, "items": [{**d["items"][0], "features": f}]
+                                 + d["items"][1:]},
+                 f"item base-00-0: feature file {f!r} not found", id=f"features-{i}")
+    for i, f in (("number", 5), ("list", ["feats/base-00-0.ooal"]), ("object", {"a": 1}))
+] + [
+    pytest.param(lambda d, p=p: {**d, "items": [{**d["items"][0], "target": {
+                     "kind": "mask", "path": p}}] + d["items"][1:]},
+                 f"item base-00-0: mask target file {p!r} not found", id=f"mask-path-{i}")
+    for i, p in (("number", 5), ("list", ["targets/base-00.ooal"]), ("object", {"a": 1}))
 ]
 
 
@@ -323,6 +339,12 @@ class TestManifest:
         assert loaded.affordances == manifest.affordances
         assert loaded.objects == manifest.objects
         assert [i.item_id for i in loaded.items] == [i.item_id for i in manifest.items]
+        # each relative path is joined once, and a copy onto another root joins anew
+        moved = dataclasses.replace(loaded, root=tmp_path / "feats")
+        for it in loaded.items:
+            path = loaded.resolve(it.features)
+            assert path == tmp_path.resolve() / it.features and loaded.resolve(it.features) is path
+            assert moved.resolve(it.features) == tmp_path.resolve() / "feats" / it.features
 
     def test_missing_feature_file(self, tmp_path):
         write_world(tmp_path)

@@ -1,6 +1,7 @@
 """Feature container, the grid file format of feature and target files, and
 synthetic text tokens."""
 
+import dataclasses
 import re
 from types import SimpleNamespace
 
@@ -136,6 +137,11 @@ class TestGridFiles:
                      id="short-payload"),
         pytest.param(lambda raw: raw + bytes(8), CorruptionError, "trailing bytes after payload",
                      id="trailing-bytes"),
+    ] + [
+        # good magic, then the file ends inside the header words
+        pytest.param(lambda raw, n=n: raw[:n], CorruptionError, "truncated header$",
+                     id=f"truncated-header-at-{n}")
+        for n in range(len(MAGIC), container.GRID_HEAD)
     ])
     def test_damaged_file_refused_with_one_line(self, grid_file, damage, error, match):
         path, load = grid_file
@@ -143,6 +149,37 @@ class TestGridFiles:
         with pytest.raises(error, match=match) as info:
             load(path)
         assert "\n" not in str(info.value)
+
+    def test_fixed_cost_of_a_load(self, grid_file, monkeypatch):
+        """A load makes one read of the magic and header words, one payload
+        read, and one ``fstat`` and one ``tell`` for the payload's size: no
+        seek and no end-of-file read."""
+        path, load = grid_file
+        calls = []
+
+        class Recorded:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def __getattr__(self, name):
+                method = getattr(self.fh, name)
+                return lambda *args: calls.append((name, *map(len, args))) or method(*args)
+
+        def recorded_open(file, mode, buffering):
+            assert (mode, buffering) == ("rb", 0)
+            return Recorded(open(file, mode, buffering=buffering))
+
+        monkeypatch.setattr(container, "open", recorded_open, raising=False)
+        load(path)
+        size = path.stat().st_size
+        assert calls == [("readinto", container.GRID_HEAD), ("fileno",), ("tell",),
+                         ("readinto", size - container.GRID_HEAD)]
 
     def test_one_payload_read_per_load(self, grid_file, monkeypatch):
         path, load = grid_file
@@ -152,21 +189,35 @@ class TestGridFiles:
         load(path)
         assert counts == [(path.stat().st_size - 36) // 8]
 
-    def test_short_reads_are_continued(self, grid_file):
-        """An unbuffered read may return less than asked; the payload is read
-        to its end all the same."""
-        path, _ = grid_file
+    def test_short_reads_are_continued(self, grid_file, monkeypatch):
+        """An unbuffered read may return less than asked; the payload, and in
+        a whole load the header too, is read to its end all the same."""
+        path, load = grid_file
 
         class Trickle:
             def __init__(self, fh):
-                self.fileno, self.tell = fh.fileno, fh.tell
+                self.fileno, self.tell, self.close = fh.fileno, fh.tell, fh.close
                 self.readinto = lambda buf: fh.readinto(buf[:16])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.close()
 
         count = (path.stat().st_size - 36) // 8
         with open(path, "rb", buffering=0) as fh:
             fh.seek(36)
             got = container.read_f64(Trickle(fh), count)
         assert got.tobytes() == path.read_bytes()[36:]
+
+        want = load(path)
+        monkeypatch.setattr(container, "open", raising=False, value=lambda file, mode, buffering:
+                            Trickle(open(file, mode, buffering=buffering)))
+        got = load(path)
+        for f in dataclasses.fields(got):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     @pytest.mark.parametrize("save, content", [
         pytest.param(save_features, FeatureStack((np.zeros((1, 1)),), np.zeros(1), (1, 1),

@@ -729,6 +729,14 @@ class TestCheckpoint:
         with pytest.raises(CorruptionError):
             load_checkpoint(path)
 
+    def test_trailing_bytes_refused(self, tiny_world, tmp_path):
+        ckpt, *_ = self.bundle(tiny_world)
+        path = tmp_path / "model.ooal"
+        save_checkpoint(ckpt, path)
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(CorruptionError, match="^trailing bytes after payload$"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("mutate, error, match", [
         pytest.param(_without("config"), CorruptionError, "'config'", id="no-config"),
         pytest.param(_without("arrays"), CorruptionError, "'arrays'", id="no-arrays"),
