@@ -4,7 +4,8 @@ Text embeddings query the patch features; a gate computed from the encoder
 summary token down-weights background keys so attention stays on foreground.
 Each layer is masked cross-attention with a residual, then a two-layer FFN
 with a residual. The head is a plain matrix product between patch features
-and the decoded text embeddings, upsampled bilinearly and squashed.
+and the decoded text embeddings, upsampled bilinearly to pixel logits and,
+where scores are wanted, squashed.
 
 The attention is evaluated from the text side. N queries meet L patches
 through products of rank at most N + 1, so the keys ``visual @ wk`` and
@@ -18,7 +19,7 @@ up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -53,9 +54,11 @@ class DecoderParams:
 @dataclass(frozen=True)
 class Prediction:
     """Pixel logits (H x W x N, the upsampled patch logits) and their sigmoid
-    scores (H x W x N, values in [0, 1]), or None where only thresholds are
-    asked of them: a logit below :func:`score_band`'s lo misses t and one at
-    or above its hi reaches it; those in between are squashed to tell."""
+    scores (H x W x N, values in [0, 1]), or None where the scores are not
+    wanted whole: training takes its loss and gradient from the logits, and
+    eval asks only thresholds of them (a logit below :func:`score_band`'s lo
+    misses t and one at or above its hi reaches it; those in between are
+    squashed to tell)."""
 
     logits: np.ndarray
     upsampled: np.ndarray | None
@@ -176,22 +179,27 @@ def decoder_layer_cached(text, visual, cls, params: DecoderLayerParams, use_gate
     return out, cache
 
 
-def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
+def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray,
+                           out: DecoderLayerParams | None = None):
     """-> (param grad dict, d_text, d_visual), through the same text-side
-    products as the forward."""
+    products as the forward. Each parameter's gradient is written into its
+    array of *out*, numpy style, shaped like the parameters; the dict holds
+    those arrays. None allocates them."""
     p = cache.params
+    if out is None:
+        out = DecoderLayerParams(*(np.empty_like(getattr(p, f.name)) for f in fields(p)))
     sq = math.sqrt(p.wq.shape[0])
 
     d_res1 = d_out.copy()
     d_hidden = d_out @ p.w2.T
-    d_w2 = cache.hidden.T @ d_out
-    d_b2 = d_out.sum(axis=0)
+    np.matmul(cache.hidden.T, d_out, out=out.w2)
+    np.sum(d_out, axis=0, out=out.b2)
     d_hidden_pre = d_hidden * (cache.hidden_pre > 0)
-    d_w1 = cache.res1.T @ d_hidden_pre
-    d_b1 = d_hidden_pre.sum(axis=0)
+    np.matmul(cache.res1.T, d_hidden_pre, out=out.w1)
+    np.sum(d_hidden_pre, axis=0, out=out.b1)
     d_res1 += d_hidden_pre @ p.w1.T
 
-    d_wv = cache.context.T @ d_res1
+    np.matmul(cache.context.T, d_res1, out=out.wv)
     d_context = d_res1 @ p.wv.T
     d_gated = d_context @ cache.visual.T
     d_attn = d_gated if cache.gate is None else d_gated * cache.gate
@@ -213,21 +221,16 @@ def decoder_layer_backward(cache: LayerCache, d_out: np.ndarray):
         vis_right.append((cache.g @ p.wk.T)[None])
         wk_left.append(d_kg[None])
         wk_right.append(cache.g[None])
-        d_wc = np.outer(cache.cls, d_kg @ p.wk)
+        np.outer(cache.cls, d_kg @ p.wk, out=out.wc)
     else:
-        d_wc = np.zeros_like(p.wc)
+        out.wc[...] = 0.0
     d_visual = np.concatenate(vis_left).T @ np.concatenate(vis_right)
-    d_wk = np.concatenate(wk_left).T @ np.concatenate(wk_right)
+    np.matmul(np.concatenate(wk_left).T, np.concatenate(wk_right), out=out.wk)
 
-    d_wq = cache.text_in.T @ d_Q
+    np.matmul(cache.text_in.T, d_Q, out=out.wq)
     d_text = d_res1 + d_Q @ p.wq.T
 
-    # in DecoderLayerParams field order: training.backward writes the values in this order
-    grads = {
-        "wq": d_wq, "wk": d_wk, "wv": d_wv, "wc": d_wc,
-        "w1": d_w1, "b1": d_b1, "w2": d_w2, "b2": d_b2,
-    }
-    return grads, d_text, d_visual
+    return {f.name: getattr(out, f.name) for f in fields(out)}, d_text, d_visual
 
 
 def decode_cached(text, visual, cls, dp: DecoderParams):
@@ -242,13 +245,15 @@ def decode_cached(text, visual, cls, dp: DecoderParams):
     return cur, caches
 
 
-def decode_backward(caches, d_out: np.ndarray):
-    """-> (list of per-layer grad dicts, d_text, d_visual accumulated)."""
+def decode_backward(caches, d_out: np.ndarray, out=None):
+    """-> (list of per-layer grad dicts, d_text, d_visual accumulated); *out*
+    is one :func:`decoder_layer_backward` ``out`` per layer, or None."""
     d_text = d_out
     d_visual = None
     grads: list[dict] = []
-    for cache in reversed(caches):
-        layer_grads, d_text, d_vis = decoder_layer_backward(cache, d_text)
+    outs = [None] * len(caches) if out is None else out
+    for cache, layer_out in zip(reversed(caches), reversed(outs), strict=True):
+        layer_grads, d_text, d_vis = decoder_layer_backward(cache, d_text, layer_out)
         grads.append(layer_grads)
         d_visual = d_vis if d_visual is None else d_visual + d_vis
     grads.reverse()
@@ -261,8 +266,10 @@ class PredictCache(NamedTuple):
     grid: tuple[int, int]
 
 
-def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[int, int]):
-    """Patch logits, upsampled to pixel logits and squashed -> (Prediction, cache)."""
+def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[int, int],
+                   scores: bool = True):
+    """Patch logits, upsampled to pixel logits and, with *scores*, squashed
+    -> (Prediction, cache)."""
     h_p, w_p = grid
     L = visual.shape[0]
     if h_p * w_p != L:
@@ -271,7 +278,7 @@ def predict_cached(visual, text_out, grid: tuple[int, int], image_size: tuple[in
         raise ValueError(
             f"embed width mismatch: visual {visual.shape}, text {text_out.shape}"
         )
-    pred = predict_from_logits(visual @ text_out.T, grid, image_size)
+    pred = predict_from_logits(visual @ text_out.T, grid, image_size, scores)
     return pred, PredictCache(visual, text_out, grid)
 
 

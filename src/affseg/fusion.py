@@ -85,13 +85,19 @@ def fuse_cached(stack: FeatureStack, fp: FusionParams):
     return fused, FuseCache(used, projected, alpha)
 
 
-def fuse_backward(cache: FuseCache, d_fused: np.ndarray):
-    """-> (d_proj list, d_alpha_logits), both empty when j is 0."""
+def fuse_backward(cache: FuseCache, d_fused: np.ndarray, out: FusionParams | None = None):
+    """-> (d_proj list, d_alpha_logits), both empty when j is 0. The gradients
+    are written into the arrays of *out*, numpy style, shaped like the
+    parameters; None allocates them."""
     alpha = cache.alpha
-    d_proj = [alpha[i] * cache.layers[i].T @ d_fused for i in range(len(alpha))]
+    if out is None:
+        out = FusionParams(tuple(np.empty((X.shape[1], d_fused.shape[1])) for X in cache.layers),
+                           np.empty_like(alpha))
+    for i, d_P in enumerate(out.proj):
+        np.matmul(alpha[i] * cache.layers[i].T, d_fused, out=d_P)
     d_alpha = np.array([np.sum(d_fused * P) for P in cache.projected])
-    d_logits = alpha * (d_alpha - float(d_alpha @ alpha))
-    return d_proj, d_logits
+    np.multiply(alpha, d_alpha - float(d_alpha @ alpha), out=out.alpha_logits)
+    return list(out.proj), out.alpha_logits
 
 
 class EmbedCache(NamedTuple):
@@ -105,12 +111,14 @@ def embed_cached(fused: np.ndarray, emb: Embedder):
     return fused @ emb.weight + emb.bias, EmbedCache(fused, emb.weight)
 
 
-def embed_backward(cache: EmbedCache, d_out: np.ndarray):
-    """-> (d_weight, d_bias, d_fused)."""
-    d_weight = cache.fused.T @ d_out
-    d_bias = d_out.sum(axis=0)
-    d_fused = d_out @ cache.weight.T
-    return d_weight, d_bias, d_fused
+def embed_backward(cache: EmbedCache, d_out: np.ndarray, out: Embedder | None = None):
+    """-> (d_weight, d_bias, d_fused); the parameter gradients are written into
+    the arrays of *out*, numpy style, and None allocates them."""
+    if out is None:
+        out = Embedder(np.empty_like(cache.weight), np.empty(cache.weight.shape[1]))
+    np.matmul(cache.fused.T, d_out, out=out.weight)
+    np.sum(d_out, axis=0, out=out.bias)
+    return out.weight, out.bias, d_out @ cache.weight.T
 
 
 class FoldedEmbedder(NamedTuple):

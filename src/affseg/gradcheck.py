@@ -80,7 +80,7 @@ def run_check(seed: int = 0, **overrides):
     params, enc, table, item = build_problem(seed=seed, **overrides)
 
     def loss_fn(mp):
-        pred, _ = training.forward(mp, enc, table, item.stack)
+        pred, _ = training.forward(mp, enc, table, item.stack, scores=False)
         return training.bce_loss(pred, item.target)
 
     _, analytic = training.backward(params, item, enc, table)

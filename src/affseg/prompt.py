@@ -64,13 +64,17 @@ def encode_texts_cached(ctx: np.ndarray, tokens: np.ndarray, enc: StubTextEncode
     return normed, TextCache(normed, inv_std[:, 0], p, enc.proj)
 
 
-def encode_texts_backward(cache: TextCache, d_out: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the context vectors (p x C_t), empty when p is 0."""
+def encode_texts_backward(cache: TextCache, d_out: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Gradient w.r.t. the context vectors (p x C_t), empty when p is 0,
+    written into *out*, numpy style; None allocates it."""
     y = cache.normed
     row_mean = d_out.mean(axis=1, keepdims=True)
     proj_mean = (d_out * y).mean(axis=1, keepdims=True)
     dh = cache.inv_std[:, None] * (d_out - row_mean - y * proj_mean)
     d_pooled = dh @ cache.proj.T
+    if out is None:
+        out = np.empty((cache.count, d_pooled.shape[1]))
     # every context vector contributes 1/(p+1) to every class row
-    d_ctx_row = d_pooled.sum(axis=0) / (cache.count + 1)
-    return np.tile(d_ctx_row, (cache.count, 1))
+    out[...] = d_pooled.sum(axis=0) / (cache.count + 1)
+    return out

@@ -57,7 +57,7 @@ class ModelParams:
             layout.append((name, start, stop, shape))
         if np.shape(self.theta) != (stop,):
             raise ValueError(f"theta has shape {np.shape(self.theta)}, the model's is ({stop},)")
-        items = _cut(layout, self.theta)
+        items = {name: self.theta[a:b].reshape(shape) for name, a, b, shape in layout}
         views = iter(items.values())
         j, t = self.dims[2], self.dims[5]
         ctx = next(views)
@@ -185,11 +185,6 @@ def param_shapes(p: int, C_t: int, j: int, C_v: int, C: int,
             yield f"decoder.{k}.{name}", shape
 
 
-def _cut(layout, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """One view of *flat* per (name, start, stop, shape) entry of *layout*, by name."""
-    return {name: flat[a:b].reshape(shape) for name, a, b, shape in layout}
-
-
 def param_items(mp: ModelParams) -> list[tuple[str, np.ndarray]]:
     """Stable (name, array) listing of every trainable tensor."""
     return list(mp._items.items())
@@ -199,14 +194,18 @@ class Gradients(Mapping):
     """One gradient per trainable tensor, each a view into the flat vector
     ``flat``, which is laid out like ``ModelParams.theta``.
 
-    Assigning to an entry copies the value into its slot; a value of another
-    shape raises ValueError naming the parameter and is never broadcast.
+    ``tree`` holds the same views as a :class:`ModelParams` over ``flat``,
+    the parameter objects that the layer backward functions write into
+    (their ``out``). Assigning to an entry copies the value into its slot; a
+    value of another shape raises ValueError naming the parameter and is
+    never broadcast.
     """
 
     def __init__(self, mp: ModelParams, flat: np.ndarray):
         self.layout = mp._layout
         self.flat = flat
-        self._slots = _cut(self.layout, flat)
+        self.tree = ModelParams(flat, mp.dims, mp.gated)
+        self._slots = self.tree._items
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._slots[name]
@@ -264,41 +263,58 @@ def forward(
     enc: StubTextEncoder,
     table: np.ndarray,
     stack: FeatureStack,
+    scores: bool = True,
 ) -> tuple[Prediction, ForwardCache]:
     """Full model pass on one feature stack: the class prompts from the
     N x C_t class tokens *table*, fusion and embedding, the decoder, then the
-    prediction head."""
+    prediction head, whose pixel logits are squashed to scores only with
+    *scores* (:func:`backward` passes False)."""
     text, text_cache = prompt.encode_texts_cached(mp.ctx, table, enc)
     fused, fuse_cache = fusion.fuse_cached(stack, mp.fp)
     visual, embed_cache = fusion.embed_cached(fused, mp.emb)
     text_out, decode_caches = decoder.decode_cached(text, visual, stack.cls, mp.dp)
-    pred, predict_cache = decoder.predict_cached(visual, text_out, stack.grid, stack.image_size)
+    pred, predict_cache = decoder.predict_cached(visual, text_out, stack.grid, stack.image_size,
+                                                 scores)
     return pred, ForwardCache(
         pred, text_cache, fuse_cache, embed_cache, decode_caches, predict_cache, None
     )
 
 
-def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
-    """Mean binary cross entropy over every pixel and affordance channel, from
-    the pixel logits z as max(z, 0) - y*z + log(1 + exp(-|z|)), finite for finite z."""
-    y = target.M
-    if pred.logits.shape != y.shape:
-        raise ValueError(f"prediction {pred.logits.shape} vs target {y.shape}")
-    # C order like a mask target (a densified one is channel-major); the
-    # terms and the mean are taken in the same order as the one-line expression
-    z = np.ascontiguousarray(pred.logits)
+def bce_loss_and_grad(logits: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross entropy of pixel logits z against targets y,
+    max(z, 0) - y*z + log(1 + exp(-|z|)), finite for finite z, and its
+    gradient in z, (sigmoid(z) - y) / n, in C order for the upsampling adjoint.
+    Both come from one C-ordered copy of z and one e = exp(-|z|), so the mean
+    is taken in one order whatever the layouts; the terms follow the one-line
+    expression and the sigmoid :func:`decoder._sigmoid`, to the bit."""
+    if logits.shape != y.shape:
+        raise ValueError(f"prediction {logits.shape} vs target {y.shape}")
+    z = np.ascontiguousarray(logits)
+    e = np.abs(z)
+    np.exp(np.negative(e, out=e), out=e)
     t = np.maximum(z, 0.0)
     a = np.multiply(y, z)
     t -= a
-    np.log1p(np.exp(np.negative(np.abs(z, out=a), out=a), out=a), out=a)
-    t += a
-    return float(t.mean())
+    t += np.log1p(e, out=a)
+    loss = float(t.mean())
+    # e <= 1, so the maximum is 1 where z >= 0 and e elsewhere: the
+    # numerator of the sigmoid, cheaper than a where in C order
+    g = np.maximum(e, z >= 0, out=t)
+    e += 1.0
+    g /= e
+    g -= y
+    g /= g.size
+    return loss, g
+
+
+def bce_loss(pred: Prediction, target: AffordanceTarget) -> float:
+    """The loss of :func:`bce_loss_and_grad` on the prediction's pixel logits."""
+    return bce_loss_and_grad(pred.logits, target.M)[0]
 
 
 def _bce_score_grad(scores: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Gradient of ``bce_loss`` in the pixel logits z, from scores = sigmoid(z): (s - y) / n."""
-    # C order whatever the target's layout: the upsampling adjoint reads a
-    # C-ordered gradient as is, but copies a channel-major one
+    """(s - y) / n in C order from scores = sigmoid(z): the logit gradient of
+    :func:`bce_loss_and_grad`, for callers that hold the scores."""
     return np.subtract(scores, target, order="C") / scores.size
 
 
@@ -310,14 +326,16 @@ def backward(
 ) -> tuple[float, Gradients]:
     """Loss and exact gradients for every trainable tensor.
 
-    The gradients are the model's own :class:`Gradients`, overwritten by the
-    next call on the same model; copy them to keep them. Every slot is
-    written on every call, so the vector is never cleared. A non-finite
-    gradient raises ArithmeticError naming the first such parameter; a
-    non-finite loss with finite gradients raises it too.
+    The forward builds no scores; :func:`bce_loss_and_grad` gives the loss
+    and the logit gradient. The gradients are the model's own
+    :class:`Gradients`, overwritten by the next call on the same model; copy
+    them to keep them. Each layer writes its gradients into their slots
+    (``out``), and every slot is written on every call, so the vector is
+    never cleared. A non-finite gradient raises ArithmeticError naming the
+    first such parameter; a non-finite loss with finite gradients raises it too.
     """
-    pred, cache = forward(mp, enc, table, item.stack)
-    loss = bce_loss(pred, item.target)
+    pred, cache = forward(mp, enc, table, item.stack, scores=False)
+    loss, d_logits = bce_loss_and_grad(pred.logits, item.target.M)
 
     if mp._grads is None:
         # once per model: a fresh 800 kB vector (README config) on every
@@ -325,19 +343,15 @@ def backward(
         # page fault per 4 kB touched
         object.__setattr__(mp, "_grads", Gradients(mp, np.empty(mp.theta.size)))
     grads = mp._grads
-    d_logits = _bce_score_grad(pred.upsampled, item.target.M)
+    slots = grads.tree
     d_visual, d_text_out = decoder.predict_backward(cache.predict_cache, d_logits)
-
-    layer_grads, d_text, d_vis2 = decoder.decode_backward(cache.decode_caches, d_text_out)
+    _, d_text, d_vis2 = decoder.decode_backward(cache.decode_caches, d_text_out,
+                                                out=slots.dp.layers)
     if d_vis2 is not None:  # None with no decoder layers
-        d_visual = d_visual + d_vis2
-    d_w, d_b, d_fused = fusion.embed_backward(cache.embed_cache, d_visual)
-    d_proj, d_logits = fusion.fuse_backward(cache.fuse_cache, d_fused)
-    d_ctx = prompt.encode_texts_backward(cache.text_cache, d_text)
-    # in table order; each layer's dict is in DecoderLayerParams field order
-    parts = [d_ctx, *d_proj, d_logits, d_w, d_b, *(g for d in layer_grads for g in d.values())]
-    for (name, *_), g in zip(grads.layout, parts, strict=True):
-        grads[name] = g
+        d_visual += d_vis2
+    *_, d_fused = fusion.embed_backward(cache.embed_cache, d_visual, out=slots.emb)
+    fusion.fuse_backward(cache.fuse_cache, d_fused, out=slots.fp)
+    prompt.encode_texts_backward(cache.text_cache, d_text, out=slots.ctx)
 
     if not np.isfinite(grads.flat).all():
         raise ArithmeticError(

@@ -114,8 +114,29 @@ def bilinear_reference(grid, H, W):
 
 def bce_loss_reference(z, y):
     """The one-expression BCE on pixel logits, max(z, 0) - y*z + log(1 + exp(-|z|)),
-    averaged over every element: the form ``training.bce_loss`` computes in place."""
+    averaged over every element: the form ``training.bce_loss_and_grad`` computes in place."""
     return float((np.maximum(z, 0.0) - y * z + np.log1p(np.exp(-np.abs(z)))).mean())
+
+
+def bce_separate_passes_reference(z, y):
+    """-> (loss, logit gradient) as training took them before one exp served
+    both: ``training.bce_loss`` in place on a C-ordered copy of z, and
+    ``_bce_score_grad(_sigmoid(z), y)``, a subtraction in C order of the
+    squashed logits, divided by the element count."""
+    zc = np.ascontiguousarray(z)
+    t = np.maximum(zc, 0.0)
+    a = np.multiply(y, zc)
+    t -= a
+    np.log1p(np.exp(np.negative(np.abs(zc, out=a), out=a), out=a), out=a)
+    t += a
+    # decoder._sigmoid as written then, on z in its own layout
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    s = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    s /= e
+    return float(t.mean()), np.subtract(s, y, order="C") / s.size
 
 
 def gaussian_sum_reference(points, sigma, H, W):

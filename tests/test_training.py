@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from affseg import decoder, fusion, gradcheck, synth, training
+from affseg import decoder, fusion, gradcheck, prompt, synth, training
 from affseg.cli import ABLATIONS
 from affseg.container import CorruptionError, FormatError
 from affseg.data import DENSE_BINARY, DENSIFIED_SPARSE, AffordanceTarget, LoadedItem, densify
@@ -26,6 +26,7 @@ from affseg.training import (
     _bce_score_grad,
     backward,
     bce_loss,
+    bce_loss_and_grad,
     load_checkpoint,
     param_items,
     params_checksum,
@@ -34,7 +35,12 @@ from affseg.training import (
     train,
     zero_gradients,
 )
-from tests.oracles import bce_loss_reference, max_rel_err, train_reference
+from tests.oracles import (
+    bce_loss_reference,
+    bce_separate_passes_reference,
+    max_rel_err,
+    train_reference,
+)
 
 
 def ablated(cfg: TrainConfig, ablate: str | None) -> TrainConfig:
@@ -119,6 +125,46 @@ class TestBceLoss:
         assert math.isfinite(loss) and loss >= 0.0
         grad = _bce_score_grad(_sigmoid(z), y)
         assert (np.abs(grad) <= 1.0 / z.size).all()
+
+
+class TestBceLossAndGrad:
+    @settings(max_examples=300, deadline=None)
+    @given(H=st.integers(1, 70), W=st.integers(1, 70), N=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), z_channel_major=st.booleans(),
+           y_channel_major=st.booleans(), soft=st.booleans(), log_scale=st.floats(-3.0, 3.0),
+           zero_share=st.sampled_from((0.0, 0.25)))
+    # the README step: channel-major logits against a C-ordered mask target
+    @example(H=64, W=64, N=4, seed=0, z_channel_major=True, y_channel_major=False, soft=False,
+             log_scale=0.0, zero_share=0.0)
+    # a keypoint step: channel-major logits and densified target
+    @example(H=5, W=7, N=3, seed=1, z_channel_major=True, y_channel_major=True, soft=True,
+             log_scale=3.0, zero_share=0.25)
+    def test_bitwise_equal_to_separate_passes(self, H, W, N, seed, z_channel_major,
+                                              y_channel_major, soft, log_scale, zero_share):
+        rng = np.random.default_rng(seed)
+
+        def laid_out(a, channel_major):
+            return np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0) \
+                if channel_major else a
+
+        z = rng.standard_normal((H, W, N)) * 10.0**log_scale
+        zeros = rng.random(z.shape) < zero_share
+        z[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))  # +0.0 and -0.0
+        y = rng.random((H, W, N))
+        if not soft:
+            y = (y < 0.5).astype(np.float64)
+        z, y = laid_out(z, z_channel_major), laid_out(y, y_channel_major)
+        loss, grad = bce_loss_and_grad(z, y)
+        want_loss, want_grad = bce_separate_passes_reference(z, y)
+        assert math.isfinite(loss) and loss == want_loss
+        # C order whatever the layouts: the upsampling adjoint reads it without a copy
+        assert grad.flags.c_contiguous and grad.tobytes() == want_grad.tobytes()
+
+    def test_logits_are_not_written(self):
+        z = np.random.default_rng(2).standard_normal((4, 3, 2))
+        before = z.copy()
+        bce_loss_and_grad(z, np.ones_like(z))
+        assert z.tobytes() == before.tobytes()
 
 
 class TestSgdStep:
@@ -444,22 +490,22 @@ class TestBackward:
         params, enc, table, item = gradcheck.build_problem(seed=4)
         embed_backward, decode_backward = fusion.embed_backward, decoder.decode_backward
 
-        def poisoned_embed(cache, d_out):
-            d_w, d_b, d_fused = embed_backward(cache, d_out)
+        # backward has the gradients written into their slots, so the spies
+        # poison the arrays they return in place
+        def poisoned_embed(cache, d_out, out=None):
+            d_w, d_b, d_fused = embed_backward(cache, d_out, out=out)
             if "embedder.weight" in poison:
-                d_w = d_w.copy()
                 d_w[1, 2] = np.inf
             if "embedder.bias" in poison:
-                d_b = d_b.copy()
                 d_b[-1] = np.nan
             return d_w, d_b, d_fused
 
-        def poisoned_decode(caches, d_out):
-            layer_grads, d_text, d_visual = decode_backward(caches, d_out)
+        def poisoned_decode(caches, d_out, out=None):
+            layer_grads, d_text, d_visual = decode_backward(caches, d_out, out=out)
             for k, layer in enumerate(layer_grads):
                 for name in layer:
                     if f"decoder.{k}.{name}" in poison:
-                        layer[name] = np.full_like(layer[name], -np.inf)
+                        layer[name][...] = -np.inf
             return layer_grads, d_text, d_visual
 
         monkeypatch.setattr(fusion, "embed_backward", poisoned_embed)
@@ -473,6 +519,82 @@ class TestBackward:
         params.emb.weight[0, 0] = 1e308  # overflow downstream
         with np.errstate(all="ignore"), pytest.raises((ArithmeticError, ValueError)):
             backward(params, item, enc, table)
+
+
+    @pytest.mark.parametrize("ablate", (None, *ABLATIONS))
+    def test_layers_write_their_gradients_into_the_vector(self, monkeypatch, ablate):
+        # a step builds no score map and copies no gradient: each layer's
+        # backward returns the model's own slots, and together they cover
+        # the vector, the ungated wc and the empty groups of p, j or t 0 included
+        params, enc, table, item = gradcheck.build_problem(seed=0, **ABLATIONS.get(ablate, {}))
+        flat = np.full(params.theta.size, np.nan)
+        object.__setattr__(params, "_grads", training.Gradients(params, flat))
+        asked, returned = [], []
+        predict_from_logits = decoder.predict_from_logits
+
+        def spy_predict(logits, grid, image_size, scores=True):
+            asked.append(scores)
+            return predict_from_logits(logits, grid, image_size, scores)
+
+        def spy(fn, grads_of):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                returned.extend(grads_of(result))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(decoder, "predict_from_logits", spy_predict)
+        for module, name, grads_of in (
+            (decoder, "decode_backward", lambda r: [g for d in r[0] for g in d.values()]),
+            (fusion, "embed_backward", lambda r: r[:2]),
+            (fusion, "fuse_backward", lambda r: [*r[0], r[1]]),
+            (prompt, "encode_texts_backward", lambda r: [r]),
+        ):
+            monkeypatch.setattr(module, name, spy(getattr(module, name), grads_of))
+        _, grads = backward(params, item, enc, table)
+        assert asked == [False]
+        assert grads is params._grads and grads.flat is flat and np.isfinite(flat).all()
+        assert sorted(map(id, returned)) == sorted(map(id, grads.values()))
+        for g in returned:
+            assert g.size == 0 or np.shares_memory(g, flat)
+
+    def test_training_copies_no_gradient(self, monkeypatch):
+        *_, item = gradcheck.build_problem(seed=0)
+        cfg = TrainConfig(iterations=3, seed=0, p=2, j=2, t=2, C=8, C_t=8)
+        asked = []
+        predict_from_logits = decoder.predict_from_logits
+
+        def spy_predict(logits, grid, image_size, scores=True):
+            asked.append(scores)
+            return predict_from_logits(logits, grid, image_size, scores)
+
+        def copy(self, name, value):
+            raise AssertionError(f"gradient {name} copied into the vector")
+
+        monkeypatch.setattr(decoder, "predict_from_logits", spy_predict)
+        monkeypatch.setattr(training.Gradients, "__setitem__", copy)
+        train(cfg, [item], gradcheck.class_names())
+        assert asked == [False] * cfg.iterations
+
+    def test_overflowing_loss_with_finite_gradients_is_refused(self, tiny_world):
+        # pixel terms near 1e306 are finite, their mean is not
+        item = make_items(tiny_world)[0]
+        s = 1e306
+        stack = FeatureStack(layers=tuple(s * x for x in item.stack.layers), cls=s * item.stack.cls,
+                             grid=item.stack.grid, image_size=item.stack.image_size)
+        scaled = LoadedItem(item.item_id, item.object_id, stack, item.target)
+        cfg = TrainConfig(seed=8, p=2, j=2, t=0, C=16, C_t=16)
+        params = training.init_model(cfg, stack.feature_dim)
+        table, enc = training.build_text_pipeline(cfg, tiny_world.affordances)
+        with np.errstate(over="ignore"):
+            pred, _ = training.forward(params, enc, table, stack, scores=False)
+            loss, grad = bce_loss_and_grad(pred.logits, item.target.M)
+            want_loss, want_grad = bce_separate_passes_reference(pred.logits, item.target.M)
+            assert np.isfinite(pred.logits).all() and loss == want_loss == math.inf
+            assert np.isfinite(grad).all() and grad.tobytes() == want_grad.tobytes()
+            with pytest.raises(ArithmeticError,
+                               match=r"^non-finite loss inf with finite gradients$"):
+                backward(params, scaled, enc, table)
 
 
 def make_items(world, noise=0.05, variant=0):
